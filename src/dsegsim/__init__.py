@@ -1,8 +1,8 @@
 """Segment-based VM memory allocation, register-file address translation,
 segment-aware placement, and datacenter trace replay."""
 
-from .baseline import BuddyAllocator, allocate_baseline
-from .engine import SimulationState, finish, new_state, run, step
+from .baseline import BuddyAllocator
+from .engine import SimulationState, finish, new_state, reselect_option, run, step
 from .mmu import (
     CostBreakdown,
     DsnRegisterFile,
@@ -39,8 +39,6 @@ from .scheduler import (
     baseline_pick,
     filter_min_segments,
     filter_resources,
-    record_event,
-    reselect_option,
 )
 from .segments import (
     AllocationPolicy,

@@ -170,8 +170,3 @@ class BuddyAllocator:
                 merged.append([lo, hi])
         offset = self.start_page * PAGE_SIZE
         return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)
-
-
-def allocate_baseline(buddy: BuddyAllocator, vm_id: str, demand: int, now: int) -> VMAllocation:
-    """Baseline allocation path; see BuddyAllocator.allocate."""
-    return buddy.allocate(vm_id, demand, now)

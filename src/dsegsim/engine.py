@@ -5,6 +5,11 @@ memory frees before it is wanted. Each start runs the placement filter chain
 and the variant's allocator, then types the VM (register-file translation
 when k <= n). The engine times each allocator call, which is the one
 non-reproducible output; everything else is deterministic.
+
+Every machine is a ``MachineView``; on the baseline its free list is a buddy
+allocator instead of a free-segment list. The dynamic variant's periodic
+policy reselection replays the logged events through this same loop, once
+per composition policy.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .baseline import BuddyAllocator, DEFAULT_MAX_ORDER
 from .report import SimulationReport, VmRecord
 from .scheduler import (
     EventLog,
+    MachineView,
     NoCandidateError,
     PlacementRequest,
     SchedulerConfig,
@@ -23,25 +29,9 @@ from .scheduler import (
     baseline_pick,
     filter_min_segments,
     filter_resources,
-    record_event,
-    reselect_option,
 )
 from .segments import AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
-
-
-@dataclass
-class BaselineMachine:
-    """Machine whose memory is managed by the buddy allocator."""
-
-    machine_id: int
-    cores_total: int
-    cores_free: int
-    buddy: BuddyAllocator
-
-    @property
-    def free_bytes(self) -> int:
-        return self.buddy.free_bytes
 
 
 @dataclass
@@ -56,7 +46,7 @@ class SimulationState:
     variant: SimVariant
     config: SchedulerConfig
     fleet_spec: FleetSpec
-    machines: list
+    machines: list[MachineView]
     clock: int = 0
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
@@ -93,25 +83,14 @@ def new_state(
         n=n,
         current_policy=_variant_policy(variant),
         reselect_period=reselect_period,
-        variant=variant,
     )
+    machines = build_fleet(fleet_spec)
     if variant is SimVariant.BASELINE:
-        machines: list = [
-            BaselineMachine(
-                m.machine_id,
-                m.cores_total,
-                m.cores_free,
-                BuddyAllocator(
-                    m.free_list.total_bytes,
-                    m.free_list.reserved_bytes,
-                    max_order,
-                    m.machine_id,
-                ),
+        for m in machines:
+            fl = m.free_list
+            m.free_list = BuddyAllocator(
+                fl.total_bytes, fl.reserved_bytes, max_order, m.machine_id
             )
-            for m in build_fleet(fleet_spec)
-        ]
-    else:
-        machines = build_fleet(fleet_spec)
     return SimulationState(variant, config, fleet_spec, machines)
 
 
@@ -124,7 +103,7 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
             state.config.current_policy = chosen
             state.option_switches.append((int(state.next_reselect), chosen.value))
             state.next_reselect += state.config.reselect_period
-        record_event(state.log, event)
+        state.log.append(event)
     state.clock = max(state.clock, event.time)
     if event.kind is EventKind.STOP:
         _stop_vm(state, event)
@@ -155,31 +134,36 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         state.rejected.add(event.vm_id)
         return
     machine = state.machine(machine_id)
-    # thread CPU time: at microsecond scale, wall clocks mostly measure OS
-    # preemption rather than the allocator
-    if state.variant is SimVariant.BASELINE:
-        t0 = _time.thread_time()
-        alloc = machine.buddy.allocate(event.vm_id, event.memory_bytes, event.time)
-        alloc.alloc_latency = _time.thread_time() - t0
-    else:
-        t0 = _time.thread_time()
-        alloc = allocate(
-            machine.free_list, event.vm_id, event.memory_bytes, policy, event.time
-        )
-        alloc.alloc_latency = _time.thread_time() - t0
-    alloc.mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
+    alloc, latency = _grant(machine.free_list, event, policy)
     machine.cores_free -= event.cores
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
+    mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
     state.records.append(
-        VmRecord(
-            vm_id=event.vm_id,
-            time=event.time,
-            machine_id=machine_id,
-            k=alloc.k,
-            mode=alloc.mode.value,
-            alloc_latency=alloc.alloc_latency,
-        )
+        VmRecord(event.vm_id, event.time, machine_id, alloc.k, mode.value, latency)
     )
+
+
+def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocation, float]:
+    """Allocate a starting VM's memory from either memory model. Returns the
+    grant and the allocator call's thread CPU time: at microsecond scale,
+    wall clocks mostly measure OS preemption rather than the allocator."""
+    if isinstance(memory, BuddyAllocator):
+        t0 = _time.thread_time()
+        alloc = memory.allocate(event.vm_id, event.memory_bytes, event.time)
+    else:
+        t0 = _time.thread_time()
+        alloc = allocate(memory, event.vm_id, event.memory_bytes, policy, event.time)
+    return alloc, _time.thread_time() - t0
+
+
+def _release(state: SimulationState, vm_id: str, vm: LiveVm, now: int) -> None:
+    """Return a VM's memory, from either memory model, and its cores."""
+    machine = state.machine(vm.machine_id)
+    if isinstance(machine.free_list, BuddyAllocator):
+        machine.free_list.release(vm_id)
+    else:
+        release(machine.free_list, vm.allocation, now)
+    machine.cores_free += vm.cores
 
 
 def _stop_vm(state: SimulationState, event: VmEvent) -> None:
@@ -192,12 +176,7 @@ def _stop_vm(state: SimulationState, event: VmEvent) -> None:
         else:
             state.anomalies += 1
         return
-    machine = state.machine(vm.machine_id)
-    if state.variant is SimVariant.BASELINE:
-        machine.buddy.release(event.vm_id)
-    else:
-        release(machine.free_list, vm.allocation, event.time)
-    machine.cores_free += vm.cores
+    _release(state, event.vm_id, vm, event.time)
 
 
 def event_order(events: list[VmEvent]) -> list[VmEvent]:
@@ -214,25 +193,11 @@ def event_order(events: list[VmEvent]) -> list[VmEvent]:
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
     """Release still-running VMs (implicit stop at trace end) and build the
     report."""
-    implicit = 0
+    implicit = len(state.live)
     for vm_id in sorted(state.live):
-        vm = state.live[vm_id]
-        machine = state.machine(vm.machine_id)
-        if state.variant is SimVariant.BASELINE:
-            machine.buddy.release(vm_id)
-        else:
-            release(machine.free_list, vm.allocation, state.clock)
-        machine.cores_free += vm.cores
-        implicit += 1
+        _release(state, vm_id, state.live[vm_id], state.clock)
     state.live.clear()
-    final_free = {}
-    for machine in state.machines:
-        if state.variant is SimVariant.BASELINE:
-            final_free[machine.machine_id] = machine.buddy.free_runs()
-        else:
-            final_free[machine.machine_id] = tuple(
-                (s.base, s.limit) for s in machine.free_list.segments
-            )
+    final_free = {m.machine_id: m.free_list.free_runs() for m in state.machines}
     return SimulationReport(
         variant=state.variant.value,
         n=state.config.n,
@@ -246,6 +211,23 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
         option_switches=tuple(state.option_switches),
         final_free=final_free,
     )
+
+
+def reselect_option(
+    log: EventLog, fleet_spec: FleetSpec, config: SchedulerConfig
+) -> AllocationPolicy:
+    """Replay the log on a fresh fleet under both composition policies and
+    adopt the one yielding more VMs with k <= n; ties prefer fewer total
+    segments, then the current policy. The log is reset afterwards."""
+    if not log.events:
+        return config.current_policy
+    scores = {}
+    for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
+        ks = [r.k for r in run(log.events, fleet_spec, variant, config.n).records]
+        scores[_variant_policy(variant)] = (-sum(k <= config.n for k in ks), sum(ks))
+    log.clear()
+    current = config.current_policy
+    return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))
 
 
 def run(

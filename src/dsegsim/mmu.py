@@ -151,10 +151,10 @@ def walk_refs(mode: WalkMode, levels: int = 4) -> int:
     return levels
 
 
-def dsn_reg_ops(levels: int = 4, k: int = 1) -> int:
+def dsn_reg_ops(levels: int = 4) -> int:
     """Register operations per miss: one offset addition plus one comparison
-    for each guest physical address a walk level extracts. Reported for cost
-    commentary; independent of k."""
+    for each guest physical address a walk level extracts, whatever the
+    number of segments. Reported for cost commentary."""
     if levels < 1:
         raise ValueError("page tables need at least one level")
     return 2 * levels

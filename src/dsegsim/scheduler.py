@@ -2,10 +2,8 @@
 
 The scheduler keeps a local mirror of every machine's free-segment list,
 dry-runs the hypervisor allocator on each candidate, and places the VM where
-it would receive the fewest segments. It also owns the periodic
-allocation-option reselection: the recorded start/stop log is replayed on a
-fresh fleet under both composition policies and the one producing more
-register-translatable VMs wins.
+it would receive the fewest segments. It also keeps the start/stop log that
+the engine's periodic allocation-option reselection replays.
 """
 
 from __future__ import annotations
@@ -14,13 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .segments import (
-    AllocationPolicy,
-    FreeSegmentList,
-    allocate,
-    peek_segment_count,
-    release,
-)
+from .segments import AllocationPolicy, FreeSegmentList, peek_segment_count
 
 WEEK_SECONDS = 7 * 24 * 3600
 
@@ -40,7 +32,11 @@ class SimVariant(Enum):
 
 @dataclass
 class MachineView:
-    """Scheduler-side view of one machine: cores plus the free-list mirror."""
+    """Scheduler-side view of one machine: cores plus the free-list mirror.
+
+    The baseline engine swaps ``free_list`` for a ``BuddyAllocator``, which
+    offers the same ``free_bytes`` and ``free_runs``.
+    """
 
     machine_id: int
     cores_total: int
@@ -71,7 +67,6 @@ class SchedulerConfig:
     n: int = 3
     current_policy: AllocationPolicy = AllocationPolicy.SMALLEST_FIRST
     reselect_period: float = WEEK_SECONDS
-    variant: SimVariant = SimVariant.DYNAMIC
 
     def __post_init__(self) -> None:
         if self.reselect_period <= 0:
@@ -86,6 +81,7 @@ class EventLog:
         self.out_of_order = 0
 
     def append(self, event) -> None:
+        """Append an event; out-of-order timestamps are accepted but counted."""
         if self.events and event.time < self.events[-1].time:
             self.out_of_order += 1
         self.events.append(event)
@@ -96,12 +92,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def record_event(log: EventLog, event) -> EventLog:
-    """Append an event; out-of-order timestamps are accepted but counted."""
-    log.append(event)
-    return log
 
 
 def filter_resources(machines: Iterable, request: PlacementRequest) -> list:
@@ -149,68 +139,3 @@ def baseline_pick(candidates: Sequence, request: PlacementRequest) -> int:
     if best_id is None:
         raise NoCandidateError(f"no machine can host {request.vm_id}")
     return best_id
-
-
-def _replay_outcome(
-    events: Sequence, fleet_spec, policy: AllocationPolicy, n: int
-) -> tuple[int, int]:
-    """Replay a start/stop log on a fresh fleet; return (#VMs with k <= n,
-    total segments granted)."""
-    from .trace import EventKind, build_fleet  # deferred: trace uses MachineView
-
-    machines = build_fleet(fleet_spec)
-    by_id = {m.machine_id: m for m in machines}
-    live: dict[str, tuple[int, object, int]] = {}
-    dsn_vms = 0
-    total_segments = 0
-    ordered = sorted(
-        enumerate(events), key=lambda p: (p[1].time, p[1].kind is EventKind.START, p[0])
-    )
-    for _, event in ordered:
-        if event.kind is EventKind.STOP:
-            if event.vm_id in live:
-                mid, alloc, cores = live.pop(event.vm_id)
-                release(by_id[mid].free_list, alloc, event.time)
-                by_id[mid].cores_free += cores
-            continue
-        if event.vm_id in live:
-            continue
-        request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
-        candidates = filter_resources(machines, request)
-        if not candidates:
-            continue
-        try:
-            mid = filter_min_segments(candidates, request, policy)
-        except NoCandidateError:
-            continue
-        alloc = allocate(
-            by_id[mid].free_list, event.vm_id, event.memory_bytes, policy, event.time
-        )
-        by_id[mid].cores_free -= event.cores
-        live[event.vm_id] = (mid, alloc, event.cores)
-        total_segments += alloc.k
-        if alloc.k <= n:
-            dsn_vms += 1
-    return dsn_vms, total_segments
-
-
-def reselect_option(log: EventLog, fleet_spec, config: SchedulerConfig) -> AllocationPolicy:
-    """Replay the log under both policies and adopt the one yielding more
-    VMs with k <= n; ties prefer fewer total segments, then the current
-    policy. The log is reset afterwards."""
-    if not log.events:
-        return config.current_policy
-    scores = {
-        policy: _replay_outcome(log.events, fleet_spec, policy, config.n)
-        for policy in AllocationPolicy
-    }
-    log.clear()
-    current = config.current_policy
-    best = current
-    best_score = (-scores[current][0], scores[current][1])
-    for policy in AllocationPolicy:
-        score = (-scores[policy][0], scores[policy][1])
-        if score < best_score:
-            best_score = score
-            best = policy
-    return best

@@ -95,6 +95,10 @@ class FreeSegmentList:
     def free_bytes(self) -> int:
         return sum(s.size for s in self.segments)
 
+    def free_runs(self) -> tuple[tuple[int, int], ...]:
+        """Free memory as (base, limit) byte ranges, ascending."""
+        return tuple((s.base, s.limit) for s in self.segments)
+
     def clone(self) -> "FreeSegmentList":
         return FreeSegmentList(
             self.machine_id, self.total_bytes, self.reserved_bytes, list(self.segments)
@@ -117,16 +121,10 @@ class FreeSegmentList:
 
 @dataclass
 class VMAllocation:
-    """Host segments granted to one VM, in grant order.
-
-    ``alloc_latency`` is the measured time the allocator call took, filled
-    in by the simulation engine; the allocator itself leaves it at 0.
-    """
+    """Host segments granted to one VM, in grant order."""
 
     vm_id: str
     segments: tuple[SegmentDescriptor, ...]
-    mode: VmMode | None = None
-    alloc_latency: float = 0.0
 
     @property
     def k(self) -> int:
@@ -182,10 +180,9 @@ def _plan(
 ) -> tuple[list[SegmentDescriptor], list[SegmentDescriptor]] | None:
     """Compute (grants, remaining free list) without touching the input.
 
-    Returns None when the demand exceeds the total free bytes.
+    Returns None when the demand exceeds the total free bytes: the free list
+    then runs out before the demand is covered.
     """
-    if demand > sum(s.size for s in segments):
-        return None
     free = list(segments)
     grants: list[SegmentDescriptor] = []
     remaining = demand
@@ -205,6 +202,8 @@ def _plan(
             remaining = 0
             continue
         # No single segment covers the demand: compose one per policy.
+        if not free:
+            return None
         if policy is AllocationPolicy.SMALLEST_FIRST:
             for seg in sorted(free, key=lambda s: (s.size, s.base)):
                 if seg.size >= remaining:
@@ -214,7 +213,6 @@ def _plan(
                 remaining -= seg.size
         else:
             biggest = _pop_largest(free, 0)
-            assert biggest is not None  # demand <= free total implies non-empty
             grants.append(replace(biggest, date=now))
             remaining -= biggest.size
     return grants, free

@@ -40,7 +40,6 @@ from dsegsim import (
     load_trace,
     new_machine,
     peek_segment_count,
-    record_event,
     release,
     reselect_option,
     run,
@@ -294,7 +293,7 @@ def test_c7_dynamic_option_selection_flips():
         fleet6 = FleetSpec((Generation("m", 6 * GIB, 16, 100.0),), 1)
         log = EventLog()
         for event in composition_beats_smallest_log():
-            record_event(log, event)
+            log.append(event)
         config = SchedulerConfig(n=2, current_policy=OPT1)
         assert reselect_option(log, fleet6, config) is OPT2
         assert len(log) == 0
@@ -302,7 +301,7 @@ def test_c7_dynamic_option_selection_flips():
         fleet8 = FleetSpec((Generation("m", 8 * GIB, 16, 100.0),), 1)
         log = EventLog()
         for event in smallest_first_preserves_big_hole_log():
-            record_event(log, event)
+            log.append(event)
         config = SchedulerConfig(n=1, current_policy=OPT2)
         assert reselect_option(log, fleet8, config) is OPT1
 

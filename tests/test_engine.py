@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import pytest
 
 from dsegsim import (
+    DEFAULT_FLAVORS,
+    Distribution,
     FleetSpec,
     Generation,
     SimVariant,
     build_fleet,
     default_fleet_spec,
     finish,
+    gen_synthetic,
     new_state,
     run,
     start_event,
@@ -212,3 +218,66 @@ class TestDynamicVariant:
                         SimVariant.PLACEMENT_OPT2):
             report = run(trace, one_machine_spec(), variant)
             assert report.option_switches == ()
+
+
+def core_digest(report):
+    core = json.dumps(report.core(), sort_keys=True).encode()
+    return hashlib.sha256(core).hexdigest()[:16]
+
+
+GOLDEN_TRACES = {
+    # churn on 20 machines of the default fleet: every segment grant is k = 1
+    "churn": (
+        lambda: gen_synthetic(
+            200, DEFAULT_FLAVORS, Distribution.exponential(120),
+            Distribution.exponential(6000), 7,
+        ),
+        default_fleet_spec(20),
+        7 * 86400.0,
+    ),
+    # memory-bound: 2 machines fill up, grants compose and fall back to
+    # paging, and dynamic reselects every 6 h (opt2, then back to opt1 once)
+    "memory": (
+        lambda: gen_synthetic(
+            400, DEFAULT_FLAVORS, Distribution.exponential(300),
+            Distribution.exponential(20000), 5,
+        ),
+        FleetSpec((Generation("m", 256 * GIB, 256, 100.0),), 2),
+        6 * 3600.0,
+    ),
+}
+
+# sha256 of json.dumps(report.core(), sort_keys=True), first 16 hex digits
+GOLDEN_DIGESTS = {
+    ("churn", "baseline"): "da5f517ca00b68a3",
+    ("churn", "opt1"): "10fb141acbeee8de",
+    ("churn", "opt2"): "614d5b72efa6728a",
+    ("churn", "dynamic"): "8bbc0c5781572c61",
+    ("memory", "baseline"): "1d784ca6404dca8f",
+    ("memory", "opt1"): "a1c597a51eb23975",
+    ("memory", "opt2"): "560ea1a37c906400",
+    ("memory", "dynamic"): "8cadd5979335f63b",
+}
+
+
+class TestGoldenOutput:
+    """Pins every variant's deterministic report on two seeded traces, so a
+    refactor of the engine, the allocators or the reselection cannot change
+    an answer unnoticed."""
+
+    @pytest.mark.parametrize("workload", sorted(GOLDEN_TRACES))
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_core_report_matches_golden_digest(self, workload, variant):
+        make_events, spec, period = GOLDEN_TRACES[workload]
+        report = run(make_events(), spec, variant, n=3, seed=1, reselect_period=period)
+        assert core_digest(report) == GOLDEN_DIGESTS[workload, variant.value]
+
+    def test_memory_trace_exercises_composition_and_reselection(self):
+        make_events, spec, period = GOLDEN_TRACES["memory"]
+        events = make_events()
+        for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
+            report = run(events, spec, variant, n=3)
+            assert any(r.k > 3 for r in report.records)
+            assert report.rejections > 0
+        dynamic = run(events, spec, SimVariant.DYNAMIC, n=3, reselect_period=period)
+        assert {policy for _, policy in dynamic.option_switches} == {"opt1", "opt2"}

@@ -17,7 +17,6 @@ from dsegsim import (
     filter_min_segments,
     filter_resources,
     peek_segment_count,
-    record_event,
     reselect_option,
     start_event,
     stop_event,
@@ -148,15 +147,15 @@ class TestBaselinePick:
 class TestEventLog:
     def test_append_keeps_order_and_counts(self):
         log = EventLog()
-        record_event(log, start_event("a", 0, 1, GIB))
-        record_event(log, stop_event("a", 10))
+        log.append(start_event("a", 0, 1, GIB))
+        log.append(stop_event("a", 10))
         assert len(log) == 2
         assert log.out_of_order == 0
 
     def test_out_of_order_accepted_but_flagged(self):
         log = EventLog()
-        record_event(log, start_event("a", 10, 1, GIB))
-        record_event(log, start_event("b", 5, 1, GIB))
+        log.append(start_event("a", 10, 1, GIB))
+        log.append(start_event("b", 5, 1, GIB))
         assert len(log) == 2
         assert log.out_of_order == 1
         assert [e.vm_id for e in log.events] == ["a", "b"]  # append-only
@@ -164,7 +163,7 @@ class TestEventLog:
 
 def _fill_log(log, events):
     for e in events:
-        record_event(log, e)
+        log.append(e)
     return log
 
 

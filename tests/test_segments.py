@@ -225,7 +225,36 @@ def machine_and_ops(draw):
     return n_ops, seed
 
 
+@st.composite
+def fragmented_list(draw):
+    """Up to 12 free segments of 1-8 pages, each after a 1-8 page hole."""
+    spans = []
+    cursor = 0
+    for hole, pages in draw(
+        st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=12)
+    ):
+        base = cursor + hole * PAGE_SIZE
+        cursor = base + pages * PAGE_SIZE
+        spans.append((base, cursor))
+    return flist(*spans, total=cursor + PAGE_SIZE)
+
+
 class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(fragmented_list(), st.sampled_from([OPT1, OPT2]), st.data())
+    def test_infeasible_exactly_when_demand_exceeds_free_bytes(self, fl, policy, data):
+        demand = data.draw(st.integers(1, fl.free_bytes // PAGE_SIZE + 3)) * PAGE_SIZE
+        before = list(fl.segments)
+        k = peek_segment_count(fl, demand, policy)
+        assert (k is None) == (demand > fl.free_bytes)
+        if k is None:
+            with pytest.raises(InsufficientMemoryError):
+                allocate(fl, "vm", demand, policy, 1)
+            assert fl.segments == before
+        else:
+            assert allocate(fl, "vm", demand, policy, 1).k == k
+        fl.check_invariants()
+
     @settings(max_examples=40, deadline=None)
     @given(machine_and_ops())
     def test_invariants_hold_under_random_workloads(self, params):
