@@ -30,7 +30,6 @@ from .report import (
     segment_histogram,
 )
 from .scheduler import (
-    EventLog,
     MachineView,
     NoCandidateError,
     PlacementRequest,

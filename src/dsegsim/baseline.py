@@ -11,6 +11,7 @@ memory segments the VM effectively received.
 from __future__ import annotations
 
 import heapq
+from typing import Iterable
 
 from .segments import (
     PAGE_SIZE,
@@ -92,7 +93,7 @@ class BuddyAllocator:
     def free_bytes(self) -> int:
         return self.free_pages * PAGE_SIZE
 
-    def allocate(self, vm_id: str, demand: int, now: int) -> VMAllocation:
+    def allocate(self, vm_id: str, demand: int) -> VMAllocation:
         """Grant ceil(demand / page) pages as buddy blocks, lowest address first.
 
         Fails atomically when the demand exceeds the free pages.
@@ -121,21 +122,20 @@ class BuddyAllocator:
             remaining -= 1 << order
         self._owned[vm_id] = blocks
         self.free_pages -= pages
-        return VMAllocation(vm_id=vm_id, segments=self._runs(blocks, now))
+        runs = self._runs((page, page + (1 << order)) for page, order in blocks)
+        return VMAllocation(vm_id, tuple(SegmentDescriptor(*r) for r in runs))
 
-    def _runs(self, blocks: list[tuple[int, int]], now: int) -> tuple[SegmentDescriptor, ...]:
-        spans = sorted((page, page + (1 << order)) for page, order in blocks)
+    def _runs(self, spans: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        """Merge (first_page, end_page) spans into maximal contiguous
+        (base, limit) byte ranges, ascending."""
         merged: list[list[int]] = []
-        for lo, hi in spans:
+        for lo, hi in sorted(spans):
             if merged and merged[-1][1] == lo:
                 merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
         offset = self.start_page * PAGE_SIZE
-        return tuple(
-            SegmentDescriptor(offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE, now)
-            for lo, hi in merged
-        )
+        return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)
 
     def release(self, vm_id: str) -> None:
         """Free a VM's blocks, coalescing buddies as far as possible."""
@@ -157,16 +157,6 @@ class BuddyAllocator:
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
         """Free memory as maximal contiguous (base, limit) byte ranges."""
-        spans = sorted(
-            (page, page + (1 << order))
-            for order, live in enumerate(self._sets)
-            for page in live
+        return self._runs(
+            (page, page + (1 << order)) for order, live in enumerate(self._sets) for page in live
         )
-        merged: list[list[int]] = []
-        for lo, hi in spans:
-            if merged and merged[-1][1] == lo:
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        offset = self.start_page * PAGE_SIZE
-        return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)

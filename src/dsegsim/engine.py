@@ -17,10 +17,10 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
-from .baseline import BuddyAllocator, DEFAULT_MAX_ORDER
+from .baseline import BuddyAllocator
 from .report import SimulationReport, VmRecord
 from .scheduler import (
-    EventLog,
+    WEEK_SECONDS,
     MachineView,
     NoCandidateError,
     PlacementRequest,
@@ -50,20 +50,14 @@ class SimulationState:
     clock: int = 0
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
-    log: EventLog = field(default_factory=EventLog)
+    log: list[VmEvent] = field(default_factory=list)
     records: list[VmRecord] = field(default_factory=list)
     rejections: int = 0
     anomalies: int = 0
+    out_of_order: int = 0
     start_count: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
-
-    def machine(self, machine_id: int):
-        return self._by_id[machine_id]
-
-    def __post_init__(self) -> None:
-        self._by_id = {m.machine_id: m for m in self.machines}
-        self.next_reselect = self.config.reselect_period
 
 
 def _variant_policy(variant: SimVariant) -> AllocationPolicy:
@@ -76,8 +70,7 @@ def new_state(
     fleet_spec: FleetSpec,
     variant: SimVariant,
     n: int = 3,
-    reselect_period: float = 7 * 24 * 3600,
-    max_order: int = DEFAULT_MAX_ORDER,
+    reselect_period: float = WEEK_SECONDS,
 ) -> SimulationState:
     config = SchedulerConfig(
         n=n,
@@ -89,14 +82,19 @@ def new_state(
         for m in machines:
             fl = m.free_list
             m.free_list = BuddyAllocator(
-                fl.total_bytes, fl.reserved_bytes, max_order, m.machine_id
+                fl.total_bytes, fl.reserved_bytes, machine_id=m.machine_id
             )
-    return SimulationState(variant, config, fleet_spec, machines)
+    return SimulationState(
+        variant, config, fleet_spec, machines, next_reselect=reselect_period
+    )
 
 
 def step(state: SimulationState, event: VmEvent) -> SimulationState:
     """Apply one event. Unknown stops and duplicate starts are recorded as
-    anomalies and change nothing."""
+    anomalies and change nothing; an event earlier than the clock is applied
+    and counted as out of order."""
+    if event.time < state.clock:
+        state.out_of_order += 1
     if state.variant is SimVariant.DYNAMIC:
         while event.time >= state.next_reselect:
             chosen = reselect_option(state.log, state.fleet_spec, state.config)
@@ -119,10 +117,6 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     state.start_count += 1
     request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
     candidates = filter_resources(state.machines, request)
-    if not candidates:
-        state.rejections += 1
-        state.rejected.add(event.vm_id)
-        return
     policy = state.config.current_policy
     try:
         if state.variant is SimVariant.BASELINE:
@@ -133,7 +127,7 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         state.rejections += 1
         state.rejected.add(event.vm_id)
         return
-    machine = state.machine(machine_id)
+    machine = state.machines[machine_id]
     alloc, latency = _grant(machine.free_list, event, policy)
     machine.cores_free -= event.cores
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
@@ -149,20 +143,20 @@ def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocati
     wall clocks mostly measure OS preemption rather than the allocator."""
     if isinstance(memory, BuddyAllocator):
         t0 = _time.thread_time()
-        alloc = memory.allocate(event.vm_id, event.memory_bytes, event.time)
+        alloc = memory.allocate(event.vm_id, event.memory_bytes)
     else:
         t0 = _time.thread_time()
-        alloc = allocate(memory, event.vm_id, event.memory_bytes, policy, event.time)
+        alloc = allocate(memory, event.vm_id, event.memory_bytes, policy)
     return alloc, _time.thread_time() - t0
 
 
-def _release(state: SimulationState, vm_id: str, vm: LiveVm, now: int) -> None:
+def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
     """Return a VM's memory, from either memory model, and its cores."""
-    machine = state.machine(vm.machine_id)
+    machine = state.machines[vm.machine_id]
     if isinstance(machine.free_list, BuddyAllocator):
         machine.free_list.release(vm_id)
     else:
-        release(machine.free_list, vm.allocation, now)
+        release(machine.free_list, vm.allocation)
     machine.cores_free += vm.cores
 
 
@@ -176,7 +170,7 @@ def _stop_vm(state: SimulationState, event: VmEvent) -> None:
         else:
             state.anomalies += 1
         return
-    _release(state, event.vm_id, vm, event.time)
+    _release(state, event.vm_id, vm)
 
 
 def event_order(events: list[VmEvent]) -> list[VmEvent]:
@@ -195,7 +189,7 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
     report."""
     implicit = len(state.live)
     for vm_id in sorted(state.live):
-        _release(state, vm_id, state.live[vm_id], state.clock)
+        _release(state, vm_id, state.live[vm_id])
     state.live.clear()
     final_free = {m.machine_id: m.free_list.free_runs() for m in state.machines}
     return SimulationReport(
@@ -214,16 +208,16 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
 
 
 def reselect_option(
-    log: EventLog, fleet_spec: FleetSpec, config: SchedulerConfig
+    log: list[VmEvent], fleet_spec: FleetSpec, config: SchedulerConfig
 ) -> AllocationPolicy:
     """Replay the log on a fresh fleet under both composition policies and
     adopt the one yielding more VMs with k <= n; ties prefer fewer total
     segments, then the current policy. The log is reset afterwards."""
-    if not log.events:
+    if not log:
         return config.current_policy
     scores = {}
     for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
-        ks = [r.k for r in run(log.events, fleet_spec, variant, config.n).records]
+        ks = [r.k for r in run(log, fleet_spec, variant, config.n).records]
         scores[_variant_policy(variant)] = (-sum(k <= config.n for k in ks), sum(ks))
     log.clear()
     current = config.current_policy
@@ -236,8 +230,7 @@ def run(
     variant: SimVariant,
     n: int = 3,
     seed: int = 0,
-    reselect_period: float = 7 * 24 * 3600,
-    max_order: int = DEFAULT_MAX_ORDER,
+    reselect_period: float = WEEK_SECONDS,
 ) -> SimulationReport:
     """Replay a trace and return the measurement report.
 
@@ -245,7 +238,7 @@ def run(
     the report so batch runs stay distinguishable; the replay itself is
     deterministic.
     """
-    state = new_state(fleet_spec, variant, n, reselect_period, max_order)
+    state = new_state(fleet_spec, variant, n, reselect_period)
     for event in event_order(events):
         step(state, event)
     return finish(state, seed)

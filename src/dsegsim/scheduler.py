@@ -1,9 +1,8 @@
 """Filter-chain VM placement with a segment-minimizing final filter.
 
-The scheduler keeps a local mirror of every machine's free-segment list,
-dry-runs the hypervisor allocator on each candidate, and places the VM where
-it would receive the fewest segments. It also keeps the start/stop log that
-the engine's periodic allocation-option reselection replays.
+The scheduler dry-runs the hypervisor allocator's plan on each candidate
+machine's own free-segment list, without changing it, and places the VM where
+it would receive the fewest segments.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class SimVariant(Enum):
 
 @dataclass
 class MachineView:
-    """Scheduler-side view of one machine: cores plus the free-list mirror.
+    """Scheduler-side view of one machine: cores plus its free-segment list.
 
     The baseline engine swaps ``free_list`` for a ``BuddyAllocator``, which
     offers the same ``free_bytes`` and ``free_runs``.
@@ -73,27 +72,6 @@ class SchedulerConfig:
             raise ValueError("reselect_period must be positive")
 
 
-class EventLog:
-    """Append-only start/stop request log feeding the option reselection."""
-
-    def __init__(self) -> None:
-        self.events: list = []
-        self.out_of_order = 0
-
-    def append(self, event) -> None:
-        """Append an event; out-of-order timestamps are accepted but counted."""
-        if self.events and event.time < self.events[-1].time:
-            self.out_of_order += 1
-        self.events.append(event)
-
-    def clear(self) -> None:
-        self.events = []
-        self.out_of_order = 0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
 def filter_resources(machines: Iterable, request: PlacementRequest) -> list:
     """Keep machines with enough free cores and free memory (boundary inclusive)."""
     return [
@@ -112,30 +90,20 @@ def filter_min_segments(
 
     Ties go to the machine with the most free bytes, then the lowest id.
     """
-    best_id = None
-    best_key = None
-    for machine in candidates:
-        k = peek_segment_count(machine.free_list, request.memory_bytes, policy)
-        if k is None:
-            continue
-        key = (k, -machine.free_bytes, machine.machine_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_id = machine.machine_id
-    if best_id is None:
+    keys = (
+        (peek_segment_count(m.free_list, request.memory_bytes, policy),
+         -m.free_bytes, m.machine_id)
+        for m in candidates
+    )
+    best = min((key for key in keys if key[0] is not None), default=None)
+    if best is None:
         raise NoCandidateError(f"no machine can host {request.vm_id}")
-    return best_id
+    return best[2]
 
 
 def baseline_pick(candidates: Sequence, request: PlacementRequest) -> int:
     """Stock spread objective: most free cores, ties to the lowest id."""
-    best_id = None
-    best_key = None
-    for machine in candidates:
-        key = (-machine.cores_free, machine.machine_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_id = machine.machine_id
-    if best_id is None:
+    best = min(((-m.cores_free, m.machine_id) for m in candidates), default=None)
+    if best is None:
         raise NoCandidateError(f"no machine can host {request.vm_id}")
-    return best_id
+    return best[1]

@@ -11,7 +11,7 @@ neighbours, so the list never contains two adjacent free ranges.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 PAGE_SIZE = 4096
@@ -56,16 +56,10 @@ class VmMode(Enum):
 
 @dataclass(frozen=True)
 class SegmentDescriptor:
-    """A contiguous byte range [base, limit) of host physical memory.
-
-    ``date`` is the simulated time at which the region ending at ``base - 1``
-    was allocated; 0 when unknown. It is bookkeeping only: no algorithm
-    consumes it.
-    """
+    """A contiguous byte range [base, limit) of host physical memory."""
 
     base: int
     limit: int
-    date: int = 0
 
     def __post_init__(self) -> None:
         if self.base < 0 or self.limit <= self.base:
@@ -158,25 +152,22 @@ def _pop_exact(free: list[SegmentDescriptor], size: int) -> SegmentDescriptor | 
     return None
 
 
-def _pop_largest(free: list[SegmentDescriptor], above: int) -> SegmentDescriptor | None:
-    """Remove and return the largest segment with size > above (lowest base on
-    ties), or None."""
+def _largest(free: list[SegmentDescriptor], above: int) -> int:
+    """Index of the largest segment with size > above (lowest base on ties),
+    or -1."""
     best = -1
     best_size = above
     for i, seg in enumerate(free):
         if seg.size > best_size:
             best = i
             best_size = seg.size
-    if best < 0:
-        return None
-    return free.pop(best)
+    return best
 
 
 def _plan(
     segments: list[SegmentDescriptor],
     demand: int,
     policy: AllocationPolicy,
-    now: int,
 ) -> tuple[list[SegmentDescriptor], list[SegmentDescriptor]] | None:
     """Compute (grants, remaining free list) without touching the input.
 
@@ -186,21 +177,19 @@ def _plan(
     free = list(segments)
     grants: list[SegmentDescriptor] = []
     remaining = demand
-    while remaining > 0:
+    while True:
         exact = _pop_exact(free, remaining)
         if exact is not None:
-            grants.append(replace(exact, date=now))
-            remaining = 0
-            continue
-        larger = _pop_largest(free, remaining)
-        if larger is not None:
-            # Grant the low end; the remainder keeps its place in the list and
-            # records that the region below it was allocated now.
-            grants.append(SegmentDescriptor(larger.base, larger.base + remaining, now))
-            leftover = SegmentDescriptor(larger.base + remaining, larger.limit, now)
-            bisect.insort(free, leftover, key=lambda s: s.base)
-            remaining = 0
-            continue
+            grants.append(exact)
+            return grants, free
+        i = _largest(free, remaining)
+        if i >= 0:
+            # Grant the low end; the remainder keeps the split segment's slot,
+            # which leaves the list ordered by base.
+            base, limit = free[i].base, free[i].limit
+            grants.append(SegmentDescriptor(base, base + remaining))
+            free[i] = SegmentDescriptor(base + remaining, limit)
+            return grants, free
         # No single segment covers the demand: compose one per policy.
         if not free:
             return None
@@ -209,13 +198,11 @@ def _plan(
                 if seg.size >= remaining:
                     break
                 free.remove(seg)
-                grants.append(replace(seg, date=now))
+                grants.append(seg)
                 remaining -= seg.size
         else:
-            biggest = _pop_largest(free, 0)
-            grants.append(replace(biggest, date=now))
-            remaining -= biggest.size
-    return grants, free
+            grants.append(free.pop(_largest(free, 0)))
+            remaining -= grants[-1].size
 
 
 def allocate(
@@ -223,7 +210,6 @@ def allocate(
     vm_id: str,
     demand: int,
     policy: AllocationPolicy,
-    now: int,
 ) -> VMAllocation:
     """Grant ``demand`` bytes to a VM, mutating the free list.
 
@@ -235,7 +221,7 @@ def allocate(
     """
     if demand <= 0:
         raise InvalidSizeError(f"demand must be positive, got {demand}")
-    planned = _plan(flist.segments, demand, policy, now)
+    planned = _plan(flist.segments, demand, policy)
     if planned is None:
         raise InsufficientMemoryError(
             f"machine {flist.machine_id}: demand {demand} exceeds "
@@ -255,13 +241,13 @@ def peek_segment_count(
     """
     if demand <= 0:
         raise InvalidSizeError(f"demand must be positive, got {demand}")
-    planned = _plan(flist.segments, demand, policy, 0)
+    planned = _plan(flist.segments, demand, policy)
     if planned is None:
         return None
     return len(planned[0])
 
 
-def release(flist: FreeSegmentList, allocation: VMAllocation, now: int = 0) -> FreeSegmentList:
+def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList:
     """Return an allocation's segments to the free list, coalescing at every
     coincident border.
 
@@ -282,14 +268,13 @@ def release(flist: FreeSegmentList, allocation: VMAllocation, now: int = 0) -> F
 
 def _insert_coalescing(free: list[SegmentDescriptor], seg: SegmentDescriptor) -> None:
     i = bisect.bisect_right([s.base for s in free], seg.base)
-    base, limit, date = seg.base, seg.limit, 0
+    base, limit = seg.base, seg.limit
     lo = i
     if i > 0 and free[i - 1].limit == base:
         base = free[i - 1].base
-        date = free[i - 1].date
         lo = i - 1
     hi = i
     if i < len(free) and free[i].base == limit:
         limit = free[i].limit
         hi = i + 1
-    free[lo:hi] = [SegmentDescriptor(base, limit, date)]
+    free[lo:hi] = [SegmentDescriptor(base, limit)]

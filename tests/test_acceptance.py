@@ -16,7 +16,6 @@ from dsegsim import (
     DEFAULT_FLAVORS,
     Distribution,
     DsnViolation,
-    EventLog,
     FleetSpec,
     FreeSegmentList,
     Generation,
@@ -86,7 +85,7 @@ def test_c1_allocator_bitmap_oracle():
         for step_no in range(100_000):
             if live and (rng.random() < 0.5 or fl.free_bytes == 0):
                 vm = live.pop(rng.choice(sorted(live)))
-                release(fl, vm, step_no)
+                release(fl, vm)
                 oracle.mark_released(vm.segments)
             else:
                 lo, hi = rng.choices(size_classes, weights)[0]
@@ -94,9 +93,9 @@ def test_c1_allocator_bitmap_oracle():
                 policy = rng.choice((OPT1, OPT2))
                 if size > fl.free_bytes:
                     with pytest.raises(InsufficientMemoryError):
-                        allocate(fl, f"vm{step_no}", size, policy, step_no)
+                        allocate(fl, f"vm{step_no}", size, policy)
                 else:
-                    alloc = allocate(fl, f"vm{step_no}", size, policy, step_no)
+                    alloc = allocate(fl, f"vm{step_no}", size, policy)
                     live[f"vm{step_no}"] = alloc
                     oracle.mark_allocated(alloc.segments)
             # every step: exact byte accounting plus the free-list invariants
@@ -291,17 +290,13 @@ def _random_machine(rng, mid):
 def test_c7_dynamic_option_selection_flips():
     with criterion(7, "dynamic-option-selection"):
         fleet6 = FleetSpec((Generation("m", 6 * GIB, 16, 100.0),), 1)
-        log = EventLog()
-        for event in composition_beats_smallest_log():
-            log.append(event)
+        log = composition_beats_smallest_log()
         config = SchedulerConfig(n=2, current_policy=OPT1)
         assert reselect_option(log, fleet6, config) is OPT2
         assert len(log) == 0
 
         fleet8 = FleetSpec((Generation("m", 8 * GIB, 16, 100.0),), 1)
-        log = EventLog()
-        for event in smallest_first_preserves_big_hole_log():
-            log.append(event)
+        log = smallest_first_preserves_big_hole_log()
         config = SchedulerConfig(n=1, current_policy=OPT2)
         assert reselect_option(log, fleet8, config) is OPT1
 

@@ -17,29 +17,29 @@ MIB = 1 << 20
 class TestBuddyBasics:
     def test_first_allocation_on_empty_machine_is_contiguous(self):
         buddy = BuddyAllocator(16 * GIB)
-        alloc = buddy.allocate("vm", 4 * MIB, 0)
+        alloc = buddy.allocate("vm", 4 * MIB)
         assert alloc.k == 1
         assert alloc.total_bytes == 4 * MIB
 
     def test_zero_demand_rejected(self):
         with pytest.raises(InvalidSizeError):
-            BuddyAllocator(GIB).allocate("vm", 0, 0)
+            BuddyAllocator(GIB).allocate("vm", 0)
 
     def test_insufficient_memory_is_atomic(self):
         buddy = BuddyAllocator(64 * PAGE_SIZE)
         before = buddy.free_bytes
         with pytest.raises(InsufficientMemoryError):
-            buddy.allocate("vm", 65 * PAGE_SIZE, 0)
+            buddy.allocate("vm", 65 * PAGE_SIZE)
         assert buddy.free_bytes == before
 
     def test_sub_page_demand_rounds_up_to_one_page(self):
         buddy = BuddyAllocator(GIB)
-        alloc = buddy.allocate("vm", 100, 0)
+        alloc = buddy.allocate("vm", 100)
         assert alloc.total_bytes == PAGE_SIZE
 
     def test_release_restores_free_bytes(self):
         buddy = BuddyAllocator(GIB)
-        buddy.allocate("vm", 37 * PAGE_SIZE, 0)
+        buddy.allocate("vm", 37 * PAGE_SIZE)
         buddy.release("vm")
         assert buddy.free_bytes == GIB
         assert buddy.free_runs() == ((0, GIB),)
@@ -47,7 +47,7 @@ class TestBuddyBasics:
     def test_reserved_region_excluded(self):
         buddy = BuddyAllocator(GIB, reserved_bytes=256 * PAGE_SIZE)
         assert buddy.free_bytes == GIB - 256 * PAGE_SIZE
-        alloc = buddy.allocate("vm", GIB - 256 * PAGE_SIZE, 0)
+        alloc = buddy.allocate("vm", GIB - 256 * PAGE_SIZE)
         assert alloc.segments[0].base == 256 * PAGE_SIZE
         assert alloc.segments[-1].limit == GIB
 
@@ -64,7 +64,7 @@ class TestFragmentation:
         oracle = BitmapOracle(256 * PAGE_SIZE)
         chunk = 16 * PAGE_SIZE
         for name in ("a", "b", "c", "d"):
-            oracle.mark_allocated(buddy.allocate(name, chunk, 0).segments)
+            oracle.mark_allocated(buddy.allocate(name, chunk).segments)
         holes = {}
         for name in ("b", "d"):
             holes[name] = buddy._owned[name]
@@ -72,7 +72,7 @@ class TestFragmentation:
         oracle.mark_released(
             [s for name in ("b", "d") for s in _block_segments(buddy, holes[name])]
         )
-        alloc = buddy.allocate("e", 2 * chunk, 0)
+        alloc = buddy.allocate("e", 2 * chunk)
         oracle.mark_allocated(alloc.segments)
         assert alloc.k == 2
         assert [s.base for s in alloc.segments] == [chunk, 3 * chunk]
@@ -93,9 +93,9 @@ class TestFragmentation:
                 vm = f"vm{step}"
                 if pages > buddy.free_pages:
                     with pytest.raises(InsufficientMemoryError):
-                        buddy.allocate(vm, pages * PAGE_SIZE, step)
+                        buddy.allocate(vm, pages * PAGE_SIZE)
                     continue
-                alloc = buddy.allocate(vm, pages * PAGE_SIZE, step)
+                alloc = buddy.allocate(vm, pages * PAGE_SIZE)
                 live[vm] = alloc
                 oracle.mark_allocated(alloc.segments)
             assert buddy.free_bytes == oracle.free_pages * PAGE_SIZE
@@ -122,7 +122,7 @@ class TestOddRegions:
     def test_non_power_of_two_region_fully_usable(self):
         pages = 1000  # decomposes into 512+256+128+64+32+8 blocks
         buddy = BuddyAllocator(pages * PAGE_SIZE, max_order=9)
-        alloc = buddy.allocate("vm", pages * PAGE_SIZE, 0)
+        alloc = buddy.allocate("vm", pages * PAGE_SIZE)
         assert alloc.total_bytes == pages * PAGE_SIZE
         assert alloc.k == 1  # blocks are adjacent, so they merge into one run
         buddy.release("vm")

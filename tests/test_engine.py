@@ -166,6 +166,15 @@ class TestStep:
         ]
         assert [e.vm_id for e in event_order(events)] == ["z", "a"]
 
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_events_before_the_clock_are_applied_and_counted(self, variant):
+        state = new_state(one_machine_spec(), variant)
+        for vm_id, time in (("a", 10), ("b", 5), ("c", 7)):
+            step(state, start_event(vm_id, time, 1, GIB))
+        assert state.out_of_order == 2  # 5 and 7 both trail the clock at 10
+        assert state.clock == 10
+        assert sorted(state.live) == ["a", "b", "c"]
+
 
 class TestReversibility:
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -4,7 +4,6 @@ import pytest
 
 from dsegsim import (
     AllocationPolicy,
-    EventLog,
     FleetSpec,
     FreeSegmentList,
     Generation,
@@ -144,29 +143,6 @@ class TestBaselinePick:
             assert pick == best.machine_id
 
 
-class TestEventLog:
-    def test_append_keeps_order_and_counts(self):
-        log = EventLog()
-        log.append(start_event("a", 0, 1, GIB))
-        log.append(stop_event("a", 10))
-        assert len(log) == 2
-        assert log.out_of_order == 0
-
-    def test_out_of_order_accepted_but_flagged(self):
-        log = EventLog()
-        log.append(start_event("a", 10, 1, GIB))
-        log.append(start_event("b", 5, 1, GIB))
-        assert len(log) == 2
-        assert log.out_of_order == 1
-        assert [e.vm_id for e in log.events] == ["a", "b"]  # append-only
-
-
-def _fill_log(log, events):
-    for e in events:
-        log.append(e)
-    return log
-
-
 def composition_beats_smallest_log():
     """On {1G, 1G, 2G} holes a 3G VM needs 3 pieces smallest-first but only 2
     largest-first; with n=2 only the latter stays register-translatable."""
@@ -204,22 +180,21 @@ class TestReselectOption:
 
     def test_empty_log_keeps_current_policy(self):
         config = SchedulerConfig(n=2, current_policy=OPT2)
-        assert reselect_option(EventLog(), self.fleet(6), config) is OPT2
+        assert reselect_option([], self.fleet(6), config) is OPT2
 
     def test_largest_first_wins_when_it_saves_the_decisive_vm(self):
-        log = _fill_log(EventLog(), composition_beats_smallest_log())
+        log = composition_beats_smallest_log()
         config = SchedulerConfig(n=2, current_policy=OPT1)
         assert reselect_option(log, self.fleet(6), config) is OPT2
         assert len(log) == 0  # log repository is reset
 
     def test_smallest_first_wins_when_it_keeps_big_segments(self):
-        log = _fill_log(EventLog(), smallest_first_preserves_big_hole_log())
+        log = smallest_first_preserves_big_hole_log()
         config = SchedulerConfig(n=1, current_policy=OPT2)
         assert reselect_option(log, self.fleet(8), config) is OPT1
 
     def test_identical_outcomes_retain_current_policy(self):
-        log = _fill_log(EventLog(), [start_event("a", 0, 1, GIB)])
         for current in (OPT1, OPT2):
             config = SchedulerConfig(n=2, current_policy=current)
-            fresh = _fill_log(EventLog(), [start_event("a", 0, 1, GIB)])
+            fresh = [start_event("a", 0, 1, GIB)]
             assert reselect_option(fresh, self.fleet(6), config) is current

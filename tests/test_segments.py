@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsegsim import (
     AllocationPolicy,
+    BuddyAllocator,
     FreeSegmentList,
     InsufficientMemoryError,
     InvalidSizeError,
@@ -56,19 +58,19 @@ class TestNewMachine:
 class TestAllocate:
     def test_exact_fit_takes_whole_segment(self):
         fl = flist((0, 4 * GIB))
-        alloc = allocate(fl, "vm", 4 * GIB, OPT1, 0)
+        alloc = allocate(fl, "vm", 4 * GIB, OPT1)
         assert [(s.base, s.limit) for s in alloc.segments] == [(0, 4 * GIB)]
         assert fl.segments == []
 
     def test_larger_segment_split_from_its_base(self):
         fl = flist((0, 2 * GIB), (6 * GIB, 16 * GIB))
-        alloc = allocate(fl, "vm", 4 * GIB, OPT1, 0)
+        alloc = allocate(fl, "vm", 4 * GIB, OPT1)
         assert [(s.base, s.limit) for s in alloc.segments] == [(6 * GIB, 10 * GIB)]
         assert spans(fl) == [(0, 2 * GIB), (10 * GIB, 16 * GIB)]
 
     def test_smallest_first_composition(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB), (4 * GIB, 6 * GIB))
-        alloc = allocate(fl, "vm", 3 * GIB, OPT1, 0)
+        alloc = allocate(fl, "vm", 3 * GIB, OPT1)
         assert [(s.base, s.limit) for s in alloc.segments] == [
             (0, GIB),
             (2 * GIB, 3 * GIB),
@@ -79,7 +81,7 @@ class TestAllocate:
 
     def test_largest_first_composition(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB), (4 * GIB, 6 * GIB))
-        alloc = allocate(fl, "vm", 3 * GIB, OPT2, 0)
+        alloc = allocate(fl, "vm", 3 * GIB, OPT2)
         assert [(s.base, s.limit) for s in alloc.segments] == [
             (4 * GIB, 6 * GIB),
             (0, GIB),
@@ -90,64 +92,57 @@ class TestAllocate:
     def test_insufficient_memory_leaves_list_unchanged(self):
         fl = flist((0, GIB))
         with pytest.raises(InsufficientMemoryError):
-            allocate(fl, "vm", 2 * GIB, OPT1, 0)
+            allocate(fl, "vm", 2 * GIB, OPT1)
         assert spans(fl) == [(0, GIB)]
 
     def test_zero_demand_rejected(self):
         with pytest.raises(InvalidSizeError):
-            allocate(flist((0, GIB)), "vm", 0, OPT1, 0)
+            allocate(flist((0, GIB)), "vm", 0, OPT1)
 
     def test_exact_fit_tie_goes_to_lowest_base(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB))
-        alloc = allocate(fl, "vm", GIB, OPT2, 0)
+        alloc = allocate(fl, "vm", GIB, OPT2)
         assert alloc.segments[0].base == 0
 
     def test_largest_tie_goes_to_lowest_base(self):
         fl = flist((0, 2 * GIB), (3 * GIB, 5 * GIB))
-        alloc = allocate(fl, "vm", GIB, OPT1, 0)
+        alloc = allocate(fl, "vm", GIB, OPT1)
         assert alloc.segments[0].base == 0
         assert spans(fl) == [(GIB, 2 * GIB), (3 * GIB, 5 * GIB)]
-
-    def test_granted_segments_record_allocation_date(self):
-        fl = flist((0, 2 * GIB))
-        alloc = allocate(fl, "vm", GIB, OPT1, now=42)
-        assert alloc.segments[0].date == 42
-        # the leftover's low neighbour was just allocated
-        assert fl.segments[0].date == 42
 
     def test_single_segment_always_yields_k1(self):
         for policy in (OPT1, OPT2):
             fl = flist((0, 8 * GIB))
-            assert allocate(fl, "vm", 6 * GIB, policy, 0).k == 1
+            assert allocate(fl, "vm", 6 * GIB, policy).k == 1
 
 
 class TestRelease:
     def test_forward_coalesce(self):
         fl = flist((0, GIB), total=4 * GIB)
         alloc_seg = SegmentDescriptor(GIB, 2 * GIB)
-        release(fl, _alloc(alloc_seg), 0)
+        release(fl, _alloc(alloc_seg))
         assert spans(fl) == [(0, 2 * GIB)]
 
     def test_bridge_coalesce(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB), total=4 * GIB)
-        release(fl, _alloc(SegmentDescriptor(GIB, 2 * GIB)), 0)
+        release(fl, _alloc(SegmentDescriptor(GIB, 2 * GIB)))
         assert spans(fl) == [(0, 3 * GIB)]
 
     def test_disjoint_insert_keeps_order(self):
         fl = flist((0, GIB), total=4 * GIB)
-        release(fl, _alloc(SegmentDescriptor(2 * GIB, 3 * GIB)), 0)
+        release(fl, _alloc(SegmentDescriptor(2 * GIB, 3 * GIB)))
         assert spans(fl) == [(0, GIB), (2 * GIB, 3 * GIB)]
 
     def test_overlap_raises_and_leaves_list_unchanged(self):
         fl = flist((0, 2 * GIB), total=4 * GIB)
         with pytest.raises(OverlapError):
-            release(fl, _alloc(SegmentDescriptor(GIB, 3 * GIB)), 0)
+            release(fl, _alloc(SegmentDescriptor(GIB, 3 * GIB)))
         assert spans(fl) == [(0, 2 * GIB)]
 
     def test_release_of_multi_segment_allocation(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB), (4 * GIB, 6 * GIB))
-        alloc = allocate(fl, "vm", 3 * GIB, OPT1, 0)
-        release(fl, alloc, 1)
+        alloc = allocate(fl, "vm", 3 * GIB, OPT1)
+        release(fl, alloc)
         assert spans(fl) == [(0, GIB), (2 * GIB, 3 * GIB), (4 * GIB, 6 * GIB)]
 
 
@@ -182,16 +177,16 @@ def random_ops_machine(seed, steps=300, pages=4096):
         if do_release:
             vm = rng.choice(sorted(live))
             alloc = live.pop(vm)
-            release(fl, alloc, step_no)
+            release(fl, alloc)
             oracle.mark_released(alloc.segments)
         else:
             size = rng.randint(1, max(1, oracle.free_pages // 2)) * PAGE_SIZE
             policy = rng.choice([OPT1, OPT2])
             if size > fl.free_bytes:
                 with pytest.raises(InsufficientMemoryError):
-                    allocate(fl, f"vm{step_no}", size, policy, step_no)
+                    allocate(fl, f"vm{step_no}", size, policy)
                 continue
-            alloc = allocate(fl, f"vm{step_no}", size, policy, step_no)
+            alloc = allocate(fl, f"vm{step_no}", size, policy)
             live[f"vm{step_no}"] = alloc
             oracle.mark_allocated(alloc.segments)
         fl.check_invariants()
@@ -205,15 +200,15 @@ class TestRandomizedInvariants:
     def test_bitmap_oracle_agrees_at_every_step(self, seed):
         fl, oracle, live = random_ops_machine(seed)
         for vm in sorted(live):
-            release(fl, live[vm], 9999)
+            release(fl, live[vm])
             oracle.mark_released(live[vm].segments)
         oracle.assert_matches_free_list(fl)
         assert spans(fl) == [(0, fl.total_bytes)]  # all frees coalesce back
 
     def test_conservation_with_reservation(self):
         fl = new_machine(64 * PAGE_SIZE, 16 * PAGE_SIZE)
-        a = allocate(fl, "a", 8 * PAGE_SIZE, OPT1, 0)
-        b = allocate(fl, "b", 24 * PAGE_SIZE, OPT2, 1)
+        a = allocate(fl, "a", 8 * PAGE_SIZE, OPT1)
+        b = allocate(fl, "b", 24 * PAGE_SIZE, OPT2)
         allocated = a.total_bytes + b.total_bytes
         assert fl.free_bytes + allocated + fl.reserved_bytes == fl.total_bytes
 
@@ -249,10 +244,10 @@ class TestProperties:
         assert (k is None) == (demand > fl.free_bytes)
         if k is None:
             with pytest.raises(InsufficientMemoryError):
-                allocate(fl, "vm", demand, policy, 1)
+                allocate(fl, "vm", demand, policy)
             assert fl.segments == before
         else:
-            assert allocate(fl, "vm", demand, policy, 1).k == k
+            assert allocate(fl, "vm", demand, policy).k == k
         fl.check_invariants()
 
     @settings(max_examples=40, deadline=None)
@@ -273,8 +268,8 @@ class TestProperties:
         first = peek_segment_count(fl, demand, policy)
         if first is None:
             return
-        one = allocate(fl.clone(), "x", demand, policy, 5)
-        two = allocate(fl.clone(), "x", demand, policy, 5)
+        one = allocate(fl.clone(), "x", demand, policy)
+        two = allocate(fl.clone(), "x", demand, policy)
         assert one == two
         assert one.k == first
 
@@ -283,6 +278,66 @@ class TestProperties:
     def test_no_two_adjacent_free_segments_after_release(self, seed):
         fl, _, live = random_ops_machine(seed, steps=60, pages=512)
         for vm in sorted(live):
-            release(fl, live[vm], 0)
+            release(fl, live[vm])
             for a, b in zip(fl.segments, fl.segments[1:]):
                 assert a.limit < b.base
+
+
+def fragmenting_replay(grant, release_vm, free_runs, seed=11, steps=2000, pages=2048):
+    """sha256 over every grant's (base, limit) spans and the free runs after
+    each op of a seeded alloc/release sequence that fills and fragments a
+    machine of ``pages`` user pages. Also returns each allocation's k, 0 for
+    a refused one."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    live = []
+    ks = []
+    for step_no in range(steps):
+        if live and rng.random() < 0.45:
+            release_vm(live.pop(rng.randrange(len(live))))
+        else:
+            try:
+                alloc = grant(f"vm{step_no}", rng.randint(1, pages // 8) * PAGE_SIZE)
+            except InsufficientMemoryError:
+                digest.update(b"full;")
+                ks.append(0)
+            else:
+                live.append(alloc)
+                ks.append(alloc.k)
+                digest.update(repr([(s.base, s.limit) for s in alloc.segments]).encode())
+        digest.update(repr(free_runs()).encode())
+    return digest.hexdigest(), ks
+
+
+# Recorded while segments still carried an allocation date; dropping it moved
+# no grant.
+GOLDEN_GRANT_SPANS = {
+    "opt1": "2282d393f16a58e93c5b1891071ebf574206b2a17e0be83533b5e4ba0545c755",
+    "opt2": "3dc58d04c213422c028e318e99124923285feb5560f8cb1ac6639a5970be21a0",
+    "buddy": "bf2d15260a4999dd634c32ed8595f57b395069b6060ed0955692e2a41d7a2139",
+}
+
+
+class TestGoldenGrantSpans:
+    """Pins where every grant lands, not just its k: ``core()`` keeps only k
+    and the final free list, so a changed split or composition would pass the
+    report goldens unseen."""
+
+    @pytest.mark.parametrize("policy", [OPT1, OPT2], ids=lambda p: p.value)
+    def test_segment_list_grants_match_golden_digest(self, policy):
+        fl = new_machine(2112 * PAGE_SIZE, 64 * PAGE_SIZE)
+        digest, ks = fragmenting_replay(
+            lambda vm, demand: allocate(fl, vm, demand, policy),
+            lambda alloc: release(fl, alloc),
+            fl.free_runs,
+        )
+        assert max(ks) > 3 and 0 in ks  # composes past n = 3 and runs full
+        assert digest == GOLDEN_GRANT_SPANS[policy.value]
+
+    def test_buddy_grants_match_golden_digest(self):
+        buddy = BuddyAllocator(2112 * PAGE_SIZE, 64 * PAGE_SIZE)
+        digest, ks = fragmenting_replay(
+            buddy.allocate, lambda alloc: buddy.release(alloc.vm_id), buddy.free_runs
+        )
+        assert max(ks) > 3 and 0 in ks
+        assert digest == GOLDEN_GRANT_SPANS["buddy"]

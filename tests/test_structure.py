@@ -1,7 +1,9 @@
-"""Static checks on how the package's modules import each other.
+"""Static checks on the package's source.
 
 Every import sits at module level, and the modules import each other without
-a cycle, so no import has to be deferred into a function to break one.
+a cycle, so no import has to be deferred into a function to break one. Every
+function reads each of its parameters, so no argument is threaded through
+call sites for nothing.
 """
 
 import ast
@@ -60,3 +62,29 @@ def test_intra_package_import_graph_is_acyclic():
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def unread_parameters(fn):
+    """Parameters of a function, other than self and cls, that its body never
+    reads."""
+    a = fn.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    names = {p.arg for p in params if p is not None} - {"self", "cls"}
+    read = {
+        node.id
+        for stmt in fn.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(names - read)
+
+
+def test_every_parameter_is_read():
+    offenders = [
+        f"{name}.py:{fn.lineno} {fn.name}({param})"
+        for name, tree in parsed_modules().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for param in unread_parameters(fn)
+    ]
+    assert offenders == []
