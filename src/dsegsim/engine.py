@@ -7,13 +7,18 @@ when k <= n). The engine times each allocator call, which is the one
 non-reproducible output; everything else is deterministic.
 
 Every machine is a ``MachineView``; on the baseline its free list is a buddy
-allocator instead of a free-segment list. The dynamic variant's periodic
+allocator instead of a free-segment list. The segment variants also keep a
+placement index, ``(-free_bytes, machine_id)`` for every machine in ascending
+order, updated on each grant and release, from which a start that some
+machine can serve with one segment is placed without the full filter chain
+(see ``scheduler``). The dynamic variant's periodic
 policy reselection replays the logged events through this same loop, once
 per composition policy.
 """
 
 from __future__ import annotations
 
+import bisect
 import time as _time
 from dataclasses import dataclass, field
 
@@ -29,6 +34,7 @@ from .scheduler import (
     baseline_pick,
     filter_min_segments,
     filter_resources,
+    one_segment_pick,
 )
 from .segments import AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
@@ -58,6 +64,8 @@ class SimulationState:
     start_count: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
+    # (-free_bytes, machine_id) per machine, ascending; None on the baseline
+    index: list[tuple[int, int]] | None = None
 
 
 def _variant_policy(variant: SimVariant) -> AllocationPolicy:
@@ -78,14 +86,18 @@ def new_state(
         reselect_period=reselect_period,
     )
     machines = build_fleet(fleet_spec)
+    index = None
     if variant is SimVariant.BASELINE:
         for m in machines:
             fl = m.free_list
             m.free_list = BuddyAllocator(
                 fl.total_bytes, fl.reserved_bytes, machine_id=m.machine_id
             )
+    else:
+        index = sorted((-m.free_bytes, m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, next_reselect=reselect_period
+        variant, config, fleet_spec, machines,
+        next_reselect=reselect_period, index=index,
     )
 
 
@@ -116,19 +128,25 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         return
     state.start_count += 1
     request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
-    candidates = filter_resources(state.machines, request)
     policy = state.config.current_policy
     try:
         if state.variant is SimVariant.BASELINE:
+            candidates = filter_resources(state.machines, request)
             machine_id = baseline_pick(candidates, request)
         else:
-            machine_id = filter_min_segments(candidates, request, policy)
+            machine_id = one_segment_pick(state.machines, state.index, request)
+            if machine_id is None:
+                candidates = filter_resources(state.machines, request)
+                machine_id = filter_min_segments(candidates, request, policy)
     except NoCandidateError:
         state.rejections += 1
         state.rejected.add(event.vm_id)
         return
     machine = state.machines[machine_id]
     alloc, latency = _grant(machine.free_list, event, policy)
+    if state.index is not None:
+        free = machine.free_bytes
+        _reindex(state.index, machine_id, free + event.memory_bytes, free)
     machine.cores_free -= event.cores
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
     mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
@@ -156,8 +174,18 @@ def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
     if isinstance(machine.free_list, BuddyAllocator):
         machine.free_list.release(vm_id)
     else:
+        free = machine.free_bytes
         release(machine.free_list, vm.allocation)
+        _reindex(state.index, vm.machine_id, free, machine.free_bytes)
     machine.cores_free += vm.cores
+
+
+def _reindex(
+    index: list[tuple[int, int]], machine_id: int, old_free: int, new_free: int
+) -> None:
+    """Move a machine's placement-index entry after its free bytes changed."""
+    del index[bisect.bisect_left(index, (-old_free, machine_id))]
+    bisect.insort(index, (-new_free, machine_id))
 
 
 def _stop_vm(state: SimulationState, event: VmEvent) -> None:
@@ -204,6 +232,7 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
         implicit_stops=implicit,
         option_switches=tuple(state.option_switches),
         final_free=final_free,
+        out_of_order=state.out_of_order,
     )
 
 

@@ -42,6 +42,9 @@ class SimulationReport:
     implicit_stops: int
     option_switches: tuple[tuple[int, str], ...]
     final_free: dict[int, tuple[tuple[int, int], ...]]
+    # events applied earlier than the replay clock; a data-quality flag, not
+    # part of core()
+    out_of_order: int = 0
 
     @property
     def placed(self) -> int:
@@ -162,6 +165,7 @@ def summary_dict(report: SimulationReport) -> dict:
         "rejections": report.rejections,
         "anomalies": report.anomalies,
         "implicit_stops": report.implicit_stops,
+        "out_of_order": report.out_of_order,
         "segment_histogram": {
             "pct_1": hist.pct_1,
             "pct_2": hist.pct_2,

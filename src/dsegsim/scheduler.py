@@ -1,8 +1,15 @@
 """Filter-chain VM placement with a segment-minimizing final filter.
 
-The scheduler dry-runs the hypervisor allocator's plan on each candidate
-machine's own free-segment list, without changing it, and places the VM where
-it would receive the fewest segments.
+The segment-aware scheduler places each VM where the hypervisor allocator
+would grant it the fewest segments; ties go to the machine with the most free
+bytes, then the lowest id. A machine grants exactly one segment when its
+largest free segment covers the demand, so the engine first walks a placement
+index of machines ordered by free bytes (``one_segment_pick``) and takes the
+first one with enough cores whose largest free segment is big enough. Only
+when no machine can grant one segment does it run the full filter chain:
+``filter_resources``, then ``filter_min_segments``, which dry-runs the
+allocator's plan on each candidate's own free-segment list without changing
+it. The chain is also the reference the index walk is tested against.
 """
 
 from __future__ import annotations
@@ -99,6 +106,29 @@ def filter_min_segments(
     if best is None:
         raise NoCandidateError(f"no machine can host {request.vm_id}")
     return best[2]
+
+
+def one_segment_pick(
+    machines: Sequence[MachineView],
+    index: Sequence[tuple[int, int]],
+    request: PlacementRequest,
+) -> int | None:
+    """The machine ``filter_min_segments(filter_resources(machines, request))``
+    chooses when some machine can grant the demand as one segment, else None.
+
+    ``index`` holds ``(-free_bytes, machine_id)`` for every machine, ascending:
+    the chain's own tie-break order among machines that grant one segment.
+    The walk stops at the first machine with fewer free bytes than the demand,
+    since no machine after it has a large enough segment.
+    """
+    demand = request.memory_bytes
+    for neg_free, machine_id in index:
+        if -neg_free < demand:
+            break
+        m = machines[machine_id]
+        if m.cores_free >= request.cores and m.free_list.max_segment >= demand:
+            return machine_id
+    return None
 
 
 def baseline_pick(candidates: Sequence, request: PlacementRequest) -> int:

@@ -78,16 +78,21 @@ class FreeSegmentList:
 
     ``reserved_bytes`` is the privileged region at the bottom of physical
     memory (hypervisor plus management tasks); it is never part of the list.
+    ``free_bytes`` and ``max_segment`` (the size of the largest free segment,
+    0 when none) are stored counters: the constructor computes them from
+    ``segments``, and ``allocate`` and ``release`` keep them up to date.
     """
 
     machine_id: int
     total_bytes: int
     reserved_bytes: int
     segments: list[SegmentDescriptor] = field(default_factory=list)
+    free_bytes: int = field(init=False)
+    max_segment: int = field(init=False)
 
-    @property
-    def free_bytes(self) -> int:
-        return sum(s.size for s in self.segments)
+    def __post_init__(self) -> None:
+        self.free_bytes = sum(s.size for s in self.segments)
+        self.max_segment = _max_size(self.segments)
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
         """Free memory as (base, limit) byte ranges, ascending."""
@@ -111,6 +116,10 @@ class FreeSegmentList:
             prev = seg
         if self.free_bytes > self.total_bytes - self.reserved_bytes:
             raise ValueError("free bytes exceed the user region")
+        if self.free_bytes != sum(s.size for s in self.segments):
+            raise ValueError(f"stored free_bytes {self.free_bytes} differs from the list")
+        if self.max_segment != _max_size(self.segments):
+            raise ValueError(f"stored max_segment {self.max_segment} differs from the list")
 
 
 @dataclass
@@ -142,6 +151,10 @@ def new_machine(total_bytes: int, reserved_bytes: int, machine_id: int = 0) -> F
         )
     seg = SegmentDescriptor(reserved_bytes, total_bytes)
     return FreeSegmentList(machine_id, total_bytes, reserved_bytes, [seg])
+
+
+def _max_size(free: list[SegmentDescriptor]) -> int:
+    return max((s.limit - s.base for s in free), default=0)
 
 
 def _pop_exact(free: list[SegmentDescriptor], size: int) -> SegmentDescriptor | None:
@@ -229,6 +242,8 @@ def allocate(
         )
     grants, free = planned
     flist.segments = free
+    flist.free_bytes -= demand
+    flist.max_segment = _max_size(free)
     return VMAllocation(vm_id=vm_id, segments=tuple(grants))
 
 
@@ -262,11 +277,17 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
         if i < len(bases) and seg.limit > flist.segments[i].base:
             raise OverlapError(f"released {seg} overlaps free {flist.segments[i]}")
     for seg in sorted(allocation.segments, key=lambda s: s.base):
-        _insert_coalescing(flist.segments, seg)
+        merged = _insert_coalescing(flist.segments, seg)
+        flist.free_bytes += seg.size
+        flist.max_segment = max(flist.max_segment, merged.size)
     return flist
 
 
-def _insert_coalescing(free: list[SegmentDescriptor], seg: SegmentDescriptor) -> None:
+def _insert_coalescing(
+    free: list[SegmentDescriptor], seg: SegmentDescriptor
+) -> SegmentDescriptor:
+    """Insert ``seg`` and merge it with abutting neighbours; returns the
+    merged segment."""
     i = bisect.bisect_right([s.base for s in free], seg.base)
     base, limit = seg.base, seg.limit
     lo = i
@@ -277,4 +298,6 @@ def _insert_coalescing(free: list[SegmentDescriptor], seg: SegmentDescriptor) ->
     if i < len(free) and free[i].base == limit:
         limit = free[i].limit
         hi = i + 1
-    free[lo:hi] = [SegmentDescriptor(base, limit)]
+    merged = SegmentDescriptor(base, limit)
+    free[lo:hi] = [merged]
+    return merged

@@ -37,7 +37,10 @@ class TestReplay:
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["placed"] == 2
-        assert "placed 2/2" in capsys.readouterr().out
+        assert payload["out_of_order"] == 0
+        out = capsys.readouterr().out
+        assert "placed 2/2" in out
+        assert "0 out of order" in out
 
     def test_missing_file_reports_and_fails(self, fleet_file, capsys):
         code = main(["replay", "--trace", "/nonexistent.csv", "--fleet", str(fleet_file)])

@@ -1,25 +1,35 @@
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 from dsegsim import (
     DEFAULT_FLAVORS,
     Distribution,
+    EventKind,
     FleetSpec,
     Generation,
+    NoCandidateError,
+    PlacementRequest,
     SimVariant,
     build_fleet,
     default_fleet_spec,
+    emit,
+    filter_min_segments,
+    filter_resources,
     finish,
     gen_synthetic,
     new_state,
+    peek_segment_count,
     run,
     start_event,
     step,
     stop_event,
 )
 from dsegsim.engine import event_order
+from dsegsim.scheduler import one_segment_pick
 
 GIB = 1 << 30
 
@@ -174,6 +184,17 @@ class TestStep:
         assert state.out_of_order == 2  # 5 and 7 both trail the clock at 10
         assert state.clock == 10
         assert sorted(state.live) == ["a", "b", "c"]
+        report = finish(state)
+        assert report.out_of_order == 2
+        assert "out_of_order" not in report.core()
+        assert report.core() == dataclasses.replace(report, out_of_order=0).core()
+
+    def test_out_of_order_count_is_written_to_report_json(self, tmp_path):
+        state = new_state(one_machine_spec(), SimVariant.PLACEMENT_OPT1)
+        for vm_id, time in (("a", 10), ("b", 5), ("c", 7)):
+            step(state, start_event(vm_id, time, 1, GIB))
+        (path,) = emit(finish(state), "json", tmp_path)
+        assert json.loads(path.read_text())["out_of_order"] == 2
 
 
 class TestReversibility:
@@ -254,6 +275,17 @@ GOLDEN_TRACES = {
         FleetSpec((Generation("m", 256 * GIB, 256, 100.0),), 2),
         6 * 3600.0,
     ),
+    # 200 machines of the default fleet: every VM lands on one of the 40
+    # equal 512 GiB machines, so the lowest-id tie-break among machines with
+    # equal free bytes decides most placements; dynamic reselects every 6 h
+    "wide": (
+        lambda: gen_synthetic(
+            400, DEFAULT_FLAVORS, Distribution.exponential(120),
+            Distribution.exponential(20000), 13,
+        ),
+        default_fleet_spec(200),
+        6 * 3600.0,
+    ),
 }
 
 # sha256 of json.dumps(report.core(), sort_keys=True), first 16 hex digits
@@ -266,11 +298,15 @@ GOLDEN_DIGESTS = {
     ("memory", "opt1"): "a1c597a51eb23975",
     ("memory", "opt2"): "560ea1a37c906400",
     ("memory", "dynamic"): "8cadd5979335f63b",
+    ("wide", "baseline"): "091793ce185cedc5",
+    ("wide", "opt1"): "509a3a0b62a7f35d",
+    ("wide", "opt2"): "d89be6eba8a1c20a",
+    ("wide", "dynamic"): "2c655cee10c846ba",
 }
 
 
 class TestGoldenOutput:
-    """Pins every variant's deterministic report on two seeded traces, so a
+    """Pins every variant's deterministic report on three seeded traces, so a
     refactor of the engine, the allocators or the reselection cannot change
     an answer unnoticed."""
 
@@ -290,3 +326,88 @@ class TestGoldenOutput:
             assert report.rejections > 0
         dynamic = run(events, spec, SimVariant.DYNAMIC, n=3, reselect_period=period)
         assert {policy for _, policy in dynamic.option_switches} == {"opt1", "opt2"}
+
+
+SEGMENT_VARIANTS = [v for v in VARIANTS if v is not SimVariant.BASELINE]
+
+
+def random_fleet_and_trace(rng):
+    """2-12 machines in two generations of identical machines (ties on free
+    bytes), some with fewer cores than a VM asks for, and more memory
+    demand than the fleet holds; demands are arbitrary byte counts."""
+    small = Generation("small", rng.randint(4, 12) * GIB + rng.randint(0, 9) * 4096,
+                       rng.randint(1, 4), 50.0)
+    big = Generation("big", rng.randint(12, 24) * GIB, rng.randint(2, 8), 50.0)
+    spec = FleetSpec((small, big), rng.randint(2, 12))
+    events = []
+    for i in range(rng.randint(20, 80)):
+        t = rng.randint(0, 2000)
+        events.append(start_event(f"vm{i}", t, rng.randint(1, 4),
+                                  rng.randint(1, 6 * GIB)))
+        if rng.random() < 0.8:
+            events.append(stop_event(f"vm{i}", t + rng.randint(1, 1500)))
+    return spec, events
+
+
+class TestPlacementIndex:
+    """The indexed one-segment pick, with the full filter chain as fallback,
+    places every VM where the chain alone would, and the index tracks every
+    machine's free bytes."""
+
+    @pytest.mark.parametrize("variant", SEGMENT_VARIANTS, ids=lambda v: v.value)
+    def test_indexed_pick_matches_filter_chain(self, variant):
+        rng = random.Random(41)
+        seen = {"fast": 0, "fallback": 0, "composed": 0, "rejected": 0,
+                "cores_skipped": 0, "tied": 0}
+        for _ in range(40):
+            spec, events = random_fleet_and_trace(rng)
+            state = new_state(spec, variant, n=2, reselect_period=600.0)
+            for event in event_order(events):
+                placed = len(state.records)
+                checked = event.kind is EventKind.START and event.vm_id not in state.live
+                if checked:
+                    expected = self._chain_pick(state, event, seen)
+                # a reselection inside step may switch the policy first
+                reselects = (variant is SimVariant.DYNAMIC
+                             and event.time >= state.next_reselect)
+                step(state, event)
+                assert state.index == sorted(
+                    (-m.free_bytes, m.machine_id) for m in state.machines
+                )
+                if checked and not reselects:
+                    got = state.records[-1].machine_id if len(state.records) > placed else None
+                    assert got == expected
+        assert all(seen.values()), seen
+
+    @staticmethod
+    def _chain_pick(state, event, seen):
+        """The filter chain's choice for a start (None: rejected), after
+        checking the indexed pick against it."""
+        request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
+        policy = state.config.current_policy
+        fast = one_segment_pick(state.machines, state.index, request)
+        candidates = filter_resources(state.machines, request)
+        try:
+            chain = filter_min_segments(candidates, request, policy)
+        except NoCandidateError:
+            chain = None
+        if fast is not None:
+            assert fast == chain
+            seen["fast"] += 1
+            first = state.machines[state.index[0][1]]
+            seen["cores_skipped"] += (
+                first.cores_free < event.cores
+                and first.free_list.max_segment >= event.memory_bytes
+            )
+            seen["tied"] += sum(-f == state.machines[fast].free_bytes
+                                for f, _ in state.index) > 1
+        else:
+            seen["fallback"] += 1
+            if chain is None:
+                seen["rejected"] += 1
+            else:
+                k = peek_segment_count(state.machines[chain].free_list,
+                                       event.memory_bytes, policy)
+                assert k > 1
+                seen["composed"] += 1
+        return chain

@@ -83,24 +83,25 @@ class TestMinSegmentFilter:
         assert filter_min_segments([a, b, c], req, OPT1) == 1
 
     def test_chosen_k_is_minimal_over_random_fleets(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            fleet = [_random_machine(rng, mid) for mid in range(rng.randint(2, 8))]
-            req = PlacementRequest("vm", 1, rng.randint(1, 2048) * (1 << 20))
-            candidates = filter_resources(fleet, req)
-            if not candidates:
-                continue
-            try:
-                chosen = filter_min_segments(candidates, req, OPT2)
-            except NoCandidateError:
-                continue
-            peeked = {
-                m.machine_id: peek_segment_count(m.free_list, req.memory_bytes, OPT2)
-                for m in candidates
-            }
-            best = peeked[chosen]
-            assert best is not None
-            assert all(k is None or best <= k for k in peeked.values())
+        for policy in (OPT1, OPT2):
+            rng = random.Random(17)
+            for _ in range(200):
+                fleet = [_random_machine(rng, mid) for mid in range(rng.randint(2, 8))]
+                req = PlacementRequest("vm", 1, rng.randint(1, 2048) * (1 << 20))
+                candidates = filter_resources(fleet, req)
+                if not candidates:
+                    continue
+                try:
+                    chosen = filter_min_segments(candidates, req, policy)
+                except NoCandidateError:
+                    continue
+                peeked = {
+                    m.machine_id: peek_segment_count(m.free_list, req.memory_bytes, policy)
+                    for m in candidates
+                }
+                best = peeked[chosen]
+                assert best is not None
+                assert all(k is None or best <= k for k in peeked.values()), policy
 
 
 def _random_machine(rng, mid):

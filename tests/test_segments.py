@@ -205,6 +205,16 @@ class TestRandomizedInvariants:
         oracle.assert_matches_free_list(fl)
         assert spans(fl) == [(0, fl.total_bytes)]  # all frees coalesce back
 
+    def test_stale_counters_fail_the_invariant_check(self):
+        fl = flist((0, GIB), (2 * GIB, 5 * GIB))
+        assert (fl.free_bytes, fl.max_segment) == (4 * GIB, 3 * GIB)
+        fl.check_invariants()
+        for counter in ("free_bytes", "max_segment"):
+            stale = fl.clone()
+            setattr(stale, counter, getattr(stale, counter) - PAGE_SIZE)
+            with pytest.raises(ValueError, match=counter):
+                stale.check_invariants()
+
     def test_conservation_with_reservation(self):
         fl = new_machine(64 * PAGE_SIZE, 16 * PAGE_SIZE)
         a = allocate(fl, "a", 8 * PAGE_SIZE, OPT1)
