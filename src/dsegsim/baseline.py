@@ -54,15 +54,17 @@ class BuddyAllocator:
         self._seed_region()
 
     def _seed_region(self) -> None:
-        # Greedy decomposition of [0, num_pages) into maximal aligned blocks.
-        page = 0
-        while page < self.num_pages:
-            align = (page & -page).bit_length() - 1 if page else self.max_order
-            order = min(self.max_order, align)
-            while page + (1 << order) > self.num_pages:
-                order -= 1
-            self._push(page, order)
-            page += 1 << order
+        # Maximal aligned blocks of [0, num_pages): max-order blocks from page
+        # 0 (an ascending list is already a heap), then one block per lower
+        # order that still fits.
+        step = 1 << self.max_order
+        page = self.num_pages - self.num_pages % step
+        self._heaps[self.max_order] = list(range(0, page, step))
+        self._sets[self.max_order] = set(self._heaps[self.max_order])
+        for order in range(self.max_order - 1, -1, -1):
+            if page + (1 << order) <= self.num_pages:
+                self._push(page, order)
+                page += 1 << order
 
     def _push(self, page: int, order: int) -> None:
         self._sets[order].add(page)
@@ -151,9 +153,6 @@ class BuddyAllocator:
                 page = min(page, buddy)
                 order += 1
             self._push(page, order)
-
-    def owns(self, vm_id: str) -> bool:
-        return vm_id in self._owned
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
         """Free memory as maximal contiguous (base, limit) byte ranges."""

@@ -1,24 +1,24 @@
 """Discrete-event replay of a VM trace against a simulated fleet.
 
 Events are processed in time order, stops before starts at equal times so
-memory frees before it is wanted. Each start runs the placement filter chain
-and the variant's allocator, then types the VM (register-file translation
-when k <= n). The engine times each allocator call, which is the one
-non-reproducible output; everything else is deterministic.
+memory frees before it is wanted. Each start walks the placement index for
+the machines that fit it, picks one by the variant's objective, grants the
+memory with the variant's allocator, then types the VM (register-file
+translation when k <= n). The engine times each allocator call, which is the
+one non-reproducible output; everything else is deterministic.
 
 Every machine is a ``MachineView``; on the baseline its free list is a buddy
-allocator instead of a free-segment list. The segment variants also keep a
-placement index, ``(-free_bytes, machine_id)`` for every machine in ascending
-order, updated on each grant and release, from which a start that some
-machine can serve with one segment is placed without the full filter chain
-(see ``scheduler``). The dynamic variant's periodic
-policy reselection replays the logged events through this same loop, once
-per composition policy.
+allocator instead of a free-segment list. Every variant keeps the placement
+index, ``(-free_bytes, machine_id)`` for every machine in ascending order,
+updated on each grant and release (see ``scheduler``). The dynamic variant's
+periodic policy reselection replays the logged events through this same
+loop, once per composition policy.
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 import time as _time
 from dataclasses import dataclass, field
 
@@ -32,9 +32,8 @@ from .scheduler import (
     SchedulerConfig,
     SimVariant,
     baseline_pick,
-    filter_min_segments,
-    filter_resources,
-    one_segment_pick,
+    fitting_machines,
+    segment_pick,
 )
 from .segments import AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
@@ -53,6 +52,8 @@ class SimulationState:
     config: SchedulerConfig
     fleet_spec: FleetSpec
     machines: list[MachineView]
+    # (-free_bytes, machine_id) per machine, ascending
+    index: list[tuple[int, int]]
     clock: int = 0
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
@@ -64,8 +65,6 @@ class SimulationState:
     start_count: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
-    # (-free_bytes, machine_id) per machine, ascending; None on the baseline
-    index: list[tuple[int, int]] | None = None
 
 
 def _variant_policy(variant: SimVariant) -> AllocationPolicy:
@@ -86,18 +85,15 @@ def new_state(
         reselect_period=reselect_period,
     )
     machines = build_fleet(fleet_spec)
-    index = None
     if variant is SimVariant.BASELINE:
         for m in machines:
             fl = m.free_list
             m.free_list = BuddyAllocator(
                 fl.total_bytes, fl.reserved_bytes, machine_id=m.machine_id
             )
-    else:
-        index = sorted((-m.free_bytes, m.machine_id) for m in machines)
+    index = sorted((-m.free_bytes, m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines,
-        next_reselect=reselect_period, index=index,
+        variant, config, fleet_spec, machines, index, next_reselect=reselect_period
     )
 
 
@@ -129,24 +125,20 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     state.start_count += 1
     request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
     policy = state.config.current_policy
+    candidates = fitting_machines(state.machines, state.index, request)
     try:
         if state.variant is SimVariant.BASELINE:
-            candidates = filter_resources(state.machines, request)
             machine_id = baseline_pick(candidates, request)
         else:
-            machine_id = one_segment_pick(state.machines, state.index, request)
-            if machine_id is None:
-                candidates = filter_resources(state.machines, request)
-                machine_id = filter_min_segments(candidates, request, policy)
+            machine_id = segment_pick(candidates, request, policy)
     except NoCandidateError:
         state.rejections += 1
         state.rejected.add(event.vm_id)
         return
     machine = state.machines[machine_id]
+    free = machine.free_bytes
     alloc, latency = _grant(machine.free_list, event, policy)
-    if state.index is not None:
-        free = machine.free_bytes
-        _reindex(state.index, machine_id, free + event.memory_bytes, free)
+    _reindex(state.index, machine_id, free, machine.free_bytes)
     machine.cores_free -= event.cores
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
     mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
@@ -158,25 +150,33 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
 def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocation, float]:
     """Allocate a starting VM's memory from either memory model. Returns the
     grant and the allocator call's thread CPU time: at microsecond scale,
-    wall clocks mostly measure OS preemption rather than the allocator."""
-    if isinstance(memory, BuddyAllocator):
-        t0 = _time.thread_time()
-        alloc = memory.allocate(event.vm_id, event.memory_bytes)
-    else:
-        t0 = _time.thread_time()
-        alloc = allocate(memory, event.vm_id, event.memory_bytes, policy)
-    return alloc, _time.thread_time() - t0
+    wall clocks mostly measure OS preemption rather than the allocator.
+    Automatic garbage collection is held off during the call, so a collection
+    of the whole interpreter's heap is not charged to one grant."""
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(memory, BuddyAllocator):
+            t0 = _time.thread_time()
+            alloc = memory.allocate(event.vm_id, event.memory_bytes)
+        else:
+            t0 = _time.thread_time()
+            alloc = allocate(memory, event.vm_id, event.memory_bytes, policy)
+        return alloc, _time.thread_time() - t0
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
     """Return a VM's memory, from either memory model, and its cores."""
     machine = state.machines[vm.machine_id]
+    free = machine.free_bytes
     if isinstance(machine.free_list, BuddyAllocator):
         machine.free_list.release(vm_id)
     else:
-        free = machine.free_bytes
         release(machine.free_list, vm.allocation)
-        _reindex(state.index, vm.machine_id, free, machine.free_bytes)
+    _reindex(state.index, vm.machine_id, free, machine.free_bytes)
     machine.cores_free += vm.cores
 
 

@@ -26,7 +26,7 @@ class VmRecord:
     machine_id: int
     k: int
     mode: str
-    alloc_latency: float  # seconds, wall clock
+    alloc_latency: float  # seconds, thread CPU time of the allocator call
 
 
 @dataclass(frozen=True)

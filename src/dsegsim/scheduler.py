@@ -2,21 +2,20 @@
 
 The segment-aware scheduler places each VM where the hypervisor allocator
 would grant it the fewest segments; ties go to the machine with the most free
-bytes, then the lowest id. A machine grants exactly one segment when its
-largest free segment covers the demand, so the engine first walks a placement
-index of machines ordered by free bytes (``one_segment_pick``) and takes the
-first one with enough cores whose largest free segment is big enough. Only
-when no machine can grant one segment does it run the full filter chain:
-``filter_resources``, then ``filter_min_segments``, which dry-runs the
-allocator's plan on each candidate's own free-segment list without changing
-it. The chain is also the reference the index walk is tested against.
+bytes, then the lowest id. The baseline instead takes the most free cores.
+Both read their candidates from ``fitting_machines``, a walk over a placement
+index of machines ordered by free bytes that yields what ``filter_resources``
+keeps, in that tie-break order. ``segment_pick`` takes the first candidate
+whose largest free segment covers the demand; only when none does it run
+``filter_min_segments``, which dry-runs the allocator's plan on each
+candidate's own free-segment list without changing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .segments import AllocationPolicy, FreeSegmentList, peek_segment_count
 
@@ -108,30 +107,38 @@ def filter_min_segments(
     return best[2]
 
 
-def one_segment_pick(
+def fitting_machines(
     machines: Sequence[MachineView],
     index: Sequence[tuple[int, int]],
     request: PlacementRequest,
-) -> int | None:
-    """The machine ``filter_min_segments(filter_resources(machines, request))``
-    chooses when some machine can grant the demand as one segment, else None.
-
-    ``index`` holds ``(-free_bytes, machine_id)`` for every machine, ascending:
-    the chain's own tie-break order among machines that grant one segment.
-    The walk stops at the first machine with fewer free bytes than the demand,
-    since no machine after it has a large enough segment.
-    """
-    demand = request.memory_bytes
+) -> Iterator[MachineView]:
+    """What ``filter_resources`` keeps, in ``index`` order: ``(-free_bytes,
+    machine_id)`` for every machine, ascending. The walk stops at the first
+    machine with fewer free bytes than the demand."""
     for neg_free, machine_id in index:
-        if -neg_free < demand:
-            break
+        if -neg_free < request.memory_bytes:
+            return
         m = machines[machine_id]
-        if m.cores_free >= request.cores and m.free_list.max_segment >= demand:
-            return machine_id
-    return None
+        if m.cores_free >= request.cores:
+            yield m
 
 
-def baseline_pick(candidates: Sequence, request: PlacementRequest) -> int:
+def segment_pick(
+    candidates: Iterable[MachineView],
+    request: PlacementRequest,
+    policy: AllocationPolicy,
+) -> int:
+    """``filter_min_segments``' choice among candidates in index order: the
+    first that grants one segment, the minimum, else the chain's pick."""
+    walked = []
+    for m in candidates:
+        if m.free_list.max_segment >= request.memory_bytes:
+            return m.machine_id
+        walked.append(m)
+    return filter_min_segments(walked, request, policy)
+
+
+def baseline_pick(candidates: Iterable, request: PlacementRequest) -> int:
     """Stock spread objective: most free cores, ties to the lowest id."""
     best = min(((-m.cores_free, m.machine_id) for m in candidates), default=None)
     if best is None:

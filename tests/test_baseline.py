@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -127,3 +128,34 @@ class TestOddRegions:
         assert alloc.k == 1  # blocks are adjacent, so they merge into one run
         buddy.release("vm")
         assert buddy.free_runs() == ((0, pages * PAGE_SIZE),)
+
+    def test_bulk_seeding_matches_the_greedy_block_decomposition(self):
+        """The free blocks a new allocator starts with, heap order included,
+        are those of carving the region greedily into maximal aligned blocks."""
+        rng = random.Random(17)
+        for _ in range(3003):
+            max_order = rng.randint(0, 14)
+            reserved = rng.choice((0, rng.randint(1, 1 << 24)))
+            pages = rng.randint(0, 40) * (1 << max_order) + rng.randint(1, 1 << max_order)
+            total = reserved + (pages + 1) * PAGE_SIZE + rng.randint(0, PAGE_SIZE - 1)
+            buddy = BuddyAllocator(total, reserved, max_order=max_order)
+            heaps, sets = greedy_seed(buddy.num_pages, max_order)
+            assert buddy._heaps == heaps
+            assert buddy._sets == sets
+
+
+def greedy_seed(num_pages, max_order):
+    """Per-order heaps and sets of the maximal aligned blocks of
+    [0, num_pages), found one block at a time from page 0."""
+    heaps = [[] for _ in range(max_order + 1)]
+    sets = [set() for _ in range(max_order + 1)]
+    page = 0
+    while page < num_pages:
+        align = (page & -page).bit_length() - 1 if page else max_order
+        order = min(max_order, align)
+        while page + (1 << order) > num_pages:
+            order -= 1
+        sets[order].add(page)
+        heapq.heappush(heaps[order], page)
+        page += 1 << order
+    return heaps, sets

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from dsegsim import (
     NoCandidateError,
     PlacementRequest,
     SimVariant,
+    baseline_pick,
     build_fleet,
     default_fleet_spec,
     emit,
@@ -28,8 +30,9 @@ from dsegsim import (
     step,
     stop_event,
 )
+from dsegsim import engine
 from dsegsim.engine import event_order
-from dsegsim.scheduler import one_segment_pick
+from dsegsim.scheduler import fitting_machines
 
 GIB = 1 << 30
 
@@ -328,13 +331,11 @@ class TestGoldenOutput:
         assert {policy for _, policy in dynamic.option_switches} == {"opt1", "opt2"}
 
 
-SEGMENT_VARIANTS = [v for v in VARIANTS if v is not SimVariant.BASELINE]
-
-
 def random_fleet_and_trace(rng):
     """2-12 machines in two generations of identical machines (ties on free
     bytes), some with fewer cores than a VM asks for, and more memory
-    demand than the fleet holds; demands are arbitrary byte counts."""
+    demand than the fleet holds; demands are arbitrary byte counts, or whole
+    GiB so that a demand often equals a machine's free bytes."""
     small = Generation("small", rng.randint(4, 12) * GIB + rng.randint(0, 9) * 4096,
                        rng.randint(1, 4), 50.0)
     big = Generation("big", rng.randint(12, 24) * GIB, rng.randint(2, 8), 50.0)
@@ -342,23 +343,24 @@ def random_fleet_and_trace(rng):
     events = []
     for i in range(rng.randint(20, 80)):
         t = rng.randint(0, 2000)
-        events.append(start_event(f"vm{i}", t, rng.randint(1, 4),
-                                  rng.randint(1, 6 * GIB)))
+        demand = rng.choice((rng.randint(1, 6 * GIB), rng.randint(1, 6) * GIB))
+        events.append(start_event(f"vm{i}", t, rng.randint(1, 4), demand))
         if rng.random() < 0.8:
             events.append(stop_event(f"vm{i}", t + rng.randint(1, 1500)))
     return spec, events
 
 
 class TestPlacementIndex:
-    """The indexed one-segment pick, with the full filter chain as fallback,
-    places every VM where the chain alone would, and the index tracks every
-    machine's free bytes."""
+    """The index walk yields exactly the machines the fleet-wide resource
+    filter keeps, every variant places each VM where its objective over that
+    filter would, and the index tracks every machine's free bytes."""
 
-    @pytest.mark.parametrize("variant", SEGMENT_VARIANTS, ids=lambda v: v.value)
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
     def test_indexed_pick_matches_filter_chain(self, variant):
         rng = random.Random(41)
-        seen = {"fast": 0, "fallback": 0, "composed": 0, "rejected": 0,
-                "cores_skipped": 0, "tied": 0}
+        seen = dict.fromkeys(("placed", "rejected", "cores_skipped", "tied", "exact"), 0)
+        if variant is not SimVariant.BASELINE:
+            seen.update(one_segment=0, composed=0)
         for _ in range(40):
             spec, events = random_fleet_and_trace(rng)
             state = new_state(spec, variant, n=2, reselect_period=600.0)
@@ -381,33 +383,77 @@ class TestPlacementIndex:
 
     @staticmethod
     def _chain_pick(state, event, seen):
-        """The filter chain's choice for a start (None: rejected), after
-        checking the indexed pick against it."""
+        """The objective's choice over ``filter_resources`` for a start
+        (None: rejected), after checking the index walk against the filter."""
         request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
         policy = state.config.current_policy
-        fast = one_segment_pick(state.machines, state.index, request)
-        candidates = filter_resources(state.machines, request)
+        kept = filter_resources(state.machines, request)
+        walked = [m.machine_id for m in fitting_machines(state.machines, state.index, request)]
+        assert walked == [m.machine_id for m in
+                          sorted(kept, key=lambda m: (-m.free_bytes, m.machine_id))]
+        seen["cores_skipped"] += any(m.cores_free < event.cores
+                                     and m.free_bytes >= event.memory_bytes
+                                     for m in state.machines)
+        seen["tied"] += len({m.free_bytes for m in kept}) < len(kept)
+        seen["exact"] += any(m.free_bytes == event.memory_bytes for m in kept)
         try:
-            chain = filter_min_segments(candidates, request, policy)
-        except NoCandidateError:
-            chain = None
-        if fast is not None:
-            assert fast == chain
-            seen["fast"] += 1
-            first = state.machines[state.index[0][1]]
-            seen["cores_skipped"] += (
-                first.cores_free < event.cores
-                and first.free_list.max_segment >= event.memory_bytes
-            )
-            seen["tied"] += sum(-f == state.machines[fast].free_bytes
-                                for f, _ in state.index) > 1
-        else:
-            seen["fallback"] += 1
-            if chain is None:
-                seen["rejected"] += 1
+            if state.variant is SimVariant.BASELINE:
+                chain = baseline_pick(kept, request)
             else:
-                k = peek_segment_count(state.machines[chain].free_list,
-                                       event.memory_bytes, policy)
-                assert k > 1
-                seen["composed"] += 1
+                chain = filter_min_segments(kept, request, policy)
+        except NoCandidateError:
+            seen["rejected"] += 1
+            return None
+        seen["placed"] += 1
+        if state.variant is not SimVariant.BASELINE:
+            k = peek_segment_count(state.machines[chain].free_list,
+                                   event.memory_bytes, policy)
+            seen["one_segment" if k == 1 else "composed"] += 1
         return chain
+
+
+class _GcJumpClock:
+    """A thread clock that stands still, except that every garbage
+    collection moves it on by one second."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.collections = 0
+
+    def thread_time(self):
+        return self.now
+
+    def on_gc(self, phase, info):
+        if phase == "start":
+            self.now += 1.0
+            self.collections += 1
+
+
+class TestAllocLatency:
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_garbage_collection_is_not_charged_to_a_grant(self, variant, monkeypatch):
+        clock = _GcJumpClock()
+        monkeypatch.setattr(engine, "_time", clock)
+        events = gen_synthetic(200, DEFAULT_FLAVORS, Distribution.exponential(120),
+                               Distribution.exponential(6000), 7)
+        threshold = gc.get_threshold()
+        gc.callbacks.append(clock.on_gc)
+        gc.set_threshold(1, 1, 1)
+        try:
+            report = run(events, default_fleet_spec(20), variant)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(clock.on_gc)
+        assert clock.collections > 0
+        assert report.placed > 0
+        assert all(r.alloc_latency == 0 for r in report.records)
+
+    def test_grant_leaves_garbage_collection_off_when_it_was_off(self):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            run([start_event("vm", 0, 1, GIB)], one_machine_spec(), SimVariant.PLACEMENT_OPT1)
+            assert not gc.isenabled()
+        finally:
+            if was_on:
+                gc.enable()
