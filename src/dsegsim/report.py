@@ -1,8 +1,8 @@
 """Aggregation of simulation output into the evaluation artifacts.
 
 Produces the per-cloud segment histogram, allocation-latency statistics,
-allocation frequency, demand-size CDF, and cost-model summary tables, and
-serializes them as CSV, JSON, or plot-ready whitespace columns.
+allocation frequency and demand-size CDF, and serializes them as CSV, JSON,
+or plot-ready whitespace columns.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .mmu import WalkMode, WorkloadCounters, virtualization_cost
 from .trace import EventKind, FleetSpec, VmEvent
 
 
@@ -240,23 +239,3 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
         raise ValueError(f"unknown format {fmt!r}")
     return written
 
-
-_COST_MODES = (WalkMode.DSN, WalkMode.EPT, WalkMode.SHADOW)
-
-
-def cost_summary_rows(
-    workloads: Mapping[str, WorkloadCounters]
-) -> list[tuple[str, str, float]]:
-    """Per-workload virtualization cost: one row per (workload, mode)."""
-    rows = []
-    for name, counters in workloads.items():
-        for mode in _COST_MODES:
-            rows.append((name, mode.value, virtualization_cost(mode, counters).total_cycles))
-    return rows
-
-
-def format_cost_summary(rows: Sequence[tuple[str, str, float]]) -> str:
-    """Plot-ready cost table: three mode rows per workload."""
-    lines = ["# workload mode total_cycles"]
-    lines += [f"{name} {mode} {total!r}" for name, mode, total in rows]
-    return "\n".join(lines) + "\n"

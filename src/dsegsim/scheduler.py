@@ -4,11 +4,11 @@ The segment-aware scheduler places each VM where the hypervisor allocator
 would grant it the fewest segments; ties go to the machine with the most free
 bytes, then the lowest id. The baseline instead takes the most free cores.
 Both read their candidates from ``fitting_machines``, a walk over a placement
-index of machines ordered by free bytes that yields what ``filter_resources``
-keeps, in that tie-break order. ``segment_pick`` takes the first candidate
-whose largest free segment covers the demand; only when none does it run
-``filter_min_segments``, which dry-runs the allocator's plan on each
-candidate's own free-segment list without changing it.
+index of machines ordered by free bytes that yields every machine with enough
+free cores and free bytes, in that tie-break order. ``segment_pick`` takes
+the first candidate whose largest free segment covers the demand; only when
+none does it run ``filter_min_segments``, which dry-runs the allocator's plan
+on each candidate's own free-segment list without changing it.
 """
 
 from __future__ import annotations
@@ -74,17 +74,10 @@ class SchedulerConfig:
     reselect_period: float = WEEK_SECONDS
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.reselect_period <= 0:
             raise ValueError("reselect_period must be positive")
-
-
-def filter_resources(machines: Iterable, request: PlacementRequest) -> list:
-    """Keep machines with enough free cores and free memory (boundary inclusive)."""
-    return [
-        m
-        for m in machines
-        if m.cores_free >= request.cores and m.free_bytes >= request.memory_bytes
-    ]
 
 
 def filter_min_segments(
@@ -112,9 +105,10 @@ def fitting_machines(
     index: Sequence[tuple[int, int]],
     request: PlacementRequest,
 ) -> Iterator[MachineView]:
-    """What ``filter_resources`` keeps, in ``index`` order: ``(-free_bytes,
-    machine_id)`` for every machine, ascending. The walk stops at the first
-    machine with fewer free bytes than the demand."""
+    """The machines with enough free cores and free bytes for the request
+    (boundary inclusive), in ``index`` order: ``(-free_bytes, machine_id)``
+    for every machine, ascending. The walk stops at the first machine with
+    fewer free bytes than the demand."""
     for neg_free, machine_id in index:
         if -neg_free < request.memory_bytes:
             return

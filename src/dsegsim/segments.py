@@ -98,11 +98,6 @@ class FreeSegmentList:
         """Free memory as (base, limit) byte ranges, ascending."""
         return tuple((s.base, s.limit) for s in self.segments)
 
-    def clone(self) -> "FreeSegmentList":
-        return FreeSegmentList(
-            self.machine_id, self.total_bytes, self.reserved_bytes, list(self.segments)
-        )
-
     def check_invariants(self) -> None:
         """Raise ValueError if ordering, coalescing, or bounds are violated."""
         prev: SegmentDescriptor | None = None

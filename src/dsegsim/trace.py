@@ -70,12 +70,16 @@ def _field_int(row: list[str], idx: int, name: str, lineno: int) -> int:
 def parse_trace(source: TextIO | str) -> list[VmEvent]:
     """Parse a trace, returning events sorted by time (stable for ties).
 
-    The header row is optional on input; serialization always writes it.
+    The header row is optional on input; serialization always writes it. A VM
+    may start again after its stop; a start while the VM is live, in replay
+    order (by time, stops before starts, then input order), is rejected.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     events: list[VmEvent] = []
+    lines: list[int] = []  # input line of each event
     started: set[str] = set()
+    restarted: set[str] = set()
     for lineno, row in enumerate(csv.reader(source), start=1):
         if not row or (lineno == 1 and tuple(row) == TRACE_HEADER):
             continue
@@ -97,7 +101,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             if memory <= 0:
                 raise TraceFormatError(lineno, f"memory_bytes must be positive, got {memory}")
             if vm_id in started:
-                raise TraceFormatError(lineno, f"duplicate start for vm {vm_id!r}")
+                restarted.add(vm_id)
             started.add(vm_id)
             events.append(start_event(vm_id, time, cores, memory))
         elif kind == "stop":
@@ -106,6 +110,22 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             events.append(stop_event(vm_id, time))
         else:
             raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
+        lines.append(lineno)
+    if restarted:  # replay the VMs that start more than once
+        order = sorted(
+            (e.time, e.kind is EventKind.START, i)
+            for i, e in enumerate(events)
+            if e.vm_id in restarted
+        )
+        live: set[str] = set()
+        for _, is_start, i in order:
+            vm_id = events[i].vm_id
+            if not is_start:
+                live.discard(vm_id)
+            elif vm_id in live:
+                raise TraceFormatError(lines[i], f"duplicate start for vm {vm_id!r}")
+            else:
+                live.add(vm_id)
     events.sort(key=lambda e: e.time)
     return events
 
@@ -169,7 +189,10 @@ def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
 
 
 def derive_bootstorm(snapshot: Sequence[SnapshotRecord], horizon: int) -> list[VmEvent]:
-    """All snapshot VMs start simultaneously at t=0 and stop at the horizon."""
+    """All snapshot VMs start simultaneously at t=0 and stop at the horizon,
+    which must be at least one second so that each stop follows its start."""
+    if horizon < 1:
+        raise ValueError(f"bootstorm horizon must be at least 1 s, got {horizon} s")
     ordered = sorted(snapshot, key=lambda r: r.vm_id)
     events = [start_event(r.vm_id, 0, r.cores, r.memory_bytes) for r in ordered]
     events += [stop_event(r.vm_id, horizon) for r in ordered]
@@ -409,22 +432,3 @@ def load_fleet_spec(path: str | Path) -> FleetSpec:
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad fleet spec {path}: {exc}") from exc
-
-
-def fleet_spec_to_json(spec: FleetSpec) -> str:
-    return json.dumps(
-        {
-            "machine_count": spec.machine_count,
-            "reserved_bytes": spec.reserved_bytes,
-            "generations": [
-                {
-                    "name": g.name,
-                    "ram_bytes": g.ram_bytes,
-                    "cores": g.cores,
-                    "proportion": g.proportion,
-                }
-                for g in spec.generations
-            ],
-        },
-        indent=2,
-    ) + "\n"

@@ -1,10 +1,12 @@
-"""Page-granularity bitmap mirror used to cross-check both allocators."""
+"""Slow references for the fast paths: a page-granularity bitmap mirror that
+cross-checks both allocators, and the fleet-wide resource filter that the
+placement index's walk must agree with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from dsegsim import PAGE_SIZE
+from dsegsim.segments import PAGE_SIZE
 
 
 class BitmapOracle:
@@ -55,3 +57,12 @@ class BitmapOracle:
 
     def assert_matches_runs(self, runs) -> None:
         assert self.free_runs() == [tuple(r) for r in runs]
+
+
+def filter_resources(machines, request) -> list:
+    """Keep machines with enough free cores and free memory (boundary inclusive)."""
+    return [
+        m
+        for m in machines
+        if m.cores_free >= request.cores and m.free_bytes >= request.memory_bytes
+    ]

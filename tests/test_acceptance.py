@@ -11,43 +11,46 @@ from contextlib import contextmanager
 
 import pytest
 
-from dsegsim import (
-    AllocationPolicy,
-    DEFAULT_FLAVORS,
-    Distribution,
+from dsegsim.engine import reselect_option, run
+from dsegsim.mmu import (
     DsnViolation,
-    FleetSpec,
-    FreeSegmentList,
-    Generation,
-    InsufficientMemoryError,
-    MachineView,
-    NoCandidateError,
-    PAGE_SIZE,
-    PlacementRequest,
-    SchedulerConfig,
-    SegmentDescriptor,
-    SimVariant,
     WalkMode,
     WorkloadCounters,
-    allocate,
-    build_fleet,
-    default_fleet_spec,
     estimate_runtime_dsn,
-    filter_min_segments,
-    filter_resources,
-    gen_synthetic,
-    load_trace,
-    new_machine,
-    peek_segment_count,
-    release,
-    reselect_option,
-    run,
-    segment_histogram,
     translate_gpa,
     virtualization_cost,
 )
-from dsegsim.report import latency_stats
-from oracle import BitmapOracle
+from dsegsim.report import latency_stats, segment_histogram
+from dsegsim.scheduler import (
+    MachineView,
+    NoCandidateError,
+    PlacementRequest,
+    SchedulerConfig,
+    SimVariant,
+    filter_min_segments,
+)
+from dsegsim.segments import (
+    AllocationPolicy,
+    FreeSegmentList,
+    InsufficientMemoryError,
+    PAGE_SIZE,
+    SegmentDescriptor,
+    allocate,
+    new_machine,
+    peek_segment_count,
+    release,
+)
+from dsegsim.trace import (
+    DEFAULT_FLAVORS,
+    Distribution,
+    FleetSpec,
+    Generation,
+    build_fleet,
+    default_fleet_spec,
+    gen_synthetic,
+    load_trace,
+)
+from oracle import BitmapOracle, filter_resources
 from test_mmu import random_register_file
 from test_scheduler import (
     composition_beats_smallest_log,

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from dsegsim import (
-    BuddyAllocator,
+from dsegsim.baseline import BuddyAllocator
+from dsegsim.segments import (
     InsufficientMemoryError,
     InvalidSizeError,
     PAGE_SIZE,
+    SegmentDescriptor,
 )
 from oracle import BitmapOracle
 
@@ -108,8 +109,6 @@ class TestFragmentation:
 
 
 def _block_segments(buddy, blocks):
-    from dsegsim import SegmentDescriptor
-
     offset = buddy.start_page * PAGE_SIZE
     return [
         SegmentDescriptor(

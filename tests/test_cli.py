@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from dsegsim.cli import EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from dsegsim.trace import default_fleet_spec, fleet_spec_to_json
+from dsegsim.trace import default_fleet_spec
 
 GIB = 1 << 30
 
@@ -11,7 +12,7 @@ GIB = 1 << 30
 @pytest.fixture
 def fleet_file(tmp_path):
     path = tmp_path / "fleet.json"
-    path.write_text(fleet_spec_to_json(default_fleet_spec(5)))
+    path.write_text(json.dumps(dataclasses.asdict(default_fleet_spec(5))))
     return path
 
 
@@ -68,6 +69,14 @@ class TestReplay:
         ])
         assert code == EXIT_OK
 
+    def test_n_below_one_is_a_usage_error(self, tmp_path, fleet_file, trace_file, capsys):
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet_file),
+            "--n", "0", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert "n must be >= 1" in capsys.readouterr().err
+
     def test_all_variants_run(self, tmp_path, fleet_file, trace_file):
         for variant in ("baseline", "opt1", "opt2", "dynamic"):
             out = tmp_path / variant
@@ -95,6 +104,19 @@ class TestBootstorm:
         assert code == EXIT_OK
         payload = json.loads((out / "report.json").read_text())
         assert payload["placed"] == 2
+
+    @pytest.mark.parametrize("hours", ["0", "0.0001"])
+    def test_horizon_below_one_second_is_a_usage_error(
+        self, tmp_path, fleet_file, hours, capsys
+    ):
+        snap = tmp_path / "snap.csv"
+        snap.write_text(f"a,2,{2 * GIB},h1,{128 * GIB},24\n")
+        code = main([
+            "bootstorm", "--snapshot", str(snap), "--fleet", str(fleet_file),
+            "--horizon-hours", hours, "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert "horizon" in capsys.readouterr().err
 
     def test_bad_snapshot(self, tmp_path, fleet_file, capsys):
         snap = tmp_path / "snap.csv"

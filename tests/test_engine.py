@@ -6,33 +6,31 @@ import random
 
 import pytest
 
-from dsegsim import (
+from dsegsim import engine
+from dsegsim.engine import event_order, finish, new_state, run, step
+from dsegsim.report import emit
+from dsegsim.scheduler import (
+    NoCandidateError,
+    PlacementRequest,
+    SimVariant,
+    baseline_pick,
+    filter_min_segments,
+    fitting_machines,
+)
+from dsegsim.segments import peek_segment_count
+from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
     EventKind,
     FleetSpec,
     Generation,
-    NoCandidateError,
-    PlacementRequest,
-    SimVariant,
-    baseline_pick,
     build_fleet,
     default_fleet_spec,
-    emit,
-    filter_min_segments,
-    filter_resources,
-    finish,
     gen_synthetic,
-    new_state,
-    peek_segment_count,
-    run,
     start_event,
-    step,
     stop_event,
 )
-from dsegsim import engine
-from dsegsim.engine import event_order
-from dsegsim.scheduler import fitting_machines
+from oracle import filter_resources
 
 GIB = 1 << 30
 
@@ -127,6 +125,19 @@ class TestStep:
         assert state.anomalies == 1
         report = finish(state)
         assert report.placed + report.rejections == report.start_count
+
+    @pytest.mark.parametrize("variant", list(SimVariant), ids=lambda v: v.value)
+    def test_restart_after_stop_is_placed_twice(self, variant):
+        events = [
+            start_event("vm", 0, 1, GIB),
+            stop_event("vm", 10),
+            start_event("vm", 20, 2, 2 * GIB),
+        ]
+        report = run(events, one_machine_spec(), variant)
+        assert report.anomalies == 0
+        assert report.start_count == 2
+        assert [(r.vm_id, r.time) for r in report.records] == [("vm", 0), ("vm", 20)]
+        assert report.implicit_stops == 1
 
     def test_conservation_at_every_step(self):
         state = new_state(one_machine_spec(ram_gib=8, cores=32), SimVariant.PLACEMENT_OPT2)

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsegsim import (
+from dsegsim.mmu import (
+    CounterFormatError,
     DsnRegisterFile,
     DsnViolation,
-    PAGE_SIZE,
-    SegmentDescriptor,
-    VMAllocation,
+    InconsistentAllocationError,
     WalkMode,
     WorkloadCounters,
     build_register_file,
@@ -20,7 +19,7 @@ from dsegsim import (
     virtualization_cost,
     walk_refs,
 )
-from dsegsim.mmu import CounterFormatError, InconsistentAllocationError
+from dsegsim.segments import PAGE_SIZE, SegmentDescriptor, VMAllocation
 
 GIB = 1 << 30
 

@@ -3,27 +3,25 @@ import math
 
 import pytest
 
-from dsegsim import (
-    Distribution,
-    DEFAULT_FLAVORS,
-    FleetSpec,
-    Generation,
+from dsegsim.report import (
     SimulationReport,
     VmRecord,
-    WorkloadCounters,
     alloc_frequency,
     demand_size_cdf,
     emit,
-    gen_synthetic,
+    format_pct,
     latency_stats,
     segment_histogram,
-    start_event,
-)
-from dsegsim.report import (
-    cost_summary_rows,
-    format_cost_summary,
-    format_pct,
     summary_dict,
+)
+from dsegsim.trace import (
+    DEFAULT_FLAVORS,
+    Distribution,
+    FleetSpec,
+    Generation,
+    gen_synthetic,
+    start_event,
+    stop_event,
 )
 
 GIB = 1 << 30
@@ -122,8 +120,6 @@ class TestAllocFrequency:
             start_event("a", 0, 1, GIB),
             # the stop bounds the observation window at one hour
         ]
-        from dsegsim import stop_event
-
         events.append(stop_event("a", 3600))
         assert alloc_frequency(events, fleet1) == pytest.approx(1.0)
 
@@ -210,28 +206,8 @@ class TestEmit:
 
 
 class TestCostSummary:
-    def test_three_rows_per_workload(self):
-        counters = WorkloadCounters(c_1d=10, c_2d=60, n_tlb=100, n_exit=5,
-                                    c_exit=30, c_handler=10)
-        rows = cost_summary_rows({"redis": counters, "gcc": counters})
-        assert len(rows) == 6
-        modes = [m for _, m, _ in rows[:3]]
-        assert modes == ["dsn", "ept", "shadow"]
-        by_mode = {m: c for _, m, c in rows[:3]}
-        assert by_mode["dsn"] == 1000
-        assert by_mode["ept"] == 6000
-        assert by_mode["shadow"] == 1000 + 5 * 40
-
     def test_summary_dict_shape(self):
         data = summary_dict(make_report([1, 2]))
         assert data["placed"] == 2
         assert data["segment_histogram"]["pct_2"] == 50.0
         assert data["alloc_latency_ms"]["mean"] == pytest.approx(1.0)
-
-    def test_formatted_table(self):
-        counters = WorkloadCounters(c_1d=10, c_2d=60, n_tlb=100)
-        text = format_cost_summary(cost_summary_rows({"redis": counters}))
-        lines = text.splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == 4  # header plus one row per mode
-        assert lines[1].split()[:2] == ["redis", "dsn"]

@@ -2,24 +2,23 @@ import random
 
 import pytest
 
-from dsegsim import (
-    AllocationPolicy,
-    FleetSpec,
-    FreeSegmentList,
-    Generation,
+from dsegsim.engine import reselect_option
+from dsegsim.scheduler import (
     MachineView,
     NoCandidateError,
     PlacementRequest,
     SchedulerConfig,
-    SegmentDescriptor,
     baseline_pick,
     filter_min_segments,
-    filter_resources,
-    peek_segment_count,
-    reselect_option,
-    start_event,
-    stop_event,
 )
+from dsegsim.segments import (
+    AllocationPolicy,
+    FreeSegmentList,
+    SegmentDescriptor,
+    peek_segment_count,
+)
+from dsegsim.trace import FleetSpec, Generation, start_event, stop_event
+from oracle import filter_resources
 
 GIB = 1 << 30
 OPT1 = AllocationPolicy.SMALLEST_FIRST
@@ -199,3 +198,10 @@ class TestReselectOption:
             config = SchedulerConfig(n=2, current_policy=current)
             fresh = [start_event("a", 0, 1, GIB)]
             assert reselect_option(fresh, self.fleet(6), config) is current
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            SchedulerConfig(n=n)

@@ -1,18 +1,20 @@
+import copy
 import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsegsim import (
+from dsegsim.baseline import BuddyAllocator
+from dsegsim.segments import (
     AllocationPolicy,
-    BuddyAllocator,
     FreeSegmentList,
     InsufficientMemoryError,
     InvalidSizeError,
     OverlapError,
     PAGE_SIZE,
     SegmentDescriptor,
+    VMAllocation,
     allocate,
     new_machine,
     peek_segment_count,
@@ -147,8 +149,6 @@ class TestRelease:
 
 
 def _alloc(*segments):
-    from dsegsim import VMAllocation
-
     return VMAllocation("vm", tuple(segments))
 
 
@@ -210,7 +210,7 @@ class TestRandomizedInvariants:
         assert (fl.free_bytes, fl.max_segment) == (4 * GIB, 3 * GIB)
         fl.check_invariants()
         for counter in ("free_bytes", "max_segment"):
-            stale = fl.clone()
+            stale = copy.deepcopy(fl)
             setattr(stale, counter, getattr(stale, counter) - PAGE_SIZE)
             with pytest.raises(ValueError, match=counter):
                 stale.check_invariants()
@@ -278,8 +278,8 @@ class TestProperties:
         first = peek_segment_count(fl, demand, policy)
         if first is None:
             return
-        one = allocate(fl.clone(), "x", demand, policy)
-        two = allocate(fl.clone(), "x", demand, policy)
+        one = allocate(copy.deepcopy(fl), "x", demand, policy)
+        two = allocate(copy.deepcopy(fl), "x", demand, policy)
         assert one == two
         assert one.k == first
 

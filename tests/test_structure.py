@@ -3,10 +3,13 @@
 Every import sits at module level, and the modules import each other without
 a cycle, so no import has to be deferred into a function to break one. Every
 function reads each of its parameters, so no argument is threaded through
-call sites for nothing.
+call sites for nothing. The package root re-exports nothing, and every
+definition has a caller outside the tests, so no library code exists only
+for them.
 """
 
 import ast
+import collections
 import graphlib
 from pathlib import Path
 
@@ -87,4 +90,75 @@ def test_every_parameter_is_read():
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for param in unread_parameters(fn)
     ]
+    assert offenders == []
+
+
+def test_package_root_imports_nothing():
+    """Library names live in their submodules; the root re-exports none."""
+    tree = parsed_modules()["__init__"]
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+# Definitions that nothing outside the tests calls, kept on purpose.
+UNREFERENCED_BY_DESIGN = {
+    "walk_refs": "the paper's per-miss reference count, checked by criterion 3",
+    "dsn_reg_ops": "the paper's register-operation count, checked by criterion 3",
+    "estimate_runtime_dsn": "the paper's runtime model, checked by criterion 3",
+    "alloc_frequency": "trace context the report is to show (ROADMAP item 3)",
+    "demand_size_cdf": "trace context the report is to show (ROADMAP item 3)",
+    "check_invariants": "the free-segment list's safety check",
+    "default_fleet_spec": "a fleet of DEFAULT_GENERATIONS, the README's default mix",
+    "fixed": "Distribution.fixed, the constructor beside uniform and exponential",
+}
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def referenced_names(node):
+    """How often a tree reads or imports each name: identifiers, attributes
+    and import aliases."""
+    names = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.split(".")[-1]] += 1
+    return names
+
+
+def definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods of the
+    classes, with the node that defines each."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defs += [
+                (m.name, m)
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            ]
+    return defs
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """Each definition in the package is referenced from another module
+    (the root aside), from its own module outside its body, or from the
+    benchmark."""
+    modules = {name: tree for name, tree in parsed_modules().items() if name != "__init__"}
+    counts = {name: referenced_names(tree) for name, tree in modules.items()}
+    bench = collections.Counter()
+    for path in BENCH.glob("*.py"):
+        bench += referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    offenders = []
+    for name, tree in modules.items():
+        elsewhere = sum((c for other, c in counts.items() if other != name), bench)
+        for def_name, node in definitions(tree):
+            own = counts[name][def_name] - referenced_names(node)[def_name]
+            if not (elsewhere[def_name] or own or def_name in UNREFERENCED_BY_DESIGN):
+                offenders.append(f"{name}.{def_name}")
     assert offenders == []

@@ -1,6 +1,9 @@
+import dataclasses
+import json
+
 import pytest
 
-from dsegsim import (
+from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
     EventKind,
@@ -12,12 +15,13 @@ from dsegsim import (
     default_fleet_spec,
     derive_bootstorm,
     gen_synthetic,
+    generation_counts,
+    load_fleet_spec,
     parse_trace,
     serialize_trace,
     start_event,
     stop_event,
 )
-from dsegsim.trace import generation_counts, load_fleet_spec, fleet_spec_to_json
 
 GIB = 1 << 30
 
@@ -44,6 +48,23 @@ class TestParseTrace:
         with pytest.raises(TraceFormatError) as exc:
             parse_trace("vm1,start,0,1,4096\nvm1,start,9,1,4096\n")
         assert "duplicate" in str(exc.value)
+
+    def test_restart_after_stop_accepted(self):
+        text = "vm1,start,0,1,4096\nvm1,stop,10\nvm1,start,20,2,8192\n"
+        events = parse_trace(text)
+        assert [(e.kind, e.time) for e in events] == [
+            (EventKind.START, 0), (EventKind.STOP, 10), (EventKind.START, 20),
+        ]
+
+    def test_start_while_live_rejected_at_its_line(self):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace("vm1,start,0,1,4096\nvm1,stop,10\nvm1,start,5,1,4096\n")
+        assert exc.value.lineno == 3
+        assert "duplicate" in str(exc.value)
+
+    def test_stop_replays_before_a_start_at_the_same_time(self):
+        text = "vm1,start,0,1,4096\nvm1,start,10,1,4096\nvm1,stop,10\n"
+        assert len(parse_trace(text)) == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TraceFormatError):
@@ -92,6 +113,15 @@ class TestBootstorm:
 
     def test_empty_snapshot(self):
         assert derive_bootstorm([], 3600) == []
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_second_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            derive_bootstorm(self.SNAP, horizon)
+
+    def test_one_second_horizon_stops_after_the_starts(self):
+        events = derive_bootstorm(self.SNAP, 1)
+        assert [e.time for e in events] == [0, 0, 0, 1, 1, 1]
 
     def test_sizes_preserved_verbatim(self):
         events = derive_bootstorm(self.SNAP, 60)
@@ -209,7 +239,7 @@ class TestFleet:
     def test_json_round_trip(self, tmp_path):
         spec = default_fleet_spec(40, reserved_bytes=GIB)
         path = tmp_path / "fleet.json"
-        path.write_text(fleet_spec_to_json(spec))
+        path.write_text(json.dumps(dataclasses.asdict(spec)))
         assert load_fleet_spec(path) == spec
 
     def test_bad_fleet_file_rejected(self, tmp_path):
