@@ -10,6 +10,7 @@ memory segments the VM effectively received.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from typing import Iterable
 
@@ -155,7 +156,22 @@ class BuddyAllocator:
             self._push(page, order)
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
-        """Free memory as maximal contiguous (base, limit) byte ranges."""
-        return self._runs(
-            (page, page + (1 << order)) for order, live in enumerate(self._sets) for page in live
-        )
+        """Free memory as maximal contiguous (base, limit) byte ranges.
+
+        Each order's free blocks are sorted once and cut into contiguous runs
+        before the merge: over the sorted pages, ``pages[i] - i * size`` never
+        decreases and stays level exactly along a run, so a bisection finds
+        each run's end."""
+        spans = []
+        for order, live in enumerate(self._sets):
+            size = 1 << order
+            pages = sorted(live)
+            i = 0
+            while i < len(pages):
+                end = bisect.bisect_right(
+                    range(len(pages)), pages[i] - i * size, lo=i,
+                    key=lambda j: pages[j] - j * size,
+                )
+                spans.append((pages[i], pages[end - 1] + size))
+                i = end
+        return self._runs(spans)

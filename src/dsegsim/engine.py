@@ -12,7 +12,8 @@ allocator instead of a free-segment list. Every variant keeps the placement
 index, ``(-free_bytes, machine_id)`` for every machine in ascending order,
 updated on each grant and release (see ``scheduler``). The dynamic variant's
 periodic policy reselection replays the logged events through this same
-loop, once per composition policy.
+loop under each composition policy, skipping the second replay when the
+first composed no grant.
 """
 
 from __future__ import annotations
@@ -241,15 +242,21 @@ def reselect_option(
 ) -> AllocationPolicy:
     """Replay the log on a fresh fleet under both composition policies and
     adopt the one yielding more VMs with k <= n; ties prefer fewer total
-    segments, then the current policy. The log is reset afterwards."""
+    segments, then the current policy. The log is reset afterwards.
+
+    The policies differ only when a grant composes. When no opt1 grant did,
+    the opt2 replay would repeat its records and tie, so it is skipped."""
+    current = config.current_policy
     if not log:
-        return config.current_policy
+        return current
     scores = {}
     for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
         ks = [r.k for r in run(log, fleet_spec, variant, config.n).records]
+        if not scores and all(k == 1 for k in ks):
+            log.clear()
+            return current
         scores[_variant_policy(variant)] = (-sum(k <= config.n for k in ks), sum(ks))
     log.clear()
-    current = config.current_policy
     return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))
 
 

@@ -13,6 +13,7 @@ on each candidate's own free-segment list without changing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -76,8 +77,10 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.reselect_period <= 0:
-            raise ValueError("reselect_period must be positive")
+        if not (math.isfinite(self.reselect_period) and self.reselect_period > 0):
+            raise ValueError(
+                f"reselect_period must be finite and positive, got {self.reselect_period}"
+            )
 
 
 def filter_min_segments(

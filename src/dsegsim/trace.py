@@ -238,6 +238,8 @@ class Distribution:
     def __init__(self, kind: str, *params: float):
         self.kind = kind
         self.params = params
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"{kind} distribution needs finite parameters: {params}")
         if kind == "fixed":
             if len(params) != 1 or params[0] < 0:
                 raise ValueError(f"fixed distribution needs one value >= 0: {params}")

@@ -1,12 +1,15 @@
 """Slow references for the fast paths: a page-granularity bitmap mirror that
-cross-checks both allocators, and the fleet-wide resource filter that the
-placement index's walk must agree with."""
+cross-checks both allocators, the fleet-wide resource filter that the
+placement index's walk must agree with, and policy reselection by two full
+replays."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from dsegsim.segments import PAGE_SIZE
+from dsegsim import engine
+from dsegsim.scheduler import SimVariant
+from dsegsim.segments import PAGE_SIZE, AllocationPolicy
 
 
 class BitmapOracle:
@@ -66,3 +69,17 @@ def filter_resources(machines, request) -> list:
         for m in machines
         if m.cores_free >= request.cores and m.free_bytes >= request.memory_bytes
     ]
+
+
+def reselect_by_two_replays(log, fleet_spec, config):
+    """Reselection as specified: replay the log on a fresh fleet under both
+    composition policies, adopt the one with more VMs at k <= n, then fewer
+    total segments, then the current policy, and reset the log."""
+    scores = {}
+    for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
+        ks = [r.k for r in engine.run(log, fleet_spec, variant, config.n).records]
+        policy = AllocationPolicy(variant.value)
+        scores[policy] = (-sum(k <= config.n for k in ks), sum(ks))
+    log.clear()
+    current = config.current_policy
+    return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))

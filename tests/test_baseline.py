@@ -158,3 +158,53 @@ def greedy_seed(num_pages, max_order):
         heapq.heappush(heaps[order], page)
         page += 1 << order
     return heaps, sets
+
+
+class TestFreeRuns:
+    def test_matches_the_per_block_merge_after_every_operation(self):
+        rng = random.Random(23)
+        seen = dict.fromkeys(("live", "gapped", "joined_blocks"), 0)
+        for _ in range(300):
+            max_order = rng.randint(0, 14)
+            reserved = rng.choice((0, rng.randint(1, 1 << 24)))
+            pages = rng.randint(0, 6) * (1 << max_order) + rng.randint(1, 1 << max_order)
+            total = reserved + (pages + 1) * PAGE_SIZE + rng.randint(0, PAGE_SIZE - 1)
+            buddy = BuddyAllocator(total, reserved, max_order=max_order)
+            live = []
+            for step in range(rng.randint(1, 30)):
+                if live and rng.random() < 0.4:
+                    buddy.release(live.pop(rng.randrange(len(live))))
+                elif buddy.free_pages:
+                    vm = f"vm{step}"
+                    buddy.allocate(vm, rng.randint(1, buddy.free_pages * PAGE_SIZE // 3 + 1))
+                    live.append(vm)
+                runs = buddy.free_runs()
+                assert runs == per_block_free_runs(buddy)
+                seen["live"] += bool(live)
+                seen["gapped"] += len(runs) > 1
+                seen["joined_blocks"] += any(
+                    page + (1 << order) in blocks
+                    for order, blocks in enumerate(buddy._sets) for page in blocks
+                )
+            for vm in live:
+                buddy.release(vm)
+            region = (buddy.start_page * PAGE_SIZE, total // PAGE_SIZE * PAGE_SIZE)
+            assert buddy.free_runs() == per_block_free_runs(buddy) == (region,)
+        assert all(seen.values()), seen
+
+
+def per_block_free_runs(buddy):
+    """Free runs found one free block at a time: every block of every order
+    sorted by start page, then abutting blocks merged."""
+    blocks = sorted(
+        (page, page + (1 << order))
+        for order, pages in enumerate(buddy._sets) for page in pages
+    )
+    merged = []
+    for lo, hi in blocks:
+        if merged and merged[-1][1] == lo:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    offset = buddy.start_page * PAGE_SIZE
+    return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)

@@ -77,6 +77,17 @@ class TestReplay:
         assert code == EXIT_USAGE
         assert "n must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours", ["nan", "inf", "0"])
+    def test_period_not_finite_and_positive_is_a_usage_error(
+        self, tmp_path, fleet_file, trace_file, capsys, hours
+    ):
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet_file),
+            "--period-hours", hours, "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert "reselect_period must be finite and positive" in capsys.readouterr().err
+
     def test_all_variants_run(self, tmp_path, fleet_file, trace_file):
         for variant in ("baseline", "opt1", "opt2", "dynamic"):
             out = tmp_path / variant
@@ -157,6 +168,16 @@ class TestGenTrace:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("--arrival", "exp:inf"), ("--arrival", "fixed:nan"),
+        ("--lifetime", "uniform:1:inf"),
+    ])
+    def test_non_finite_distribution_is_usage_error(self, tmp_path, capsys, flag, spec):
+        code = main(["gen-trace", "--vms", "5", flag, spec, "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_USAGE
+        assert "needs finite parameters" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestTranslate:

@@ -12,12 +12,13 @@ from dsegsim.report import emit
 from dsegsim.scheduler import (
     NoCandidateError,
     PlacementRequest,
+    SchedulerConfig,
     SimVariant,
     baseline_pick,
     filter_min_segments,
     fitting_machines,
 )
-from dsegsim.segments import peek_segment_count
+from dsegsim.segments import AllocationPolicy, peek_segment_count
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
@@ -30,7 +31,7 @@ from dsegsim.trace import (
     start_event,
     stop_event,
 )
-from oracle import filter_resources
+from oracle import filter_resources, reselect_by_two_replays
 
 GIB = 1 << 30
 
@@ -421,6 +422,79 @@ class TestPlacementIndex:
                                    event.memory_bytes, policy)
             seen["one_segment" if k == 1 else "composed"] += 1
         return chain
+
+
+def churning_fleet_and_trace(rng):
+    """1-3 small machines and short-lived VMs of 1-8 half-GiB, so free memory
+    shatters and many grants compose."""
+    spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB, 64, 100.0),),
+                     rng.randint(1, 3))
+    events = []
+    for i in range(rng.randint(20, 80)):
+        t = rng.randint(0, 2000)
+        events.append(start_event(f"vm{i}", t, 1, rng.randint(1, 8) * GIB // 2))
+        events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
+    return spec, events
+
+
+class TestReselectionSkip:
+    """``reselect_option`` skips the opt2 replay when no opt1 grant composed;
+    it must still choose what two full replays choose."""
+
+    @staticmethod
+    def count_replays(monkeypatch):
+        """Record the variant of every replay ``reselect_option`` runs."""
+        replays = []
+
+        def counting_run(*args, **kwargs):
+            replays.append(args[2])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", counting_run)
+        return replays
+
+    @staticmethod
+    def tally(replays, seen):
+        opt1 = replays.count(SimVariant.PLACEMENT_OPT1)
+        opt2 = replays.count(SimVariant.PLACEMENT_OPT2)
+        seen["skipped"] += opt1 - opt2
+        seen["full"] += opt2
+
+    def test_matches_two_full_replays(self, monkeypatch):
+        rng = random.Random(43)
+        seen = dict.fromkeys(("skipped", "full", "changed"), 0)
+        for _ in range(40):
+            spec, events = churning_fleet_and_trace(rng)
+            ordered = event_order(events)
+            log = ordered[: rng.randint(1, len(ordered))]
+            for current in AllocationPolicy:
+                config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
+                expected = reselect_by_two_replays(list(log), spec, config)
+                replays = self.count_replays(monkeypatch)
+                got_log = list(log)
+                got = engine.reselect_option(got_log, spec, config)
+                monkeypatch.undo()
+                assert got is expected
+                assert got_log == []
+                self.tally(replays, seen)
+                seen["changed"] += got is not current
+        assert all(seen.values()), seen
+
+    def test_dynamic_replay_matches_two_full_replays(self, monkeypatch):
+        rng = random.Random(44)
+        seen = dict.fromkeys(("skipped", "full", "switched"), 0)
+        for _ in range(40):
+            spec, events = churning_fleet_and_trace(rng)
+            replays = self.count_replays(monkeypatch)
+            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+            monkeypatch.undo()
+            self.tally(replays, seen)
+            seen["switched"] += len({p for _, p in got.option_switches}) > 1
+            monkeypatch.setattr(engine, "reselect_option", reselect_by_two_replays)
+            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+            monkeypatch.undo()
+            assert got.core() == expected.core()
+        assert all(seen.values()), seen
 
 
 class _GcJumpClock:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -205,3 +206,8 @@ class TestSchedulerConfig:
     def test_n_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
             SchedulerConfig(n=n)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_period_not_finite_and_positive_rejected(self, period):
+        with pytest.raises(ValueError, match="reselect_period must be finite and positive"):
+            SchedulerConfig(reselect_period=period)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -180,6 +181,15 @@ class TestGenSynthetic:
             Distribution("weibull", 1.0)
         with pytest.raises(ValueError):
             Distribution.parse("exp")
+
+    @pytest.mark.parametrize("kind,params", [
+        ("fixed", (math.nan,)), ("fixed", (math.inf,)),
+        ("uniform", (0.0, math.inf)), ("uniform", (math.nan, 1.0)),
+        ("exponential", (math.inf,)), ("exponential", (math.nan,)),
+    ])
+    def test_non_finite_distribution_params(self, kind, params):
+        with pytest.raises(ValueError, match="needs finite parameters"):
+            Distribution(kind, *params)
 
 
 class TestFleet:
