@@ -120,6 +120,8 @@ def _load_flavors(path: str | None) -> tuple[Flavor, ...]:
 
 
 def _run_and_emit(events, args) -> int:
+    if args.max_anomalies < 0:
+        raise ValueError(f"--max-anomalies must be >= 0, got {args.max_anomalies}")
     fleet = load_fleet_spec(args.fleet)
     result = engine.run(
         events,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -190,13 +190,16 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     if fmt == "json":
         payload = summary_dict(report)
-        payload["records"] = [asdict(r) for r in report.records]
+        # The records' own field dicts hold only scalars, so they need no copy,
+        # and the span tuples encode as arrays. json.dumps without indent runs
+        # CPython's C encoder; indent, or json.dump to a file, runs the
+        # pure-Python one.
+        payload["records"] = [vars(r) for r in report.records]
         payload["final_free"] = {
-            str(m): [list(span) for span in spans]
-            for m, spans in sorted(report.final_free.items())
+            str(m): spans for m, spans in sorted(report.final_free.items())
         }
         path = out / "report.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
         written.append(path)
     elif fmt == "csv":
         path = out / "records.csv"

@@ -417,20 +417,34 @@ def build_fleet(spec: FleetSpec) -> list[MachineView]:
     return machines
 
 
+def _json_int(key: str, value: object) -> int:
+    """A fleet count or size: a JSON integer, never a float or a boolean."""
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_fleet_spec(path: str | Path) -> FleetSpec:
     """Read a fleet description from JSON.
 
     Schema: {"machine_count": int, "reserved_bytes": int (optional),
-    "generations": [{"name", "ram_bytes", "cores", "proportion"}, ...]}
+    "generations": [{"name", "ram_bytes", "cores", "proportion"}, ...]}.
+    Counts and sizes must be JSON integers: 20.7, "20" or true is rejected,
+    not truncated.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         generations = tuple(
-            Generation(g["name"], int(g["ram_bytes"]), int(g["cores"]), float(g["proportion"]))
+            Generation(
+                g["name"], _json_int("ram_bytes", g["ram_bytes"]),
+                _json_int("cores", g["cores"]), float(g["proportion"]),
+            )
             for g in data["generations"]
         )
         return FleetSpec(
-            generations, int(data["machine_count"]), int(data.get("reserved_bytes", 0))
+            generations,
+            _json_int("machine_count", data["machine_count"]),
+            _json_int("reserved_bytes", data.get("reserved_bytes", 0)),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad fleet spec {path}: {exc}") from exc

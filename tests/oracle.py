@@ -1,13 +1,16 @@
 """Slow references for the fast paths: a page-granularity bitmap mirror that
 cross-checks both allocators, the fleet-wide resource filter that the
-placement index's walk must agree with, and policy reselection by two full
-replays."""
+placement index's walk must agree with, policy reselection by two full
+replays, and report.json's payload built by deep copy."""
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 
 from dsegsim import engine
+from dsegsim.report import summary_dict
 from dsegsim.scheduler import SimVariant
 from dsegsim.segments import PAGE_SIZE, AllocationPolicy
 
@@ -83,3 +86,15 @@ def reselect_by_two_replays(log, fleet_spec, config):
     log.clear()
     current = config.current_policy
     return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))
+
+
+def report_payload(report) -> dict:
+    """report.json's object as first specified: the summary, each record
+    deep-copied by ``asdict``, and every free span copied into a list."""
+    payload = summary_dict(report)
+    payload["records"] = [asdict(r) for r in report.records]
+    payload["final_free"] = {
+        str(m): [list(span) for span in spans]
+        for m, spans in sorted(report.final_free.items())
+    }
+    return payload

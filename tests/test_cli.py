@@ -69,6 +69,41 @@ class TestReplay:
         ])
         assert code == EXIT_OK
 
+    def test_negative_max_anomalies_is_a_usage_error(
+        self, tmp_path, fleet_file, trace_file, capsys
+    ):
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet_file),
+            "--max-anomalies", "-1", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "--max-anomalies must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("machine_count", 20.7), ("cores", 2.9), ("ram_bytes", True)],
+    )
+    def test_non_integer_fleet_count_is_a_usage_error(
+        self, tmp_path, trace_file, capsys, field, value
+    ):
+        spec = dataclasses.asdict(default_fleet_spec(5))
+        if field in spec:
+            spec[field] = value
+        else:
+            spec["generations"][0][field] = value
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet), "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad fleet spec" in err and f"{field} must be an integer" in err
+        assert not out.exists()
+
     def test_n_below_one_is_a_usage_error(self, tmp_path, fleet_file, trace_file, capsys):
         code = main([
             "replay", "--trace", str(trace_file), "--fleet", str(fleet_file),

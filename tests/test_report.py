@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dsegsim.engine import run
 from dsegsim.report import (
     SimulationReport,
     VmRecord,
@@ -14,15 +15,18 @@ from dsegsim.report import (
     segment_histogram,
     summary_dict,
 )
+from dsegsim.scheduler import SimVariant
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
     FleetSpec,
     Generation,
+    default_fleet_spec,
     gen_synthetic,
     start_event,
     stop_event,
 )
+from oracle import report_payload
 
 GIB = 1 << 30
 
@@ -211,3 +215,105 @@ class TestCostSummary:
         assert data["placed"] == 2
         assert data["segment_histogram"]["pct_2"] == 50.0
         assert data["alloc_latency_ms"]["mean"] == pytest.approx(1.0)
+
+
+def assert_same_json(actual, expected, where="report"):
+    """Equal values of equal JSON types, with dict keys in the same order at
+    every level."""
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key in expected:
+            assert_same_json(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_same_json(a, e, f"{where}[{i}]")
+    else:
+        assert actual == expected, where
+
+
+def replay_reports(events, spec, period):
+    return [
+        run(events, spec, variant, n=3, seed=4, reselect_period=period)
+        for variant in SimVariant
+    ]
+
+
+def hand_built_report():
+    records = (
+        VmRecord("vm-a", 0, 3, 1, "dsn", 0.0),
+        VmRecord("vm-b", 7, 0, 5, "fallback", 1e-7),
+        VmRecord("vm-c", 9, 3, 2, "dsn", 0.0031),
+    )
+    return SimulationReport(
+        variant="dynamic",
+        n=3,
+        seed=9,
+        machine_count=4,
+        start_count=5,
+        records=records,
+        rejections=2,
+        anomalies=1,
+        implicit_stops=1,
+        option_switches=((21600, "opt2"), (43200, "opt1")),
+        final_free={
+            3: ((0, 4096), (8192, GIB)),
+            0: ((4096, 12288), (65536, 2 * GIB), (3 * GIB, 4 * GIB)),
+            1: (),
+        },
+        out_of_order=2,
+    )
+
+
+class TestReportJson:
+    """report.json parses to the object the deep-copying reference builds,
+    key order included, whatever whitespace the encoder writes."""
+
+    def assert_matches_reference(self, report, out_dir):
+        (path,) = emit(report, "json", out_dir)
+        expected = json.loads(json.dumps(report_payload(report), indent=2))
+        assert_same_json(json.loads(path.read_text(encoding="utf-8")), expected)
+
+    def test_churn_trace_all_variants(self, tmp_path):
+        reports = replay_reports(
+            gen_synthetic(
+                80, DEFAULT_FLAVORS, Distribution.exponential(120),
+                Distribution.exponential(6000), 3,
+            ),
+            default_fleet_spec(5),
+            86400.0,
+        )
+        assert all(r.records for r in reports)
+        for report in reports:
+            self.assert_matches_reference(report, tmp_path / report.variant)
+
+    def test_memory_bound_trace_all_variants(self, tmp_path):
+        # 2 machines fill up: grants compose, VMs are rejected, dynamic reselects
+        reports = replay_reports(
+            gen_synthetic(
+                150, DEFAULT_FLAVORS, Distribution.exponential(300),
+                Distribution.exponential(20000), 5,
+            ),
+            FleetSpec((Generation("m", 256 * GIB, 256, 100.0),), 2),
+            6 * 3600.0,
+        )
+        assert all(any(r.k > 3 for r in report.records) for report in reports)
+        assert all(report.rejections > 0 for report in reports)
+        assert reports[-1].variant == "dynamic" and reports[-1].option_switches
+        for report in reports:
+            self.assert_matches_reference(report, tmp_path / report.variant)
+
+    def test_hand_built_report(self, tmp_path):
+        report = hand_built_report()
+        self.assert_matches_reference(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert list(payload["final_free"]) == ["0", "1", "3"]
+        assert payload["final_free"]["3"] == [[0, 4096], [8192, GIB]]
+        assert payload["records"][1]["alloc_latency"] == 1e-7
+        assert payload["out_of_order"] == 2
+
+    def test_one_compact_object(self, tmp_path):
+        (path,) = emit(hand_built_report(), "json", tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1

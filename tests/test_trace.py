@@ -252,6 +252,26 @@ class TestFleet:
         path.write_text(json.dumps(dataclasses.asdict(spec)))
         assert load_fleet_spec(path) == spec
 
+    @pytest.mark.parametrize("field", ["machine_count", "reserved_bytes", "ram_bytes", "cores"])
+    @pytest.mark.parametrize("value", [20.7, 2.0, True, False, "20", None])
+    def test_counts_and_sizes_must_be_json_integers(self, tmp_path, field, value):
+        data = dataclasses.asdict(default_fleet_spec(20))
+        if field in data:
+            data[field] = value
+        else:
+            data["generations"][1][field] = value
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"bad fleet spec .*{field} must be an integer"):
+            load_fleet_spec(path)
+
+    def test_proportion_may_be_an_integer_or_a_float(self, tmp_path):
+        data = dataclasses.asdict(default_fleet_spec(20))
+        data["generations"][0]["proportion"] = 20
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(data))
+        assert load_fleet_spec(path) == default_fleet_spec(20)
+
     def test_bad_fleet_file_rejected(self, tmp_path):
         path = tmp_path / "fleet.json"
         path.write_text('{"machine_count": 3}')
