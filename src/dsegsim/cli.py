@@ -27,6 +27,8 @@ from .trace import (
     Distribution,
     Flavor,
     TraceFormatError,
+    _json_int,
+    _json_number,
     derive_bootstorm,
     gen_synthetic,
     load_fleet_spec,
@@ -82,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--vms", type=int, required=True)
     gen.add_argument("--flavors", help="flavor JSON; omit for the built-in catalog")
     gen.add_argument("--arrival", default="exp:100",
-                     help="inter-arrival gap: fixed:X | uniform:LO:HI | exp:MEAN")
+                     help="inter-arrival gap: fixed:X | uniform:LO:HI | exp:MEAN | "
+                     "lognormal:MEDIAN:SIGMA | pareto:SCALE:ALPHA")
     gen.add_argument("--lifetime", default="exp:36000",
                      help="VM lifetime: as --arrival, or `none` for arrival-only")
     gen.add_argument("--seed", type=int, default=0)
@@ -100,23 +103,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_registers(path: str) -> DsnRegisterFile:
+    """Read a register file; ``n``, every boundary and base, and ``limit``
+    must be JSON integers."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return DsnRegisterFile(
-        n=int(data["n"]),
-        gb=tuple(int(x) for x in data["gb"]),
-        hb=tuple(int(x) for x in data["hb"]),
-        limit=int(data["limit"]),
-    )
+    try:
+        return DsnRegisterFile(
+            n=_json_int("n", data["n"]),
+            gb=tuple(_json_int("gb", x) for x in data["gb"]),
+            hb=tuple(_json_int("hb", x) for x in data["hb"]),
+            limit=_json_int("limit", data["limit"]),
+        )
+    except TypeError as exc:
+        raise ValueError(f"bad register file {path}: {exc}") from exc
 
 
 def _load_flavors(path: str | None) -> tuple[Flavor, ...]:
+    """Read a flavor file; ``memory_bytes`` and ``cores`` must be JSON
+    integers and ``weight`` a finite JSON number."""
     if path is None:
         return DEFAULT_FLAVORS
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return tuple(
-        Flavor(int(f["memory_bytes"]), int(f["cores"]), float(f.get("weight", 1.0)))
-        for f in data
-    )
+    try:
+        return tuple(
+            Flavor(
+                _json_int("memory_bytes", f["memory_bytes"]),
+                _json_int("cores", f["cores"]),
+                _json_number("weight", f.get("weight", 1.0)),
+            )
+            for f in data
+        )
+    except TypeError as exc:
+        raise ValueError(f"bad flavor file {path}: {exc}") from exc
 
 
 def _run_and_emit(events, args) -> int:

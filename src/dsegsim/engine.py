@@ -8,7 +8,10 @@ translation when k <= n). The engine times each allocator call, which is the
 one non-reproducible output; everything else is deterministic.
 
 Every machine is a ``MachineView``; on the baseline its free list is a buddy
-allocator instead of a free-segment list. Every variant keeps the placement
+allocator instead of a free-segment list. The baseline seeds one buddy
+allocator per machine shape (total and reserved bytes) in each replay and
+gives every machine of that shape its own copy; the copies grant exactly as
+freshly seeded allocators would. Every variant keeps the placement
 index, ``(-free_bytes, machine_id)`` for every machine in ascending order,
 updated on each grant and release (see ``scheduler``). The dynamic variant's
 periodic policy reselection replays the logged events through this same
@@ -87,11 +90,12 @@ def new_state(
     )
     machines = build_fleet(fleet_spec)
     if variant is SimVariant.BASELINE:
+        seeds: dict[tuple[int, int], BuddyAllocator] = {}
         for m in machines:
-            fl = m.free_list
-            m.free_list = BuddyAllocator(
-                fl.total_bytes, fl.reserved_bytes, machine_id=m.machine_id
-            )
+            shape = (m.free_list.total_bytes, m.free_list.reserved_bytes)
+            if shape not in seeds:
+                seeds[shape] = BuddyAllocator(*shape)
+            m.free_list = seeds[shape].copy(m.machine_id)
     index = sorted((-m.free_bytes, m.machine_id) for m in machines)
     return SimulationState(
         variant, config, fleet_spec, machines, index, next_reselect=reselect_period

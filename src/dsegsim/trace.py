@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -249,6 +250,14 @@ class Distribution:
         elif kind == "exponential":
             if len(params) != 1 or params[0] <= 0:
                 raise ValueError(f"exponential distribution needs mean > 0: {params}")
+        elif kind == "lognormal":
+            if len(params) != 2 or params[0] <= 0 or params[1] < 0:
+                raise ValueError(
+                    f"lognormal distribution needs median > 0 and sigma >= 0: {params}"
+                )
+        elif kind == "pareto":
+            if len(params) != 2 or params[0] <= 0 or params[1] <= 0:
+                raise ValueError(f"pareto distribution needs scale > 0 and alpha > 0: {params}")
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -266,9 +275,13 @@ class Distribution:
 
     @classmethod
     def parse(cls, spec: str) -> "Distribution":
-        """Parse `fixed:X`, `uniform:LO:HI`, or `exp:MEAN`."""
+        """Parse `fixed:X`, `uniform:LO:HI`, `exp:MEAN`,
+        `lognormal:MEDIAN:SIGMA` or `pareto:SCALE:ALPHA`."""
         parts = spec.split(":")
-        kinds = {"fixed": "fixed", "uniform": "uniform", "exp": "exponential"}
+        kinds = {
+            "fixed": "fixed", "uniform": "uniform", "exp": "exponential",
+            "lognormal": "lognormal", "pareto": "pareto",
+        }
         if parts[0] not in kinds:
             raise ValueError(f"unknown distribution spec {spec!r}")
         return cls(kinds[parts[0]], *(float(p) for p in parts[1:]))
@@ -278,6 +291,10 @@ class Distribution:
             return self.params[0]
         if self.kind == "uniform":
             return rng.uniform(*self.params)
+        if self.kind == "lognormal":
+            return rng.lognormvariate(math.log(self.params[0]), self.params[1])
+        if self.kind == "pareto":
+            return self.params[0] * rng.paretovariate(self.params[1])
         return rng.expovariate(1.0 / self.params[0])
 
     def __str__(self) -> str:
@@ -310,17 +327,23 @@ def gen_synthetic(
     events: list[tuple[int, int, VmEvent]] = []
     clock = 0.0
     seq = 0
-    for i, pick in enumerate(picks):
-        clock += interarrival.sample(rng)
-        start = int(round(clock))
-        flavor = flavors[pick]
-        vm_id = f"vm{i:0{width}d}"
-        events.append((start, seq, start_event(vm_id, start, flavor.cores, flavor.memory_bytes)))
-        seq += 1
-        if lifetime is not None:
-            stop = start + max(1, int(round(lifetime.sample(rng))))
-            events.append((stop, seq, stop_event(vm_id, stop)))
+    try:
+        for i, pick in enumerate(picks):
+            clock += interarrival.sample(rng)
+            start = int(round(clock))
+            flavor = flavors[pick]
+            vm_id = f"vm{i:0{width}d}"
+            events.append(
+                (start, seq, start_event(vm_id, start, flavor.cores, flavor.memory_bytes))
+            )
             seq += 1
+            if lifetime is not None:
+                stop = start + max(1, int(round(lifetime.sample(rng))))
+                events.append((stop, seq, stop_event(vm_id, stop)))
+                seq += 1
+    except OverflowError as exc:
+        # a heavy tail or a huge parameter drew a time beyond any float
+        raise ValueError(f"sampled time overflows: {exc}") from exc
     events.sort(key=lambda item: (item[0], item[1]))
     return [e for _, _, e in events]
 
@@ -418,10 +441,18 @@ def build_fleet(spec: FleetSpec) -> list[MachineView]:
 
 
 def _json_int(key: str, value: object) -> int:
-    """A fleet count or size: a JSON integer, never a float or a boolean."""
+    """A count or size: a JSON integer, never a float or a boolean."""
     if type(value) is not int:
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(key: str, value: object) -> float:
+    """A share or weight: a JSON integer or float within float range, never
+    a string, a boolean, NaN or an infinity."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_fleet_spec(path: str | Path) -> FleetSpec:
@@ -430,14 +461,15 @@ def load_fleet_spec(path: str | Path) -> FleetSpec:
     Schema: {"machine_count": int, "reserved_bytes": int (optional),
     "generations": [{"name", "ram_bytes", "cores", "proportion"}, ...]}.
     Counts and sizes must be JSON integers: 20.7, "20" or true is rejected,
-    not truncated.
+    not truncated. Proportions must be finite JSON numbers.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         generations = tuple(
             Generation(
                 g["name"], _json_int("ram_bytes", g["ram_bytes"]),
-                _json_int("cores", g["cores"]), float(g["proportion"]),
+                _json_int("cores", g["cores"]),
+                _json_number("proportion", g["proportion"]),
             )
             for g in data["generations"]
         )

@@ -1,3 +1,4 @@
+import copy
 import heapq
 import random
 
@@ -208,3 +209,77 @@ def per_block_free_runs(buddy):
             merged.append([lo, hi])
     offset = buddy.start_page * PAGE_SIZE
     return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)
+
+
+def random_shape(rng):
+    """(total_bytes, reserved_bytes, max_order) of a random region: odd byte
+    counts, a user region anywhere from one page to several max-order blocks."""
+    max_order = rng.randint(0, 14)
+    reserved = rng.choice((0, rng.randint(1, 1 << 24)))
+    pages = rng.randint(0, 6) * (1 << max_order) + rng.randint(1, 1 << max_order)
+    total = reserved + (pages + 1) * PAGE_SIZE + rng.randint(0, PAGE_SIZE - 1)
+    return total, reserved, max_order
+
+
+def free_state(buddy):
+    return (buddy._heaps, buddy._sets, buddy._owned, buddy.free_pages,
+            buddy.start_page, buddy.num_pages)
+
+
+class TestCopy:
+    def test_copy_equals_a_fresh_allocator_and_shares_none_of_its_state(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            total, reserved, max_order = random_shape(rng)
+            template = BuddyAllocator(total, reserved, max_order=max_order)
+            fresh = BuddyAllocator(total, reserved, max_order=max_order, machine_id=7)
+            twin = template.copy(7)
+            assert vars(twin) == vars(fresh)
+            assert list(vars(twin)) == list(vars(fresh))  # __init__'s order
+            assert twin.machine_id == 7 and template.machine_id == 0
+            for mine, theirs in zip(
+                (*twin._heaps, *twin._sets, twin._owned),
+                (*template._heaps, *template._sets, template._owned),
+            ):
+                assert mine is not theirs
+
+    def test_a_copy_and_its_template_grant_alike_under_one_sequence(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            total, reserved, max_order = random_shape(rng)
+            template = BuddyAllocator(total, reserved, max_order=max_order)
+            twin = template.copy(3)
+            live = []
+            for step in range(rng.randint(1, 30)):
+                if live and rng.random() < 0.4:
+                    vm = live.pop(rng.randrange(len(live)))
+                    template.release(vm)
+                    twin.release(vm)
+                elif template.free_pages:
+                    vm = f"vm{step}"
+                    demand = rng.randint(1, template.free_pages * PAGE_SIZE // 3 + 1)
+                    assert twin.allocate(vm, demand) == template.allocate(vm, demand)
+                    live.append(vm)
+                assert twin.free_runs() == template.free_runs()
+                assert free_state(twin) == free_state(template)
+
+    def test_allocating_on_a_copy_leaves_the_template_and_a_sibling_unchanged(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            total, reserved, max_order = random_shape(rng)
+            template = BuddyAllocator(total, reserved, max_order=max_order)
+            first, second = template.copy(1), template.copy(2)
+            seeded = copy.deepcopy(free_state(template))
+            vm = 0
+            while first.free_pages:
+                first.allocate(f"vm{vm}", rng.randint(1, first.free_pages) * PAGE_SIZE)
+                vm += 1
+                assert free_state(template) == seeded
+                assert free_state(second) == seeded
+            held = copy.deepcopy(free_state(first))
+            twin = first.copy(3)  # a copy of a machine with live VMs
+            twin.release("vm0")
+            assert free_state(first) == held
+            first.release("vm0")
+            assert free_state(twin) == free_state(first)
+            assert free_state(template) == free_state(second) == seeded

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -214,6 +215,67 @@ class TestGenTrace:
         assert "needs finite parameters" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["lognormal:20000:1.5", "pareto:1000:1.5"])
+    def test_heavy_tailed_lifetimes(self, tmp_path, spec):
+        out = tmp_path / "t.csv"
+        code = main(["gen-trace", "--vms", "50", "--lifetime", spec, "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 101
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("--lifetime", "lognormal:0:1"), ("--lifetime", "pareto:10:0"),
+        ("--arrival", "lognormal:inf:1"), ("--lifetime", "lognormal:20000:800"),
+        ("--arrival", "exp:1e308"),
+    ])
+    def test_bad_heavy_tailed_or_overflowing_distribution_is_usage_error(
+        self, tmp_path, capsys, flag, spec
+    ):
+        code = main(["gen-trace", "--vms", "50", flag, spec, "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_flavor_file_with_integer_and_float_weights(self, tmp_path):
+        flavors = tmp_path / "flavors.json"
+        flavors.write_text(json.dumps([
+            {"memory_bytes": GIB, "cores": 1, "weight": 3},
+            {"memory_bytes": 2 * GIB, "cores": 2, "weight": 0.5},
+            {"memory_bytes": 4 * GIB, "cores": 4},
+        ]))
+        out = tmp_path / "t.csv"
+        code = main(["gen-trace", "--vms", "30", "--flavors", str(flavors), "--out", str(out)])
+        assert code == EXIT_OK
+        starts = [line.split(",") for line in out.read_text().splitlines() if ",start," in line]
+        assert {row[4] for row in starts} == {str(GIB), str(2 * GIB), str(4 * GIB)}
+
+    @pytest.mark.parametrize("field,value", [
+        ("memory_bytes", 4294967296.9), ("memory_bytes", math.inf), ("memory_bytes", "1024"),
+        ("cores", 2.7), ("cores", True), ("cores", None),
+        ("weight", "3"), ("weight", True), ("weight", math.nan), ("weight", math.inf),
+        ("weight", 10**400),
+    ])
+    def test_bad_flavor_field_is_a_usage_error(self, tmp_path, capsys, field, value):
+        flavor = {"memory_bytes": 4 * GIB, "cores": 2, "weight": 1.0, field: value}
+        flavors = tmp_path / "flavors.json"
+        flavors.write_text(json.dumps([flavor]))
+        out = tmp_path / "t.csv"
+        code = main(["gen-trace", "--vms", "4", "--flavors", str(flavors), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad flavor file" in err and field in err
+        assert not out.exists()
+
+    def test_string_fleet_proportion_is_a_usage_error(self, tmp_path, trace_file, capsys):
+        spec = dataclasses.asdict(default_fleet_spec(5))
+        for g in spec["generations"]:
+            g["proportion"] = str(g["proportion"])
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(spec))
+        code = main(["replay", "--trace", str(trace_file), "--fleet", str(fleet),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "proportion must be a finite number" in capsys.readouterr().err
+
 
 class TestTranslate:
     @pytest.fixture
@@ -246,6 +308,22 @@ class TestTranslate:
         }))
         main(["translate", "--registers", str(path), "--gpa", "0x1000"])
         assert capsys.readouterr().out.strip() == "hpa 0x40001000"
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2.0), ("n", True), ("gb", [4096.5]), ("gb", 4096),
+        ("hb", [8192.9, 65536]), ("limit", 69632.7), ("limit", "69632"),
+    ])
+    def test_non_integer_register_is_a_usage_error(self, tmp_path, capsys, field, value):
+        regs = {"n": 2, "gb": [4096], "hb": [8192, 65536], "limit": 69632}
+        path = tmp_path / "regs.json"
+        path.write_text(json.dumps(regs))
+        assert main(["translate", "--registers", str(path), "--gpa", "0x10"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "hpa 0x2010"
+        path.write_text(json.dumps({**regs, field: value}))
+        code = main(["translate", "--registers", str(path), "--gpa", "0x10"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "bad register file" in captured.err and captured.out == ""
 
 
 class TestCostModel:

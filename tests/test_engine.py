@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dsegsim import engine
+from dsegsim.baseline import BuddyAllocator
 from dsegsim.engine import event_order, finish, new_state, run, step
 from dsegsim.report import emit
 from dsegsim.scheduler import (
@@ -90,6 +91,52 @@ class TestRun:
         big = [r for r in report.records if r.vm_id == "big"][0]
         assert big.k == 3
         assert big.mode == "fallback"
+
+
+class TestBaselineSeeding:
+    def test_one_seed_per_machine_shape_and_an_allocator_per_machine(self, monkeypatch):
+        seeded = []
+        seed_region = BuddyAllocator._seed_region
+
+        def counting_seed_region(buddy):
+            seeded.append((buddy.total_bytes, buddy.reserved_bytes))
+            seed_region(buddy)
+
+        monkeypatch.setattr(BuddyAllocator, "_seed_region", counting_seed_region)
+        spec = default_fleet_spec(200, reserved_bytes=3 * GIB + 5)
+        state = new_state(spec, SimVariant.BASELINE)
+        shapes = {(g.ram_bytes, spec.reserved_bytes) for g in spec.generations}
+        assert len(shapes) == 4  # Gen4 and Gen6 share 192 GiB
+        assert sorted(seeded) == sorted(shapes)
+        buddies = [m.free_list for m in state.machines]
+        assert [b.machine_id for b in buddies] == list(range(200))
+        assert len({id(b) for b in buddies}) == 200
+        containers = [c for b in buddies for c in (*b._heaps, *b._sets, b._owned)]
+        assert len({id(c) for c in containers}) == len(containers)
+        for b in buddies:
+            fresh = BuddyAllocator(b.total_bytes, b.reserved_bytes, machine_id=b.machine_id)
+            assert vars(b) == vars(fresh)
+
+    def test_replay_matches_freshly_seeded_machines(self):
+        spec = default_fleet_spec(10)
+        events = event_order(gen_synthetic(
+            400, DEFAULT_FLAVORS, Distribution.exponential(60),
+            Distribution.exponential(3000), 43,
+        ))
+        copied = new_state(spec, SimVariant.BASELINE)
+        fresh = new_state(spec, SimVariant.BASELINE)
+        for m in fresh.machines:
+            m.free_list = BuddyAllocator(
+                m.free_list.total_bytes, m.free_list.reserved_bytes, machine_id=m.machine_id
+            )
+        for event in events:
+            step(copied, event)
+            step(fresh, event)
+        assert {r.machine_id for r in fresh.records} == set(range(10))
+        assert [
+            (r.vm_id, r.machine_id, r.k) for r in copied.records
+        ] == [(r.vm_id, r.machine_id, r.k) for r in fresh.records]
+        assert finish(copied).core() == finish(fresh).core()
 
 
 class TestStep:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+import statistics
 
 import pytest
 
@@ -192,6 +194,66 @@ class TestGenSynthetic:
             Distribution(kind, *params)
 
 
+class TestHeavyTailedDistributions:
+    def test_parse(self):
+        lognormal = Distribution.parse("lognormal:20000:1.5")
+        pareto = Distribution.parse("pareto:300:2")
+        assert (lognormal.kind, lognormal.params) == ("lognormal", (20000.0, 1.5))
+        assert (pareto.kind, pareto.params) == ("pareto", (300.0, 2.0))
+
+    def test_samples_are_the_stdlib_variates(self):
+        a, b = random.Random(5), random.Random(5)
+        lognormal = Distribution.parse("lognormal:20000:1.5")
+        pareto = Distribution.parse("pareto:300:2")
+        for _ in range(100):
+            assert lognormal.sample(a) == b.lognormvariate(math.log(20000), 1.5)
+            assert pareto.sample(a) == 300 * b.paretovariate(2)
+
+    def test_support_and_median(self):
+        rng = random.Random(6)
+        lognormal = [Distribution("lognormal", 500.0, 1.0).sample(rng) for _ in range(4001)]
+        pareto = [Distribution("pareto", 300.0, 1.5).sample(rng) for _ in range(4001)]
+        assert min(lognormal) > 0
+        assert 450 < statistics.median(lognormal) < 550
+        assert min(pareto) >= 300
+        assert Distribution("lognormal", 42.0, 0.0).sample(rng) == pytest.approx(42.0)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("lognormal", (0.0, 1.0)), ("lognormal", (-5.0, 1.0)), ("lognormal", (10.0, -0.5)),
+        ("lognormal", (10.0,)), ("lognormal", (10.0, 1.0, 2.0)),
+        ("pareto", (0.0, 1.0)), ("pareto", (-1.0, 1.0)), ("pareto", (10.0, 0.0)),
+        ("pareto", (10.0, -2.0)), ("pareto", (10.0,)),
+    ])
+    def test_bad_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} distribution needs"):
+            Distribution(kind, *params)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("lognormal", (math.inf, 1.0)), ("lognormal", (10.0, math.nan)),
+        ("pareto", (math.nan, 1.0)), ("pareto", (10.0, math.inf)),
+    ])
+    def test_non_finite_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="needs finite parameters"):
+            Distribution(kind, *params)
+
+    def test_seeded_traces_reproduce(self):
+        for lifetime in ("lognormal:20000:1.5", "pareto:1000:1.2"):
+            args = (300, DEFAULT_FLAVORS, Distribution.exponential(60),
+                    Distribution.parse(lifetime))
+            assert gen_synthetic(*args, seed=9) == gen_synthetic(*args, seed=9)
+            assert gen_synthetic(*args, seed=9) != gen_synthetic(*args, seed=10)
+
+    @pytest.mark.parametrize("arrival,lifetime", [
+        ("exp:1e308", None), ("fixed:1e308", None), ("exp:10", "lognormal:20000:800"),
+    ])
+    def test_a_time_beyond_any_float_is_a_value_error(self, arrival, lifetime):
+        with pytest.raises(ValueError, match="sampled time overflows"):
+            gen_synthetic(
+                50, DEFAULT_FLAVORS, Distribution.parse(arrival),
+                lifetime and Distribution.parse(lifetime), seed=1,
+            )
+
+
 class TestFleet:
     def test_reference_fleet_five_generations_in_equal_shares(self):
         spec = default_fleet_spec(100)
@@ -271,6 +333,15 @@ class TestFleet:
         path = tmp_path / "fleet.json"
         path.write_text(json.dumps(data))
         assert load_fleet_spec(path) == default_fleet_spec(20)
+
+    @pytest.mark.parametrize("value", ["20", True, None, math.nan, math.inf, 10**400])
+    def test_proportion_must_be_a_finite_json_number(self, tmp_path, value):
+        data = dataclasses.asdict(default_fleet_spec(20))
+        data["generations"][0]["proportion"] = value
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="bad fleet spec"):
+            load_fleet_spec(path)
 
     def test_bad_fleet_file_rejected(self, tmp_path):
         path = tmp_path / "fleet.json"
