@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import engine, report
 from .mmu import (
@@ -32,6 +31,7 @@ from .trace import (
     derive_bootstorm,
     gen_synthetic,
     load_fleet_spec,
+    load_json_file,
     load_snapshot,
     load_trace,
     write_trace,
@@ -105,16 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_registers(path: str) -> DsnRegisterFile:
     """Read a register file; ``n``, every boundary and base, and ``limit``
     must be JSON integers."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return DsnRegisterFile(
-            n=_json_int("n", data["n"]),
-            gb=tuple(_json_int("gb", x) for x in data["gb"]),
-            hb=tuple(_json_int("hb", x) for x in data["hb"]),
-            limit=_json_int("limit", data["limit"]),
-        )
-    except TypeError as exc:
-        raise ValueError(f"bad register file {path}: {exc}") from exc
+    return load_json_file("register file", path, lambda data: DsnRegisterFile(
+        n=_json_int("n", data["n"]),
+        gb=tuple(_json_int("gb", x) for x in data["gb"]),
+        hb=tuple(_json_int("hb", x) for x in data["hb"]),
+        limit=_json_int("limit", data["limit"]),
+    ))
 
 
 def _load_flavors(path: str | None) -> tuple[Flavor, ...]:
@@ -122,18 +118,14 @@ def _load_flavors(path: str | None) -> tuple[Flavor, ...]:
     integers and ``weight`` a finite JSON number."""
     if path is None:
         return DEFAULT_FLAVORS
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return tuple(
-            Flavor(
-                _json_int("memory_bytes", f["memory_bytes"]),
-                _json_int("cores", f["cores"]),
-                _json_number("weight", f.get("weight", 1.0)),
-            )
-            for f in data
+    return load_json_file("flavor file", path, lambda data: tuple(
+        Flavor(
+            _json_int("memory_bytes", f["memory_bytes"]),
+            _json_int("cores", f["cores"]),
+            _json_number("weight", f.get("weight", 1.0)),
         )
-    except TypeError as exc:
-        raise ValueError(f"bad flavor file {path}: {exc}") from exc
+        for f in data
+    ))
 
 
 def _run_and_emit(events, args) -> int:
@@ -209,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceFormatError, CounterFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -66,7 +66,6 @@ class SimulationState:
     rejections: int = 0
     anomalies: int = 0
     out_of_order: int = 0
-    start_count: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
 
@@ -109,11 +108,15 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
     if event.time < state.clock:
         state.out_of_order += 1
     if state.variant is SimVariant.DYNAMIC:
-        while event.time >= state.next_reselect:
-            chosen = reselect_option(state.log, state.fleet_spec, state.config)
-            state.config.current_policy = chosen
-            state.option_switches.append((int(state.next_reselect), chosen.value))
-            state.next_reselect += state.config.reselect_period
+        if event.time >= state.next_reselect:
+            # one reselection over the logged events, none for the empty
+            # periods after it
+            if state.log:
+                chosen = reselect_option(state.log, state.fleet_spec, state.config)
+                state.config.current_policy = chosen
+                state.option_switches.append((int(state.next_reselect), chosen.value))
+            period = state.config.reselect_period
+            state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
     state.clock = max(state.clock, event.time)
     if event.kind is EventKind.STOP:
@@ -127,7 +130,6 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     if event.vm_id in state.live:
         state.anomalies += 1
         return
-    state.start_count += 1
     request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
     policy = state.config.current_policy
     candidates = fitting_machines(state.machines, state.index, request)
@@ -207,14 +209,9 @@ def _stop_vm(state: SimulationState, event: VmEvent) -> None:
 
 
 def event_order(events: list[VmEvent]) -> list[VmEvent]:
-    """Replay order: by time, stops before starts, then stable input order."""
-    return [
-        e
-        for _, e in sorted(
-            enumerate(events),
-            key=lambda p: (p[1].time, p[1].kind is EventKind.START, p[0]),
-        )
-    ]
+    """Replay order: by time, stops before starts, then input order (the
+    sort is stable)."""
+    return sorted(events, key=lambda e: (e.time, e.kind is EventKind.START))
 
 
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
@@ -230,7 +227,7 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
         n=state.config.n,
         seed=seed,
         machine_count=len(state.machines),
-        start_count=state.start_count,
+        start_count=len(state.records) + state.rejections,
         records=tuple(state.records),
         rejections=state.rejections,
         anomalies=state.anomalies,
@@ -251,8 +248,6 @@ def reselect_option(
     The policies differ only when a grant composes. When no opt1 grant did,
     the opt2 replay would repeat its records and tie, so it is skipped."""
     current = config.current_policy
-    if not log:
-        return current
     scores = {}
     for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
         ks = [r.k for r in run(log, fleet_spec, variant, config.n).records]

@@ -77,10 +77,6 @@ class DsnRegisterFile:
         return len(self.hb)
 
     @property
-    def guest_bytes(self) -> int:
-        return self.guest_boundaries[-1] + (self.limit - self.hb[-1])
-
-    @property
     def guest_boundaries(self) -> tuple[int, ...]:
         return (0,) + self.gb
 

@@ -152,55 +152,52 @@ def _max_size(free: list[SegmentDescriptor]) -> int:
     return max((s.limit - s.base for s in free), default=0)
 
 
-def _pop_exact(free: list[SegmentDescriptor], size: int) -> SegmentDescriptor | None:
-    # Exact fit, lowest base wins ties; list is base-ordered so the first hit wins.
-    for i, seg in enumerate(free):
-        if seg.size == size:
-            return free.pop(i)
-    return None
-
-
-def _largest(free: list[SegmentDescriptor], above: int) -> int:
-    """Index of the largest segment with size > above (lowest base on ties),
-    or -1."""
+def _fit(free: list[SegmentDescriptor], size: int) -> tuple[int, int]:
+    """One scan for a segment to cover ``size`` bytes: ``(i, -1)`` for the
+    first segment of exactly ``size`` bytes, else ``(-1, j)`` for the largest
+    segment bigger than ``size``, -1 when none is. The list is base-ordered,
+    so ties go to the lowest base."""
     best = -1
-    best_size = above
+    best_size = size
     for i, seg in enumerate(free):
-        if seg.size > best_size:
+        seg_size = seg.limit - seg.base
+        if seg_size == size:
+            return i, -1
+        if seg_size > best_size:
             best = i
-            best_size = seg.size
-    return best
+            best_size = seg_size
+    return -1, best
 
 
 def _plan(
-    segments: list[SegmentDescriptor],
+    free: list[SegmentDescriptor],
     demand: int,
     policy: AllocationPolicy,
-) -> tuple[list[SegmentDescriptor], list[SegmentDescriptor]] | None:
-    """Compute (grants, remaining free list) without touching the input.
+) -> list[SegmentDescriptor]:
+    """Take ``demand`` bytes out of ``free``, in place, and return the grants.
 
-    Returns None when the demand exceeds the total free bytes: the free list
-    then runs out before the demand is covered.
+    The caller checks ``demand`` against the stored free bytes first; the
+    list running out anyway means that counter was wrong.
     """
-    free = list(segments)
     grants: list[SegmentDescriptor] = []
     remaining = demand
     while True:
-        exact = _pop_exact(free, remaining)
-        if exact is not None:
-            grants.append(exact)
-            return grants, free
-        i = _largest(free, remaining)
-        if i >= 0:
+        exact, bigger = _fit(free, remaining)
+        if exact >= 0:
+            grants.append(free.pop(exact))
+            return grants
+        if bigger >= 0:
             # Grant the low end; the remainder keeps the split segment's slot,
             # which leaves the list ordered by base.
-            base, limit = free[i].base, free[i].limit
+            base, limit = free[bigger].base, free[bigger].limit
             grants.append(SegmentDescriptor(base, base + remaining))
-            free[i] = SegmentDescriptor(base + remaining, limit)
-            return grants, free
+            free[bigger] = SegmentDescriptor(base + remaining, limit)
+            return grants
         # No single segment covers the demand: compose one per policy.
         if not free:
-            return None
+            raise AllocatorError(
+                f"free list ran out {remaining} bytes short of its free_bytes counter"
+            )
         if policy is AllocationPolicy.SMALLEST_FIRST:
             for seg in sorted(free, key=lambda s: (s.size, s.base)):
                 if seg.size >= remaining:
@@ -209,7 +206,7 @@ def _plan(
                 grants.append(seg)
                 remaining -= seg.size
         else:
-            grants.append(free.pop(_largest(free, 0)))
+            grants.append(free.pop(_fit(free, 0)[1]))
             remaining -= grants[-1].size
 
 
@@ -229,16 +226,14 @@ def allocate(
     """
     if demand <= 0:
         raise InvalidSizeError(f"demand must be positive, got {demand}")
-    planned = _plan(flist.segments, demand, policy)
-    if planned is None:
+    if demand > flist.free_bytes:
         raise InsufficientMemoryError(
             f"machine {flist.machine_id}: demand {demand} exceeds "
             f"{flist.free_bytes} free bytes"
         )
-    grants, free = planned
-    flist.segments = free
+    grants = _plan(flist.segments, demand, policy)
     flist.free_bytes -= demand
-    flist.max_segment = _max_size(free)
+    flist.max_segment = _max_size(flist.segments)
     return VMAllocation(vm_id=vm_id, segments=tuple(grants))
 
 
@@ -251,10 +246,9 @@ def peek_segment_count(
     """
     if demand <= 0:
         raise InvalidSizeError(f"demand must be positive, got {demand}")
-    planned = _plan(flist.segments, demand, policy)
-    if planned is None:
+    if demand > flist.free_bytes:
         return None
-    return len(planned[0])
+    return len(_plan(list(flist.segments), demand, policy))
 
 
 def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList:
@@ -264,15 +258,15 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
     Raises OverlapError (leaving the list unchanged) if any released segment
     intersects a free segment, which signals a double free.
     """
-    bases = [s.base for s in flist.segments]
+    free = flist.segments
     for seg in allocation.segments:
-        i = bisect.bisect_right(bases, seg.base)
-        if i > 0 and flist.segments[i - 1].limit > seg.base:
-            raise OverlapError(f"released {seg} overlaps free {flist.segments[i - 1]}")
-        if i < len(bases) and seg.limit > flist.segments[i].base:
-            raise OverlapError(f"released {seg} overlaps free {flist.segments[i]}")
+        i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
+        if i > 0 and free[i - 1].limit > seg.base:
+            raise OverlapError(f"released {seg} overlaps free {free[i - 1]}")
+        if i < len(free) and seg.limit > free[i].base:
+            raise OverlapError(f"released {seg} overlaps free {free[i]}")
     for seg in sorted(allocation.segments, key=lambda s: s.base):
-        merged = _insert_coalescing(flist.segments, seg)
+        merged = _insert_coalescing(free, seg)
         flist.free_bytes += seg.size
         flist.max_segment = max(flist.max_segment, merged.size)
     return flist
@@ -283,7 +277,7 @@ def _insert_coalescing(
 ) -> SegmentDescriptor:
     """Insert ``seg`` and merge it with abutting neighbours; returns the
     merged segment."""
-    i = bisect.bisect_right([s.base for s in free], seg.base)
+    i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
     base, limit = seg.base, seg.limit
     lo = i
     if i > 0 and free[i - 1].limit == base:

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .scheduler import MachineView
 from .segments import new_machine
@@ -262,14 +262,6 @@ class Distribution:
             raise ValueError(f"unknown distribution kind {kind!r}")
 
     @classmethod
-    def fixed(cls, value: float) -> "Distribution":
-        return cls("fixed", value)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "Distribution":
-        return cls("uniform", lo, hi)
-
-    @classmethod
     def exponential(cls, mean: float) -> "Distribution":
         return cls("exponential", mean)
 
@@ -324,28 +316,23 @@ def gen_synthetic(
     picks = rng.choices(range(len(flavors)), weights=[f.weight for f in flavors], k=vm_count)
     _force_flavor_coverage(picks, len(flavors), rng)
     width = max(5, len(str(max(vm_count - 1, 0))))
-    events: list[tuple[int, int, VmEvent]] = []
+    events: list[VmEvent] = []
     clock = 0.0
-    seq = 0
     try:
         for i, pick in enumerate(picks):
             clock += interarrival.sample(rng)
             start = int(round(clock))
             flavor = flavors[pick]
             vm_id = f"vm{i:0{width}d}"
-            events.append(
-                (start, seq, start_event(vm_id, start, flavor.cores, flavor.memory_bytes))
-            )
-            seq += 1
+            events.append(start_event(vm_id, start, flavor.cores, flavor.memory_bytes))
             if lifetime is not None:
                 stop = start + max(1, int(round(lifetime.sample(rng))))
-                events.append((stop, seq, stop_event(vm_id, stop)))
-                seq += 1
+                events.append(stop_event(vm_id, stop))
     except OverflowError as exc:
         # a heavy tail or a huge parameter drew a time beyond any float
         raise ValueError(f"sampled time overflows: {exc}") from exc
-    events.sort(key=lambda item: (item[0], item[1]))
-    return [e for _, _, e in events]
+    events.sort(key=lambda e: e.time)  # stable: ties keep generation order
+    return events
 
 
 def _force_flavor_coverage(picks: list[int], flavor_count: int, rng: random.Random) -> None:
@@ -400,8 +387,9 @@ class FleetSpec:
     reserved_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.machine_count < 1:
-            raise ValueError("machine_count must be >= 1")
+        # generation_counts multiplies the count by each float share
+        if not 1 <= self.machine_count <= sys.float_info.max:
+            raise ValueError("machine_count must be >= 1 and fit in a float")
         if self.reserved_bytes < 0:
             raise ValueError("reserved_bytes must be >= 0")
         total = sum(g.proportion for g in self.generations)
@@ -455,6 +443,34 @@ def _json_number(key: str, value: object) -> float:
     return float(value)
 
 
+def load_json_file(kind: str, path: str | Path, build: Callable[[Any], Any]) -> Any:
+    """Parse a JSON input file and ``build`` a value from it. Malformed JSON,
+    a missing key, a value of the wrong type or too large for a float raise
+    ``ValueError("bad <kind> <path>: ...")``; a file that cannot be read
+    raises ``OSError``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+        raise ValueError(f"bad {kind} {path}: {exc}") from exc
+
+
+def _fleet_spec(data: Any) -> FleetSpec:
+    generations = tuple(
+        Generation(
+            g["name"], _json_int("ram_bytes", g["ram_bytes"]),
+            _json_int("cores", g["cores"]),
+            _json_number("proportion", g["proportion"]),
+        )
+        for g in data["generations"]
+    )
+    return FleetSpec(
+        generations,
+        _json_int("machine_count", data["machine_count"]),
+        _json_int("reserved_bytes", data.get("reserved_bytes", 0)),
+    )
+
+
 def load_fleet_spec(path: str | Path) -> FleetSpec:
     """Read a fleet description from JSON.
 
@@ -463,20 +479,4 @@ def load_fleet_spec(path: str | Path) -> FleetSpec:
     Counts and sizes must be JSON integers: 20.7, "20" or true is rejected,
     not truncated. Proportions must be finite JSON numbers.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        generations = tuple(
-            Generation(
-                g["name"], _json_int("ram_bytes", g["ram_bytes"]),
-                _json_int("cores", g["cores"]),
-                _json_number("proportion", g["proportion"]),
-            )
-            for g in data["generations"]
-        )
-        return FleetSpec(
-            generations,
-            _json_int("machine_count", data["machine_count"]),
-            _json_int("reserved_bytes", data.get("reserved_bytes", 0)),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad fleet spec {path}: {exc}") from exc
+    return load_json_file("fleet spec", path, _fleet_spec)

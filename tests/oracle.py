@@ -1,5 +1,6 @@
 """Slow references for the fast paths: a page-granularity bitmap mirror that
-cross-checks both allocators, the fleet-wide resource filter that the
+cross-checks both allocators, the segment allocator's plan on a copy of the
+free list with two scans per fit, the fleet-wide resource filter that the
 placement index's walk must agree with, policy reselection by two full
 replays, and report.json's payload built by deep copy."""
 
@@ -12,7 +13,7 @@ import numpy as np
 from dsegsim import engine
 from dsegsim.report import summary_dict
 from dsegsim.scheduler import SimVariant
-from dsegsim.segments import PAGE_SIZE, AllocationPolicy
+from dsegsim.segments import PAGE_SIZE, AllocationPolicy, SegmentDescriptor
 
 
 class BitmapOracle:
@@ -63,6 +64,59 @@ class BitmapOracle:
 
     def assert_matches_runs(self, runs) -> None:
         assert self.free_runs() == [tuple(r) for r in runs]
+
+
+def _pop_exact(free, size):
+    # Exact fit, lowest base wins ties; list is base-ordered so the first hit wins.
+    for i, seg in enumerate(free):
+        if seg.size == size:
+            return free.pop(i)
+    return None
+
+
+def _largest(free, above):
+    """Index of the largest segment with size > above (lowest base on ties),
+    or -1."""
+    best = -1
+    best_size = above
+    for i, seg in enumerate(free):
+        if seg.size > best_size:
+            best = i
+            best_size = seg.size
+    return best
+
+
+def plan_by_copy(segments, demand, policy):
+    """The segment allocator's plan as first written: (grants, remaining free
+    list) computed on a copy, with one scan for an exact fit and another for
+    the largest bigger segment. None when the demand exceeds the list's
+    total, which the list then runs out before covering."""
+    free = list(segments)
+    grants = []
+    remaining = demand
+    while True:
+        exact = _pop_exact(free, remaining)
+        if exact is not None:
+            grants.append(exact)
+            return grants, free
+        i = _largest(free, remaining)
+        if i >= 0:
+            base, limit = free[i].base, free[i].limit
+            grants.append(SegmentDescriptor(base, base + remaining))
+            free[i] = SegmentDescriptor(base + remaining, limit)
+            return grants, free
+        if not free:
+            return None
+        if policy is AllocationPolicy.SMALLEST_FIRST:
+            for seg in sorted(free, key=lambda s: (s.size, s.base)):
+                if seg.size >= remaining:
+                    break
+                free.remove(seg)
+                grants.append(seg)
+                remaining -= seg.size
+        else:
+            grants.append(free.pop(_largest(free, 0)))
+            remaining -= grants[-1].size
 
 
 def filter_resources(machines, request) -> list:

@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dsegsim
 from dsegsim.cli import EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from dsegsim.trace import default_fleet_spec
 
@@ -104,6 +109,38 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "bad fleet spec" in err and f"{field} must be an integer" in err
         assert not out.exists()
+
+    def test_fleet_too_large_for_a_float_is_a_usage_error(
+        self, tmp_path, trace_file, capsys
+    ):
+        spec = dataclasses.asdict(default_fleet_spec(5))
+        spec["machine_count"] = 10**400
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet), "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "machine_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_reselection_period_over_a_long_gap_finishes(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"vm1,start,0,1,{GIB}\nvm1,stop,100000,,\n")
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(dataclasses.asdict(default_fleet_spec(1))))
+        out = tmp_path / "out"
+        src = str(Path(dsegsim.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "dsegsim.cli", "replay", "--trace", str(trace),
+             "--fleet", str(fleet), "--variant", "dynamic", "--period-hours", "1e-6",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["option_switches"] == [[0, "opt1"]]
 
     def test_n_below_one_is_a_usage_error(self, tmp_path, fleet_file, trace_file, capsys):
         code = main([
@@ -275,6 +312,50 @@ class TestGenTrace:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         assert "proportion must be a finite number" in capsys.readouterr().err
+
+
+JSON_INPUTS = {
+    "fleet spec": lambda path, tmp: [
+        "replay", "--trace", str(tmp / "t.csv"), "--fleet", str(path), "--out", str(tmp / "out"),
+    ],
+    "flavor file": lambda path, tmp: [
+        "gen-trace", "--vms", "4", "--flavors", str(path), "--out", str(tmp / "t.csv"),
+    ],
+    "register file": lambda path, tmp: [
+        "translate", "--registers", str(path), "--gpa", "0x10",
+    ],
+}
+BAD_JSON = {
+    "fleet spec": ["{not json", "{}", "[]", '{"machine_count": 5, "generations": [{}]}'],
+    "flavor file": ["[{not json", "[{}]", '{"cores": 1}', '[{"cores": 1}]'],
+    "register file": ["{not json", "{}", "[]", '{"n": 2, "gb": [], "hb": [4096]}'],
+}
+
+
+class TestJsonInputs:
+    """The fleet, flavor and register files share one rule: a missing file is
+    an input error (exit 3); malformed JSON, a missing key or a value of the
+    wrong shape is a usage error (exit 2) naming the file."""
+
+    @pytest.mark.parametrize("kind", JSON_INPUTS)
+    def test_missing_file_is_a_parse_error(self, tmp_path, capsys, kind):
+        (tmp_path / "t.csv").write_text("vm1,start,0,1,4096\n")
+        code = main(JSON_INPUTS[kind](tmp_path / "absent.json", tmp_path))
+        assert code == EXIT_PARSE
+        assert "cannot read input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,text", [
+        (kind, text) for kind, texts in BAD_JSON.items() for text in texts
+    ])
+    def test_malformed_file_is_a_usage_error(self, tmp_path, capsys, kind, text):
+        (tmp_path / "t.csv").write_text("vm1,start,0,1,4096\n")
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main(JSON_INPUTS[kind](path, tmp_path))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"bad {kind} {path}" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestTranslate:

@@ -304,6 +304,22 @@ class TestDynamicVariant:
             7 * 86400, 14 * 86400, 21 * 86400, 28 * 86400,
         ]
 
+    def test_no_reselection_over_empty_time(self):
+        """A boundary with nothing logged since the last reselection records
+        nothing; one event after several boundaries reselects once, at the
+        first of them, and the schedule keeps its phase from t = 0."""
+        week = 7 * 86400
+        epoch = [start_event("a", 1_600_000_000, 1, GIB), stop_event("a", 1_600_000_100)]
+        report = run(epoch, one_machine_spec(), SimVariant.DYNAMIC)
+        assert report.option_switches == ()
+        late = [start_event("a", 0, 1, GIB), stop_event("a", 5 * week + 10),
+                start_event("b", 6 * week, 1, GIB)]
+        state = new_state(one_machine_spec(), SimVariant.DYNAMIC)
+        for event in late:
+            step(state, event)
+        assert state.option_switches == [(week, "opt1"), (6 * week, "opt1")]
+        assert state.next_reselect == 7 * week
+
     def test_non_dynamic_variants_never_switch(self):
         trace = [start_event("a", 0, 1, GIB), stop_event("a", 10**7)]
         for variant in (SimVariant.BASELINE, SimVariant.PLACEMENT_OPT1,

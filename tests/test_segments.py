@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dsegsim.baseline import BuddyAllocator
 from dsegsim.segments import (
     AllocationPolicy,
+    AllocatorError,
     FreeSegmentList,
     InsufficientMemoryError,
     InvalidSizeError,
@@ -15,12 +16,13 @@ from dsegsim.segments import (
     PAGE_SIZE,
     SegmentDescriptor,
     VMAllocation,
+    _plan,
     allocate,
     new_machine,
     peek_segment_count,
     release,
 )
-from oracle import BitmapOracle
+from oracle import BitmapOracle, plan_by_copy
 
 GIB = 1 << 30
 OPT1 = AllocationPolicy.SMALLEST_FIRST
@@ -163,6 +165,72 @@ class TestPeek:
 
     def test_infeasible_is_a_value(self):
         assert peek_segment_count(flist((0, GIB)), 2 * GIB, OPT1) is None
+
+
+def random_free_list(rng):
+    """Up to 10 free segments of odd byte sizes, each after a gap of at least
+    one byte; sizes repeat often, so exact fits and size ties occur."""
+    common = [rng.randint(1, 9000) for _ in range(3)]
+    spans = []
+    cursor = 0
+    for _ in range(rng.randint(0, 10)):
+        base = cursor + rng.randint(1, 5000)
+        cursor = base + rng.choice((rng.randint(1, 9000), rng.choice(common)))
+        spans.append((base, cursor))
+    return flist(*spans, total=cursor + rng.randint(1, 4096))
+
+
+class TestPlanMatchesTheCopyingPlanner:
+    """``_plan`` edits the list in place with one scan per fit; it grants,
+    and leaves, what the copying, two-scan planner does."""
+
+    @pytest.mark.parametrize("policy", [OPT1, OPT2], ids=lambda p: p.value)
+    def test_grants_and_remaining_list(self, policy):
+        rng = random.Random(23)
+        seen = dict.fromkeys(("exact", "split", "composed", "infeasible"), 0)
+        for _ in range(3000):
+            fl = random_free_list(rng)
+            sizes = [s.size for s in fl.segments]
+            demand = rng.choice([
+                rng.randint(1, fl.free_bytes + 10),
+                rng.choice(sizes or [1]),
+                rng.randint(max(sizes, default=0) + 1, fl.free_bytes + 1),
+            ])
+            before = list(fl.segments)
+            expected = plan_by_copy(before, demand, policy)
+            peeked = peek_segment_count(fl, demand, policy)
+            assert fl.segments == before
+            if expected is None:
+                seen["infeasible"] += 1
+                assert peeked is None
+                with pytest.raises(InsufficientMemoryError):
+                    allocate(fl, "vm", demand, policy)
+                assert fl.segments == before
+                continue
+            grants, remaining = expected
+            if len(grants) > 1:
+                seen["composed"] += 1
+            else:
+                seen["exact" if grants[0] in before else "split"] += 1
+            free = list(before)
+            assert _plan(free, demand, policy) == grants
+            assert free == remaining
+            assert peeked == len(grants)
+            assert allocate(fl, "vm", demand, policy).segments == tuple(grants)
+            assert fl.segments == remaining
+            fl.check_invariants()
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("policy", [OPT1, OPT2], ids=lambda p: p.value)
+    def test_overstated_free_bytes_raise_instead_of_looping(self, policy):
+        fl = flist((0, GIB), (2 * GIB, 3 * GIB))
+        fl.free_bytes += 4 * GIB
+        with pytest.raises(ValueError, match="free_bytes"):
+            fl.check_invariants()
+        with pytest.raises(AllocatorError, match="free_bytes counter"):
+            peek_segment_count(fl, 3 * GIB, policy)
+        with pytest.raises(AllocatorError, match="free_bytes counter"):
+            allocate(fl, "vm", 3 * GIB, policy)
 
 
 def random_ops_machine(seed, steps=300, pages=4096):

@@ -108,7 +108,7 @@ UNREFERENCED_BY_DESIGN = {
     "demand_size_cdf": "trace context the report is to show (ROADMAP item 3)",
     "check_invariants": "the free-segment list's safety check",
     "default_fleet_spec": "a fleet of DEFAULT_GENERATIONS, the README's default mix",
-    "fixed": "Distribution.fixed, the constructor beside uniform and exponential",
+    "core": "SimulationReport.core, the projection that identical output and the goldens compare",
 }
 
 BENCH = PACKAGE.parent.parent / "bench"
@@ -128,16 +128,27 @@ def referenced_names(node):
     return names
 
 
+def attribute_names(node, owners=None):
+    """How often a tree reads each attribute name: on any object, or only
+    through a bare name in ``owners``."""
+    return collections.Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and (owners is None or isinstance(n.value, ast.Name) and n.value.id in owners)
+    )
+
+
 def definitions(tree):
-    """Top-level functions and classes, and the non-dunder methods of the
-    classes, with the node that defines each."""
+    """Top-level functions and classes, then the non-dunder methods of the
+    classes: each with its defining node and its class (None at the top)."""
     defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defs.append((node.name, node))
+            defs.append((node.name, node, None))
         if isinstance(node, ast.ClassDef):
             defs += [
-                (m.name, m)
+                (m.name, m, node)
                 for m in node.body
                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (m.name.startswith("__") and m.name.endswith("__"))
@@ -148,17 +159,32 @@ def definitions(tree):
 def test_every_definition_has_a_caller_outside_the_tests():
     """Each definition in the package is referenced from another module
     (the root aside), from its own module outside its body, or from the
-    benchmark."""
+    benchmark. A method or property counts only attribute references, and
+    inside its own class only those through ``self``, ``cls`` or the class
+    name, so a local variable or another object's attribute of the same name
+    does not hide it."""
     modules = {name: tree for name, tree in parsed_modules().items() if name != "__init__"}
-    counts = {name: referenced_names(tree) for name, tree in modules.items()}
-    bench = collections.Counter()
-    for path in BENCH.glob("*.py"):
-        bench += referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py")]
+    names = {name: referenced_names(tree) for name, tree in modules.items()}
+    attrs = {name: attribute_names(tree) for name, tree in modules.items()}
+    bench_names = sum(map(referenced_names, bench), collections.Counter())
+    bench_attrs = sum(map(attribute_names, bench), collections.Counter())
     offenders = []
     for name, tree in modules.items():
-        elsewhere = sum((c for other, c in counts.items() if other != name), bench)
-        for def_name, node in definitions(tree):
-            own = counts[name][def_name] - referenced_names(node)[def_name]
-            if not (elsewhere[def_name] or own or def_name in UNREFERENCED_BY_DESIGN):
+        names_elsewhere = sum((c for other, c in names.items() if other != name), bench_names)
+        attrs_elsewhere = sum((c for other, c in attrs.items() if other != name), bench_attrs)
+        for def_name, node, cls in definitions(tree):
+            if cls is None:
+                elsewhere = names_elsewhere[def_name]
+                own = names[name][def_name] - referenced_names(node)[def_name]
+            else:
+                mine = {"self", "cls", cls.name}
+                elsewhere = attrs_elsewhere[def_name]
+                own = (
+                    attrs[name][def_name] - attribute_names(cls)[def_name]
+                    + attribute_names(cls, mine)[def_name]
+                    - attribute_names(node, mine)[def_name]
+                )
+            if not (elsewhere or own or def_name in UNREFERENCED_BY_DESIGN):
                 offenders.append(f"{name}.{def_name}")
     assert offenders == []

@@ -144,15 +144,15 @@ class TestGenSynthetic:
         assert len(sizes) == len(DEFAULT_FLAVORS) == 14
 
     def test_zero_vms(self):
-        assert gen_synthetic(0, DEFAULT_FLAVORS, Distribution.fixed(1), None, 0) == []
+        assert gen_synthetic(0, DEFAULT_FLAVORS, Distribution("fixed", 1), None, 0) == []
 
     def test_same_seed_reproduces(self):
         args = (500, DEFAULT_FLAVORS, Distribution.exponential(60),
-                Distribution.uniform(100, 1000))
+                Distribution("uniform", 100, 1000))
         assert gen_synthetic(*args, seed=9) == gen_synthetic(*args, seed=9)
 
     def test_arrival_only_trace_has_no_stops(self):
-        events = gen_synthetic(50, DEFAULT_FLAVORS, Distribution.fixed(10), None, 4)
+        events = gen_synthetic(50, DEFAULT_FLAVORS, Distribution("fixed", 10), None, 4)
         assert all(e.kind is EventKind.START for e in events)
         assert len(events) == 50
 
@@ -178,7 +178,7 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             Distribution.exponential(0)
         with pytest.raises(ValueError):
-            Distribution.uniform(5, 1)
+            Distribution("uniform", 5, 1)
         with pytest.raises(ValueError):
             Distribution("weibull", 1.0)
         with pytest.raises(ValueError):
