@@ -11,9 +11,10 @@ Every machine is a ``MachineView``; on the baseline its free list is a buddy
 allocator instead of a free-segment list. The baseline seeds one buddy
 allocator per machine shape (total and reserved bytes) in each replay and
 gives every machine of that shape its own copy; the copies grant exactly as
-freshly seeded allocators would. Every variant keeps the placement
-index, ``(-free_bytes, machine_id)`` for every machine in ascending order,
-updated on each grant and release (see ``scheduler``). The dynamic variant's
+freshly seeded allocators would. Every variant keeps the placement index,
+``(-free, machine_id)`` for every machine in ascending order, keyed by free
+cores on the baseline and by free bytes elsewhere, and moves a machine's
+entry on each grant and release (see ``scheduler``). The dynamic variant's
 periodic policy reselection replays the logged events through this same
 loop under each composition policy, skipping the second replay when the
 first composed no grant.
@@ -25,6 +26,8 @@ import bisect
 import gc
 import time as _time
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 from .baseline import BuddyAllocator
 from .report import SimulationReport, VmRecord
@@ -56,7 +59,9 @@ class SimulationState:
     config: SchedulerConfig
     fleet_spec: FleetSpec
     machines: list[MachineView]
-    # (-free_bytes, machine_id) per machine, ascending
+    # a machine's free cores on the baseline, its free bytes elsewhere
+    key: Callable[[MachineView], int]
+    # (-key(m), machine_id) per machine, ascending
     index: list[tuple[int, int]]
     clock: int = 0
     live: dict[str, LiveVm] = field(default_factory=dict)
@@ -95,9 +100,11 @@ def new_state(
             if shape not in seeds:
                 seeds[shape] = BuddyAllocator(*shape)
             m.free_list = seeds[shape].copy(m.machine_id)
-    index = sorted((-m.free_bytes, m.machine_id) for m in machines)
+    baseline = variant is SimVariant.BASELINE
+    key = attrgetter("cores_free" if baseline else "free_list.free_bytes")
+    index = sorted((-key(m), m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, index, next_reselect=reselect_period
+        variant, config, fleet_spec, machines, key, index, next_reselect=reselect_period
     )
 
 
@@ -132,9 +139,11 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         return
     request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
     policy = state.config.current_policy
-    candidates = fitting_machines(state.machines, state.index, request)
+    baseline = state.variant is SimVariant.BASELINE
+    stop = event.cores if baseline else event.memory_bytes
+    candidates = fitting_machines(state.machines, state.index, request, stop)
     try:
-        if state.variant is SimVariant.BASELINE:
+        if baseline:
             machine_id = baseline_pick(candidates, request)
         else:
             machine_id = segment_pick(candidates, request, policy)
@@ -143,10 +152,10 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         state.rejected.add(event.vm_id)
         return
     machine = state.machines[machine_id]
-    free = machine.free_bytes
+    old = state.key(machine)
     alloc, latency = _grant(machine.free_list, event, policy)
-    _reindex(state.index, machine_id, free, machine.free_bytes)
     machine.cores_free -= event.cores
+    _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
     mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
     state.records.append(
@@ -178,19 +187,19 @@ def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocati
 def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
     """Return a VM's memory, from either memory model, and its cores."""
     machine = state.machines[vm.machine_id]
-    free = machine.free_bytes
+    old = state.key(machine)
     if isinstance(machine.free_list, BuddyAllocator):
         machine.free_list.release(vm_id)
     else:
         release(machine.free_list, vm.allocation)
-    _reindex(state.index, vm.machine_id, free, machine.free_bytes)
     machine.cores_free += vm.cores
+    _reindex(state.index, vm.machine_id, old, state.key(machine))
 
 
 def _reindex(
     index: list[tuple[int, int]], machine_id: int, old_free: int, new_free: int
 ) -> None:
-    """Move a machine's placement-index entry after its free bytes changed."""
+    """Move a machine's placement-index entry after its key changed."""
     del index[bisect.bisect_left(index, (-old_free, machine_id))]
     bisect.insort(index, (-new_free, machine_id))
 
@@ -272,8 +281,24 @@ def run(
     Rejected placements are counted, never retried. The seed is carried into
     the report so batch runs stay distinguishable; the replay itself is
     deterministic.
+
+    A baseline fleet's buddy free lists hold one int per free block and no
+    reference cycle, yet every garbage collection of their generation would
+    walk them. So the fleet is built with automatic collection held off,
+    then frozen out of collections (``gc.freeze``) until the replay returns
+    with ``gc.unfreeze``, which also thaws whatever was frozen before.
     """
-    state = new_state(fleet_spec, variant, n, reselect_period)
-    for event in event_order(events):
-        step(state, event)
-    return finish(state, seed)
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        state = new_state(fleet_spec, variant, n, reselect_period)
+        gc.freeze()
+    finally:
+        if gc_was_on:
+            gc.enable()
+    try:
+        for event in event_order(events):
+            step(state, event)
+        return finish(state, seed)
+    finally:
+        gc.unfreeze()

@@ -4,8 +4,9 @@ The segment-aware scheduler places each VM where the hypervisor allocator
 would grant it the fewest segments; ties go to the machine with the most free
 bytes, then the lowest id. The baseline instead takes the most free cores.
 Both read their candidates from ``fitting_machines``, a walk over a placement
-index of machines ordered by free bytes that yields every machine with enough
-free cores and free bytes, in that tie-break order. ``segment_pick`` takes
+index of machines ordered by free bytes (by free cores on the baseline) that
+yields every machine with enough free cores and free bytes, in that
+tie-break order, so ``baseline_pick`` takes the first. ``segment_pick`` takes
 the first candidate whose largest free segment covers the demand; only when
 none does it run ``filter_min_segments``, which dry-runs the allocator's plan
 on each candidate's own free-segment list without changing it.
@@ -107,16 +108,19 @@ def fitting_machines(
     machines: Sequence[MachineView],
     index: Sequence[tuple[int, int]],
     request: PlacementRequest,
+    stop: int,
 ) -> Iterator[MachineView]:
     """The machines with enough free cores and free bytes for the request
-    (boundary inclusive), in ``index`` order: ``(-free_bytes, machine_id)``
-    for every machine, ascending. The walk stops at the first machine with
-    fewer free bytes than the demand."""
+    (boundary inclusive), in ``index`` order: ``(-free, machine_id)`` for
+    every machine, ascending, where ``free`` is the amount of the resource
+    keying the index. The walk stops at the first entry with less free than
+    ``stop``, the request's demand of that resource."""
+    cores, memory = request.cores, request.memory_bytes
     for neg_free, machine_id in index:
-        if -neg_free < request.memory_bytes:
+        if -neg_free < stop:
             return
         m = machines[machine_id]
-        if m.cores_free >= request.cores:
+        if m.cores_free >= cores and m.free_list.free_bytes >= memory:
             yield m
 
 
@@ -136,8 +140,8 @@ def segment_pick(
 
 
 def baseline_pick(candidates: Iterable, request: PlacementRequest) -> int:
-    """Stock spread objective: most free cores, ties to the lowest id."""
-    best = min(((-m.cores_free, m.machine_id) for m in candidates), default=None)
-    if best is None:
-        raise NoCandidateError(f"no machine can host {request.vm_id}")
-    return best[1]
+    """Stock spread objective: most free cores, ties to the lowest id, which
+    is the first candidate of a walk over the index keyed by free cores."""
+    for m in candidates:
+        return m.machine_id
+    raise NoCandidateError(f"no machine can host {request.vm_id}")

@@ -15,7 +15,6 @@ from dsegsim.scheduler import (
     PlacementRequest,
     SchedulerConfig,
     SimVariant,
-    baseline_pick,
     filter_min_segments,
     fitting_machines,
 )
@@ -425,15 +424,36 @@ def random_fleet_and_trace(rng):
     return spec, events
 
 
+def index_key(variant, m):
+    """A machine's placement-index entry: keyed by free cores on the
+    baseline, by free bytes on the segment variants."""
+    if variant is SimVariant.BASELINE:
+        return (-m.cores_free, m.machine_id)
+    return (-m.free_bytes, m.machine_id)
+
+
+def oracle_walk(state, request):
+    """``filter_resources`` in the variant's index order."""
+    kept = filter_resources(state.machines, request)
+    return sorted(kept, key=lambda m: index_key(state.variant, m))
+
+
+def engine_walk(state, request):
+    baseline = state.variant is SimVariant.BASELINE
+    stop = request.cores if baseline else request.memory_bytes
+    return fitting_machines(state.machines, state.index, request, stop)
+
+
 class TestPlacementIndex:
     """The index walk yields exactly the machines the fleet-wide resource
     filter keeps, every variant places each VM where its objective over that
-    filter would, and the index tracks every machine's free bytes."""
+    filter would, and the index tracks the free amount of the resource that
+    keys it: free cores on the baseline, free bytes elsewhere."""
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
     def test_indexed_pick_matches_filter_chain(self, variant):
         rng = random.Random(41)
-        seen = dict.fromkeys(("placed", "rejected", "cores_skipped", "tied", "exact"), 0)
+        seen = dict.fromkeys(("placed", "rejected", "other_skipped", "tied", "exact"), 0)
         if variant is not SimVariant.BASELINE:
             seen.update(one_segment=0, composed=0)
         for _ in range(40):
@@ -448,9 +468,7 @@ class TestPlacementIndex:
                 reselects = (variant is SimVariant.DYNAMIC
                              and event.time >= state.next_reselect)
                 step(state, event)
-                assert state.index == sorted(
-                    (-m.free_bytes, m.machine_id) for m in state.machines
-                )
+                assert state.index == sorted(index_key(variant, m) for m in state.machines)
                 if checked and not reselects:
                     got = state.records[-1].machine_id if len(state.records) > placed else None
                     assert got == expected
@@ -462,29 +480,175 @@ class TestPlacementIndex:
         (None: rejected), after checking the index walk against the filter."""
         request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
         policy = state.config.current_policy
-        kept = filter_resources(state.machines, request)
-        walked = [m.machine_id for m in fitting_machines(state.machines, state.index, request)]
-        assert walked == [m.machine_id for m in
-                          sorted(kept, key=lambda m: (-m.free_bytes, m.machine_id))]
-        seen["cores_skipped"] += any(m.cores_free < event.cores
-                                     and m.free_bytes >= event.memory_bytes
-                                     for m in state.machines)
-        seen["tied"] += len({m.free_bytes for m in kept}) < len(kept)
+        kept = oracle_walk(state, request)
+        walked = [m.machine_id for m in engine_walk(state, request)]
+        assert walked == [m.machine_id for m in kept]
+        baseline = state.variant is SimVariant.BASELINE
+        # a machine the walk passes over on the resource not keying the index
+        seen["other_skipped"] += any(
+            m.cores_free >= event.cores and m.free_bytes < event.memory_bytes
+            if baseline else
+            m.free_bytes >= event.memory_bytes and m.cores_free < event.cores
+            for m in state.machines)
+        seen["tied"] += len({index_key(state.variant, m)[0] for m in kept}) < len(kept)
         seen["exact"] += any(m.free_bytes == event.memory_bytes for m in kept)
         try:
-            if state.variant is SimVariant.BASELINE:
-                chain = baseline_pick(kept, request)
+            if baseline:
+                chain = min(kept, key=lambda m: (-m.cores_free, m.machine_id)).machine_id
             else:
                 chain = filter_min_segments(kept, request, policy)
-        except NoCandidateError:
+        except (ValueError, NoCandidateError):  # min of nothing, or no feasible plan
             seen["rejected"] += 1
             return None
         seen["placed"] += 1
-        if state.variant is not SimVariant.BASELINE:
+        if not baseline:
             k = peek_segment_count(state.machines[chain].free_list,
                                    event.memory_bytes, policy)
             seen["one_segment" if k == 1 else "composed"] += 1
         return chain
+
+
+def cores_tied_fleet_and_trace(rng):
+    """3-20 machines of 1-3 generations with few cores (many machines tie on
+    free cores) and little memory (a machine with the most free cores is
+    often short of bytes), VMs asking for up to 4 cores and 8 GiB, and VMs
+    started again after they stopped."""
+    count = rng.randint(1, 3)
+    generations = tuple(
+        Generation(f"g{i}", rng.randint(4, 16) * GIB, rng.randint(2, 6), 100.0 / count)
+        for i in range(count)
+    )
+    spec = FleetSpec(generations, rng.randint(3, 20))
+    events = []
+    for i in range(rng.randint(30, 120)):
+        t = rng.randint(0, 2000)
+        while True:
+            demand = rng.choice((rng.randint(1, 8 * GIB), rng.randint(1, 8) * GIB))
+            events.append(start_event(f"vm{i}", t, rng.randint(1, 4), demand))
+            if rng.random() < 0.2:
+                break
+            t += rng.randint(1, 1500)
+            events.append(stop_event(f"vm{i}", t))
+            if rng.random() < 0.5:
+                break
+            t += rng.randint(0, 300)
+    return spec, events
+
+
+class TestCoresKeyedWalk:
+    """Differential test of the baseline's walk and pick over its
+    cores-keyed index: the walk yields ``filter_resources`` ordered by
+    ``(-cores_free, machine_id)``, and the engine places each VM on
+    ``min((-cores_free, machine_id))`` over that filter."""
+
+    SEEN = ("skipped_short_of_bytes", "tied_3", "rejected_short_of_bytes",
+            "rejected_short_of_cores", "restart")
+
+    @staticmethod
+    def oracle_pick(state, event, stopped, seen):
+        """The oracle's machine for a start (None: rejected), after checking
+        the engine's walk against the oracle's."""
+        request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
+        kept = oracle_walk(state, request)
+        walked = [m.machine_id for m in engine_walk(state, request)]
+        assert walked == [m.machine_id for m in kept]
+        seen["restart"] += event.vm_id in stopped
+        cored = [m for m in state.machines if m.cores_free >= event.cores]
+        if not kept:
+            seen["rejected_short_of_bytes" if cored else "rejected_short_of_cores"] += 1
+            return None
+        best = min(kept, key=lambda m: (-m.cores_free, m.machine_id))
+        best_key = index_key(state.variant, best)
+        seen["skipped_short_of_bytes"] += any(index_key(state.variant, m) < best_key
+                                              for m in cored)
+        seen["tied_3"] += sum(m.cores_free == best.cores_free for m in kept) >= 3
+        return best.machine_id
+
+    def replay_checked(self, spec, events, seen):
+        state = new_state(spec, SimVariant.BASELINE)
+        stopped = set()
+        for event in event_order(events):
+            checked = event.kind is EventKind.START and event.vm_id not in state.live
+            if checked:
+                expected = self.oracle_pick(state, event, stopped, seen)
+            elif event.kind is EventKind.STOP:
+                stopped.add(event.vm_id)
+            placed = len(state.records)
+            step(state, event)
+            assert state.index == sorted((-m.cores_free, m.machine_id)
+                                         for m in state.machines)
+            if checked:
+                got = state.records[-1].machine_id if len(state.records) > placed else None
+                assert got == expected
+
+    def test_random_fleets_match_the_oracle(self):
+        rng = random.Random(7)
+        seen = dict.fromkeys(self.SEEN, 0)
+        for _ in range(60):
+            self.replay_checked(*cores_tied_fleet_and_trace(rng), seen)
+        assert all(seen.values()), seen
+
+    def test_thousand_machine_fleet_matches_the_oracle(self):
+        """VMs of up to 6 GiB fill the 48-core machines' memory long before
+        their cores, so walks pass hundreds of machines short of bytes."""
+        spec = FleetSpec((Generation("wide", 8 * GIB, 48, 50.0),
+                          Generation("deep", 32 * GIB, 24, 50.0)), 1000)
+        rng = random.Random(3)
+        events = []
+        for i in range(800):
+            t = i * 10
+            demand = rng.choice((1, 2, 6, 6)) * GIB
+            events.append(start_event(f"vm{i}", t, rng.randint(1, 4), demand))
+            if rng.random() < 0.5:
+                events.append(stop_event(f"vm{i}", t + rng.randint(1, 20000)))
+        seen = dict.fromkeys(self.SEEN, 0)
+        self.replay_checked(spec, events, seen)
+        assert seen["skipped_short_of_bytes"] > 100 and seen["tied_3"], seen
+
+
+class CountingIndex(list):
+    """A placement index that counts the entries a walk reads."""
+
+    reads = 0
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.reads += 1
+            yield entry
+
+
+class TestBaselineWalkLength:
+    """The baseline's pick reads the index only up to the first machine that
+    fits, so it does not grow with the fleet."""
+
+    @staticmethod
+    def start_on_counted_index(state, demand, cores=2):
+        state.index = CountingIndex(state.index)
+        step(state, start_event("vm", 0, cores, demand))
+        return state.index.reads
+
+    def test_one_entry_when_every_machine_fits(self):
+        state = new_state(default_fleet_spec(1000), SimVariant.BASELINE)
+        first = state.index[0][1]
+        assert self.start_on_counted_index(state, 4 * GIB) == 1
+        assert state.records[-1].machine_id == first
+
+    def test_one_entry_when_no_machine_has_the_cores(self):
+        state = new_state(default_fleet_spec(1000), SimVariant.BASELINE)
+        most = max(m.cores_total for m in state.machines)
+        assert self.start_on_counted_index(state, GIB, cores=most + 1) == 1
+        assert state.rejections == 1
+
+    @pytest.mark.parametrize("j", [1, 5, 50])
+    def test_j_plus_one_entries_past_j_machines_short_of_bytes(self, j):
+        state = new_state(default_fleet_spec(1000), SimVariant.BASELINE)
+        ahead = [machine_id for _, machine_id in state.index[:j + 1]]
+        # free bytes do not key the baseline's index: no entry moves
+        for machine_id in ahead[:j]:
+            memory = state.machines[machine_id].free_list
+            memory.allocate("hog", memory.free_bytes - GIB)
+        assert self.start_on_counted_index(state, 2 * GIB) == j + 1
+        assert state.records[-1].machine_id == ahead[j]
 
 
 def churning_fleet_and_trace(rng):
@@ -605,3 +769,40 @@ class TestAllocLatency:
         finally:
             if was_on:
                 gc.enable()
+
+
+class TestFrozenFleet:
+    """``run`` keeps the fleet out of garbage collections for the replay
+    and leaves collection as it found it, also when the set-up fails."""
+
+    def test_fleet_is_frozen_during_the_replay_and_thawed_after(self, monkeypatch):
+        frozen = []
+        real_step = engine.step
+
+        def recording_step(state, event):
+            frozen.append(gc.get_freeze_count())
+            return real_step(state, event)
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        spec = default_fleet_spec(5)
+        machines = len(build_fleet(spec))
+        events = gen_synthetic(50, DEFAULT_FLAVORS, Distribution.exponential(120),
+                               Distribution.exponential(6000), 3)
+        report = run(events, spec, SimVariant.BASELINE)
+        assert report.placed > 0
+        assert min(frozen) >= machines
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("gc_on", [True, False])
+    def test_failed_set_up_restores_collection(self, gc_on):
+        was_on = gc.isenabled()
+        (gc.enable if gc_on else gc.disable)()
+        try:
+            with pytest.raises(ValueError):
+                run([start_event("vm", 0, 1, GIB)], one_machine_spec(), SimVariant.BASELINE,
+                    n=0)
+            assert gc.isenabled() is gc_on
+            assert gc.get_freeze_count() == 0
+        finally:
+            (gc.enable if was_on else gc.disable)()

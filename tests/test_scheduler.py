@@ -11,6 +11,7 @@ from dsegsim.scheduler import (
     SchedulerConfig,
     baseline_pick,
     filter_min_segments,
+    fitting_machines,
 )
 from dsegsim.segments import (
     AllocationPolicy,
@@ -120,17 +121,25 @@ def _random_machine(rng, mid):
     return machine(mid, spans, cores=16, total=total)
 
 
+def walk_pick(fleet, request):
+    """``baseline_pick`` over the walk of a cores-keyed index of ``fleet``,
+    as the engine keeps it for the baseline."""
+    machines = {m.machine_id: m for m in fleet}
+    index = sorted((-m.cores_free, m.machine_id) for m in fleet)
+    return baseline_pick(fitting_machines(machines, index, request, request.cores), request)
+
+
 class TestBaselinePick:
     def test_idle_machine_wins(self):
         busy = machine(0, [(0, 8 * GIB)], cores=16, cores_free=4)
         idle = machine(1, [(0, 8 * GIB)], cores=16, cores_free=16)
         req = PlacementRequest("vm", 1, GIB)
-        assert baseline_pick([busy, idle], req) == 1
+        assert walk_pick([busy, idle], req) == 1
 
     def test_equal_load_takes_lowest_id(self):
         a = machine(5, [(0, 8 * GIB)], cores_free=8)
         b = machine(2, [(0, 8 * GIB)], cores_free=8)
-        assert baseline_pick([a, b], PlacementRequest("vm", 1, GIB)) == 2
+        assert walk_pick([a, b], PlacementRequest("vm", 1, GIB)) == 2
 
     def test_matches_argmax_oracle(self):
         rng = random.Random(23)
@@ -139,9 +148,18 @@ class TestBaselinePick:
                 machine(mid, [(0, 8 * GIB)], cores=32, cores_free=rng.randint(0, 32))
                 for mid in range(rng.randint(1, 10))
             ]
-            pick = baseline_pick(fleet, PlacementRequest("vm", 1, GIB))
-            best = min(fleet, key=lambda m: (-m.cores_free, m.machine_id))
-            assert pick == best.machine_id
+            request = PlacementRequest("vm", 1, GIB)
+            kept = filter_resources(fleet, request)
+            if not kept:
+                with pytest.raises(NoCandidateError):
+                    walk_pick(fleet, request)
+                continue
+            best = min(kept, key=lambda m: (-m.cores_free, m.machine_id))
+            assert walk_pick(fleet, request) == best.machine_id
+
+    def test_no_candidate_raises(self):
+        with pytest.raises(NoCandidateError):
+            baseline_pick(iter(()), PlacementRequest("vm", 1, GIB))
 
 
 def composition_beats_smallest_log():
