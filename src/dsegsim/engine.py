@@ -1,23 +1,25 @@
 """Discrete-event replay of a VM trace against a simulated fleet.
 
 Events are processed in time order, stops before starts at equal times so
-memory frees before it is wanted. Each start walks the placement index for
-the machines that fit it, picks one by the variant's objective, grants the
-memory with the variant's allocator, then types the VM (register-file
-translation when k <= n). The engine times each allocator call, which is the
-one non-reproducible output; everything else is deterministic.
+memory frees before it is wanted. Each start rounds its demand up to whole
+pages, walks the placement index for the machines that fit it, picks one by
+the variant's objective, grants the memory with the variant's allocator,
+then types the VM (register-file translation when k <= n). The engine times
+each allocator call, which is the one non-reproducible output; everything
+else is deterministic.
 
 Every machine is a ``MachineView``; on the baseline its free list is a buddy
 allocator instead of a free-segment list. The baseline seeds one buddy
-allocator per machine shape (total and reserved bytes) in each replay and
-gives every machine of that shape its own copy; the copies grant exactly as
-freshly seeded allocators would. Every variant keeps the placement index,
-``(-free, machine_id)`` for every machine in ascending order, keyed by free
-cores on the baseline and by free bytes elsewhere, and moves a machine's
-entry on each grant and release (see ``scheduler``). The dynamic variant's
-periodic policy reselection replays the logged events through this same
-loop under each composition policy, skipping the second replay when the
-first composed no grant.
+allocator per machine shape (total and reserved bytes) in each replay, which
+every machine of that shape shares until its first grant; just before that
+grant the machine gets its own copy, which grants exactly as a freshly
+seeded allocator would, so no seed is ever granted from. Every variant keeps
+the placement index, ``(-free, machine_id)`` for every machine in ascending
+order, keyed by free cores on the baseline and by free bytes elsewhere, and
+moves a machine's entry on each grant and release (see ``scheduler``). The
+dynamic variant's periodic policy reselection replays the logged events
+through this same loop under each composition policy, skipping the second
+replay when the first composed no grant.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .scheduler import (
     fitting_machines,
     segment_pick,
 )
-from .segments import AllocationPolicy, VMAllocation, VmMode, allocate, release
+from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
 
 
@@ -63,6 +65,8 @@ class SimulationState:
     key: Callable[[MachineView], int]
     # (-key(m), machine_id) per machine, ascending
     index: list[tuple[int, int]]
+    # the baseline's buddy allocator per shape, held by machines until a grant
+    seeds: frozenset[BuddyAllocator]
     clock: int = 0
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
@@ -93,18 +97,19 @@ def new_state(
         reselect_period=reselect_period,
     )
     machines = build_fleet(fleet_spec)
-    if variant is SimVariant.BASELINE:
-        seeds: dict[tuple[int, int], BuddyAllocator] = {}
+    seeds: dict[tuple[int, int], BuddyAllocator] = {}
+    baseline = variant is SimVariant.BASELINE
+    if baseline:
         for m in machines:
             shape = (m.free_list.total_bytes, m.free_list.reserved_bytes)
             if shape not in seeds:
                 seeds[shape] = BuddyAllocator(*shape)
-            m.free_list = seeds[shape].copy(m.machine_id)
-    baseline = variant is SimVariant.BASELINE
+            m.free_list = seeds[shape]
     key = attrgetter("cores_free" if baseline else "free_list.free_bytes")
     index = sorted((-key(m), m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, key, index, next_reselect=reselect_period
+        variant, config, fleet_spec, machines, key, index, frozenset(seeds.values()),
+        next_reselect=reselect_period,
     )
 
 
@@ -137,10 +142,13 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     if event.vm_id in state.live:
         state.anomalies += 1
         return
-    request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
+    memory = event.memory_bytes
+    if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
+        memory += PAGE_SIZE - memory % PAGE_SIZE
+    request = PlacementRequest(event.vm_id, event.cores, memory)
     policy = state.config.current_policy
     baseline = state.variant is SimVariant.BASELINE
-    stop = event.cores if baseline else event.memory_bytes
+    stop = event.cores if baseline else memory
     candidates = fitting_machines(state.machines, state.index, request, stop)
     try:
         if baseline:
@@ -152,8 +160,11 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         state.rejected.add(event.vm_id)
         return
     machine = state.machines[machine_id]
+    if baseline and machine.free_list in state.seeds:
+        # the machine's first grant, into its own copy; not a timed cost
+        machine.free_list = machine.free_list.copy(machine_id)
     old = state.key(machine)
-    alloc, latency = _grant(machine.free_list, event, policy)
+    alloc, latency = _grant(machine.free_list, request, policy)
     machine.cores_free -= event.cores
     _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
@@ -163,7 +174,9 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     )
 
 
-def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocation, float]:
+def _grant(
+    memory, request: PlacementRequest, policy: AllocationPolicy
+) -> tuple[VMAllocation, float]:
     """Allocate a starting VM's memory from either memory model. Returns the
     grant and the allocator call's thread CPU time: at microsecond scale,
     wall clocks mostly measure OS preemption rather than the allocator.
@@ -174,10 +187,10 @@ def _grant(memory, event: VmEvent, policy: AllocationPolicy) -> tuple[VMAllocati
     try:
         if isinstance(memory, BuddyAllocator):
             t0 = _time.thread_time()
-            alloc = memory.allocate(event.vm_id, event.memory_bytes)
+            alloc = memory.allocate(request.vm_id, request.memory_bytes)
         else:
             t0 = _time.thread_time()
-            alloc = allocate(memory, event.vm_id, event.memory_bytes, policy)
+            alloc = allocate(memory, request.vm_id, request.memory_bytes, policy)
         return alloc, _time.thread_time() - t0
     finally:
         if gc_was_on:
@@ -230,7 +243,13 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
     for vm_id in sorted(state.live):
         _release(state, vm_id, state.live[vm_id])
     state.live.clear()
-    final_free = {m.machine_id: m.free_list.free_runs() for m in state.machines}
+    # machines that still hold a seed share its free runs, which are never
+    # empty; without seeds (the segment variants) the lookup is skipped
+    seed_runs = {id(seed): seed.free_runs() for seed in state.seeds}
+    final_free = {
+        m.machine_id: seed_runs and seed_runs.get(id(m.free_list)) or m.free_list.free_runs()
+        for m in state.machines
+    }
     return SimulationReport(
         variant=state.variant.value,
         n=state.config.n,
@@ -284,9 +303,12 @@ def run(
 
     A baseline fleet's buddy free lists hold one int per free block and no
     reference cycle, yet every garbage collection of their generation would
-    walk them. So the fleet is built with automatic collection held off,
-    then frozen out of collections (``gc.freeze``) until the replay returns
-    with ``gc.unfreeze``, which also thaws whatever was frozen before.
+    walk them. So the fleet, whose machines share one seeded allocator per
+    shape, is built with automatic collection held off, then frozen out of
+    collections (``gc.freeze``) until the replay returns with
+    ``gc.unfreeze``, which also thaws whatever was frozen before. The copy a
+    machine gets at its first grant is made during the replay and is not
+    frozen.
     """
     gc_was_on = gc.isenabled()
     gc.disable()

@@ -134,17 +134,20 @@ class VMAllocation:
 
 
 def new_machine(total_bytes: int, reserved_bytes: int, machine_id: int = 0) -> FreeSegmentList:
-    """Create a machine whose user region [reserved_bytes, total_bytes) is one
-    free segment."""
+    """Create a machine whose user region, the whole pages of
+    [reserved_bytes, total_bytes), is one free segment."""
     if total_bytes <= 0 or reserved_bytes < 0:
         raise InvalidSizeError(
             f"total_bytes={total_bytes}, reserved_bytes={reserved_bytes} must be positive"
         )
-    if reserved_bytes >= total_bytes:
+    base = -(-reserved_bytes // PAGE_SIZE) * PAGE_SIZE
+    limit = total_bytes // PAGE_SIZE * PAGE_SIZE
+    if base >= limit:
         raise InvalidSizeError(
-            f"reservation {reserved_bytes} leaves no user memory out of {total_bytes}"
+            f"reservation {reserved_bytes} leaves no whole page of user memory "
+            f"out of {total_bytes}"
         )
-    seg = SegmentDescriptor(reserved_bytes, total_bytes)
+    seg = SegmentDescriptor(base, limit)
     return FreeSegmentList(machine_id, total_bytes, reserved_bytes, [seg])
 
 

@@ -24,15 +24,16 @@ class BitmapOracle:
     """
 
     def __init__(self, total_bytes: int, reserved_bytes: int = 0):
-        assert total_bytes % PAGE_SIZE == 0 and reserved_bytes % PAGE_SIZE == 0
+        # only whole pages above the reservation are user memory
         self.n_pages = total_bytes // PAGE_SIZE
-        self.reserved = reserved_bytes // PAGE_SIZE
+        self.reserved = -(-reserved_bytes // PAGE_SIZE)
         self.occupied = np.zeros(self.n_pages, dtype=bool)
         self.occupied[: self.reserved] = True
         self.free_pages = self.n_pages - self.reserved
 
     def _pages(self, seg) -> tuple[int, int]:
         assert seg.base % PAGE_SIZE == 0 and seg.limit % PAGE_SIZE == 0
+        assert seg.limit <= self.n_pages * PAGE_SIZE, f"{seg} beyond the last whole page"
         return seg.base // PAGE_SIZE, seg.limit // PAGE_SIZE
 
     def mark_allocated(self, segments) -> None:

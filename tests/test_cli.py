@@ -125,6 +125,25 @@ class TestReplay:
         assert "machine_count" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["baseline", "opt1", "opt2", "dynamic"])
+    def test_no_whole_page_of_user_memory_is_a_usage_error(
+        self, tmp_path, trace_file, capsys, variant
+    ):
+        # 4000 reserved bytes of 8000: the user region [4096, 4096) is empty
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps({
+            "machine_count": 1, "reserved_bytes": 4000,
+            "generations": [{"name": "m", "ram_bytes": 8000, "cores": 2, "proportion": 100}],
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet), "--out", str(out),
+            "--variant", variant,
+        ])
+        assert code == EXIT_USAGE
+        assert "page" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_reselection_period_over_a_long_gap_finishes(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text(f"vm1,start,0,1,{GIB}\nvm1,stop,100000,,\n")

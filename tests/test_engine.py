@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsegsim import engine
 from dsegsim.baseline import BuddyAllocator
@@ -18,7 +19,7 @@ from dsegsim.scheduler import (
     filter_min_segments,
     fitting_machines,
 )
-from dsegsim.segments import AllocationPolicy, peek_segment_count
+from dsegsim.segments import PAGE_SIZE, AllocationPolicy, peek_segment_count
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
@@ -31,7 +32,7 @@ from dsegsim.trace import (
     start_event,
     stop_event,
 )
-from oracle import filter_resources, reselect_by_two_replays
+from oracle import BitmapOracle, filter_resources, reselect_by_two_replays
 
 GIB = 1 << 30
 
@@ -93,7 +94,7 @@ class TestRun:
 
 
 class TestBaselineSeeding:
-    def test_one_seed_per_machine_shape_and_an_allocator_per_machine(self, monkeypatch):
+    def test_one_seed_per_shape_shared_until_a_machines_first_grant(self, monkeypatch):
         seeded = []
         seed_region = BuddyAllocator._seed_region
 
@@ -104,17 +105,31 @@ class TestBaselineSeeding:
         monkeypatch.setattr(BuddyAllocator, "_seed_region", counting_seed_region)
         spec = default_fleet_spec(200, reserved_bytes=3 * GIB + 5)
         state = new_state(spec, SimVariant.BASELINE)
+        for event in event_order(gen_synthetic(
+            300, DEFAULT_FLAVORS, Distribution.exponential(120),
+            Distribution.exponential(20000), 13,
+        )):
+            step(state, event)
+        finish(state)
         shapes = {(g.ram_bytes, spec.reserved_bytes) for g in spec.generations}
         assert len(shapes) == 4  # Gen4 and Gen6 share 192 GiB
         assert sorted(seeded) == sorted(shapes)
-        buddies = [m.free_list for m in state.machines]
-        assert [b.machine_id for b in buddies] == list(range(200))
-        assert len({id(b) for b in buddies}) == 200
-        containers = [c for b in buddies for c in (*b._heaps, *b._sets, b._owned)]
+        seeds = {(b.total_bytes, b.reserved_bytes): b for b in state.seeds}
+        assert seeds.keys() == shapes
+        for seed in state.seeds:
+            fresh = BuddyAllocator(seed.total_bytes, seed.reserved_bytes)
+            assert vars(seed) == vars(fresh)
+        granted = sorted({r.machine_id for r in state.records})
+        assert 0 < len(granted) < 200
+        for m, built in zip(state.machines, build_fleet(spec)):
+            if m.machine_id not in granted:
+                assert m.free_list is seeds[built.free_list.total_bytes, spec.reserved_bytes]
+        owners = [state.machines[machine_id].free_list for machine_id in granted]
+        assert [b.machine_id for b in owners] == granted
+        containers = [
+            c for b in (*state.seeds, *owners) for c in (*b._heaps, *b._sets, b._owned)
+        ]
         assert len({id(c) for c in containers}) == len(containers)
-        for b in buddies:
-            fresh = BuddyAllocator(b.total_bytes, b.reserved_bytes, machine_id=b.machine_id)
-            assert vars(b) == vars(fresh)
 
     def test_replay_matches_freshly_seeded_machines(self):
         spec = default_fleet_spec(10)
@@ -136,6 +151,118 @@ class TestBaselineSeeding:
             (r.vm_id, r.machine_id, r.k) for r in copied.records
         ] == [(r.vm_id, r.machine_id, r.k) for r in fresh.records]
         assert finish(copied).core() == finish(fresh).core()
+
+    @staticmethod
+    def shaped_fleet_and_trace(rng):
+        """2-4 generations of random, often odd, sizes over an odd or zero
+        reservation, more machines than the trace needs, and churn in odd
+        byte sizes that also rejects VMs for cores and for memory."""
+        count = rng.randint(2, 4)
+        generations = tuple(
+            Generation(f"g{i}", rng.randint(2, 16) * GIB + rng.choice((0, rng.randint(1, GIB))),
+                       rng.randint(1, 16), 100.0 / count)
+            for i in range(count)
+        )
+        reserved = rng.choice((0, rng.randint(1, GIB)))
+        spec = FleetSpec(generations, rng.randint(2, 40), reserved)
+        events = []
+        for i in range(rng.randint(20, 120)):
+            t = rng.randint(0, 3000)
+            events.append(start_event(f"vm{i}", t, rng.randint(1, 8), rng.randint(1, 6 * GIB)))
+            if rng.random() < 0.8:
+                events.append(stop_event(f"vm{i}", t + rng.randint(1, 1500)))
+        return spec, events
+
+    def test_shared_seeds_match_freshly_seeded_machines(self, monkeypatch):
+        rng = random.Random(12)
+        calls = []
+        free_runs = BuddyAllocator.free_runs
+
+        def counting_free_runs(buddy):
+            calls.append(id(buddy))
+            return free_runs(buddy)
+
+        monkeypatch.setattr(BuddyAllocator, "free_runs", counting_free_runs)
+        seen = dict.fromkeys(("untouched", "rejected"), 0)
+        for _ in range(30):
+            spec, events = self.shaped_fleet_and_trace(rng)
+            shared = new_state(spec, SimVariant.BASELINE)
+            fresh = new_state(spec, SimVariant.BASELINE)
+            for m in fresh.machines:
+                m.free_list = BuddyAllocator(
+                    m.free_list.total_bytes, m.free_list.reserved_bytes, machine_id=m.machine_id
+                )
+            for event in event_order(events):
+                step(shared, event)
+                step(fresh, event)
+            reports = []
+            for state in (fresh, shared):
+                calls.clear()
+                reports.append(finish(state).core())
+                held = [m.free_list for m in state.machines]
+                assert sorted(calls) == sorted({id(b) for b in (*state.seeds, *held)})
+            assert reports[0] == reports[1]
+            seen["untouched"] += sum(m.free_list in shared.seeds for m in shared.machines)
+            seen["rejected"] += shared.rejections
+        assert all(seen.values()), seen
+
+
+def whole_pages(demand):
+    return -(-demand // PAGE_SIZE) * PAGE_SIZE
+
+
+class TestPageGranularity:
+    """Each demand is rounded up to whole pages once, at placement, so both
+    memory models grant the same number of bytes from the whole pages above
+    an odd reservation."""
+
+    def test_odd_demands_above_an_odd_reservation(self):
+        spec = FleetSpec((Generation("m", (1 << 20) + 123, 8, 100.0),), 1, 5000)
+        for variant in VARIANTS:
+            state = new_state(spec, variant)
+            step(state, start_event("a", 0, 1, 4097))
+            step(state, start_event("b", 0, 1, 4096))
+            spans = {
+                vm: [(s.base, s.limit) for s in live.allocation.segments]
+                for vm, live in state.live.items()
+            }
+            if variant is not SimVariant.BASELINE:
+                assert spans == {"a": [(8192, 16384)], "b": [(16384, 20480)]}
+            for vm, demand in (("a", 4097), ("b", 4096)):
+                assert state.live[vm].allocation.total_bytes == whole_pages(demand)
+                assert all(b % PAGE_SIZE == 0 and l % PAGE_SIZE == 0 for b, l in spans[vm])
+            assert finish(state).final_free == {0: ((8192, 1 << 20),)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2 * PAGE_SIZE, 64 * PAGE_SIZE),
+        st.integers(0, 8 * PAGE_SIZE),
+        st.sampled_from(VARIANTS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitmap_oracle_agrees_on_odd_sizes(self, user, reserved, variant, seed):
+        total = reserved + user
+        spec = FleetSpec((Generation("m", total, 64, 100.0),), 1, reserved)
+        state = new_state(spec, variant)
+        oracle = BitmapOracle(total, reserved)
+        rng = random.Random(seed)
+        for i in range(40):
+            if state.live and rng.random() < 0.4:
+                vm = rng.choice(sorted(state.live))
+                oracle.mark_released(state.live[vm].allocation.segments)
+                step(state, stop_event(vm, i))
+            else:
+                vm, demand = f"vm{i}", rng.randint(1, user // 2)
+                fits = whole_pages(demand) <= oracle.free_pages * PAGE_SIZE
+                step(state, start_event(vm, i, 1, demand))
+                assert (vm in state.live) is fits
+                if fits:
+                    allocation = state.live[vm].allocation
+                    assert allocation.total_bytes == whole_pages(demand)
+                    oracle.mark_allocated(allocation.segments)
+            memory = state.machines[0].free_list
+            assert memory.free_bytes == oracle.free_pages * PAGE_SIZE
+            oracle.assert_matches_runs(memory.free_runs())
 
 
 class TestStep:
@@ -645,7 +772,8 @@ class TestBaselineWalkLength:
         ahead = [machine_id for _, machine_id in state.index[:j + 1]]
         # free bytes do not key the baseline's index: no entry moves
         for machine_id in ahead[:j]:
-            memory = state.machines[machine_id].free_list
+            machine = state.machines[machine_id]
+            machine.free_list = memory = machine.free_list.copy(machine_id)
             memory.allocate("hog", memory.free_bytes - GIB)
         assert self.start_on_counted_index(state, 2 * GIB) == j + 1
         assert state.records[-1].machine_id == ahead[j]

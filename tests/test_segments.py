@@ -328,6 +328,21 @@ class TestProperties:
             assert allocate(fl, "vm", demand, policy).k == k
         fl.check_invariants()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 1 << 20), st.integers(0, 1 << 20))
+    def test_user_region_is_the_buddy_allocators(self, total, reserved):
+        # the whole pages of [reserved, total), or an error when there are none
+        try:
+            buddy = BuddyAllocator(total, reserved)
+        except InvalidSizeError:
+            with pytest.raises(InvalidSizeError):
+                new_machine(total, reserved)
+            return
+        fl = new_machine(total, reserved)
+        assert fl.free_runs() == buddy.free_runs()
+        assert fl.free_bytes == buddy.free_bytes
+        fl.check_invariants()
+
     @settings(max_examples=40, deadline=None)
     @given(machine_and_ops())
     def test_invariants_hold_under_random_workloads(self, params):
