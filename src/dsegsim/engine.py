@@ -17,9 +17,11 @@ seeded allocator would, so no seed is ever granted from. Every variant keeps
 the placement index, ``(-free, machine_id)`` for every machine in ascending
 order, keyed by free cores on the baseline and by free bytes elsewhere, and
 moves a machine's entry on each grant and release (see ``scheduler``). The
-dynamic variant's periodic policy reselection replays the logged events
-through this same loop under each composition policy, skipping the second
-replay when the first composed no grant.
+dynamic variant's periodic policy reselection scores the current composition
+policy first and replays the logged events through this same loop under the
+other one only when the current one composed a grant. The current policy's
+score comes from the dynamic replay's own records when its period began on a
+drained fleet, which equals a fresh one, and from a replay otherwise.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ class SimulationState:
     out_of_order: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
+    # index in records where the logged period begins; None if a VM was live then
+    period_start: int | None = 0
 
 
 def _variant_policy(variant: SimVariant) -> AllocationPolicy:
@@ -124,9 +128,12 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
             # one reselection over the logged events, none for the empty
             # periods after it
             if state.log:
-                chosen = reselect_option(state.log, state.fleet_spec, state.config)
+                since = state.period_start
+                drained = None if since is None else state.records[since:]
+                chosen = reselect_option(state.log, state.fleet_spec, state.config, drained)
                 state.config.current_policy = chosen
                 state.option_switches.append((int(state.next_reselect), chosen.value))
+                state.period_start = None if state.live else len(state.records)
             period = state.config.reselect_period
             state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
@@ -267,24 +274,42 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
 
 
 def reselect_option(
-    log: list[VmEvent], fleet_spec: FleetSpec, config: SchedulerConfig
+    log: list[VmEvent],
+    fleet_spec: FleetSpec,
+    config: SchedulerConfig,
+    drained: list[VmRecord] | None = None,
 ) -> AllocationPolicy:
-    """Replay the log on a fresh fleet under both composition policies and
-    adopt the one yielding more VMs with k <= n; ties prefer fewer total
+    """Score both composition policies as replays of the log on a fresh fleet
+    and adopt the one yielding more VMs with k <= n; ties prefer fewer total
     segments, then the current policy. The log is reset afterwards.
 
-    The policies differ only when a grant composes. When no opt1 grant did,
-    the opt2 replay would repeat its records and tie, so it is skipped."""
-    current = config.current_policy
-    scores = {}
-    for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
-        ks = [r.k for r in run(log, fleet_spec, variant, config.n).records]
-        if not scores and all(k == 1 for k in ks):
-            log.clear()
-            return current
-        scores[_variant_policy(variant)] = (-sum(k <= config.n for k in ks), sum(ks))
+    The current policy is scored first, without a replay when the log holds
+    no start (a replay places nothing) or when ``drained`` is given and the
+    log is in ``event_order``. ``drained`` holds the records that the
+    caller's replay made under the current policy since the log began, when
+    no VM was live then: a drained fleet equals a fresh one, so they are the
+    replay's records. The policies place and grant alike until a grant
+    composes, so the other policy is replayed only when the current one
+    composed a grant; otherwise the two tie and the current policy stays."""
+    def score(ks: list[int]) -> tuple[int, int]:
+        return -sum(k <= config.n for k in ks), sum(ks)
+
+    def replayed(policy: AllocationPolicy) -> list[int]:
+        return [r.k for r in run(log, fleet_spec, SimVariant(policy.value), config.n).records]
+
+    current = chosen = config.current_policy
+    if not any(e.kind is EventKind.START for e in log):
+        ks = []
+    elif drained is not None and log == event_order(log):
+        ks = [r.k for r in drained]
+    else:
+        ks = replayed(current)
+    if any(k > 1 for k in ks):
+        (other,) = set(AllocationPolicy) - {current}
+        if score(replayed(other)) < score(ks):
+            chosen = other
     log.clear()
-    return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))
+    return chosen
 
 
 def run(
@@ -306,15 +331,19 @@ def run(
     walk them. So the fleet, whose machines share one seeded allocator per
     shape, is built with automatic collection held off, then frozen out of
     collections (``gc.freeze``) until the replay returns with
-    ``gc.unfreeze``, which also thaws whatever was frozen before. The copy a
-    machine gets at its first grant is made during the replay and is not
-    frozen.
+    ``gc.unfreeze``. ``gc.unfreeze`` thaws every frozen object, so both are
+    skipped when anything is frozen on entry: a reselection's replay nested
+    in a dynamic one, or a caller's own frozen heap, stays frozen and the
+    nested replay's fleet is not frozen. The copy a machine gets at its
+    first grant is made during the replay and is not frozen.
     """
+    freeze = gc.get_freeze_count() == 0
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
         state = new_state(fleet_spec, variant, n, reselect_period)
-        gc.freeze()
+        if freeze:
+            gc.freeze()
     finally:
         if gc_was_on:
             gc.enable()
@@ -323,4 +352,5 @@ def run(
             step(state, event)
         return finish(state, seed)
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()

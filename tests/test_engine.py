@@ -792,28 +792,41 @@ def churning_fleet_and_trace(rng):
     return spec, events
 
 
+def two_full_replays(log, fleet_spec, config, drained=None):
+    """``reselect_by_two_replays`` in ``reselect_option``'s place: it takes
+    the dynamic replay's own records as well, and ignores them."""
+    return reselect_by_two_replays(log, fleet_spec, config)
+
+
+def count_replays(monkeypatch):
+    """Record, per ``reselect_option`` call, the variant of every replay it
+    runs."""
+    reselections = []
+    real_reselect = engine.reselect_option
+
+    def counting_reselect(*args):
+        reselections.append([])
+        return real_reselect(*args)
+
+    def counting_run(*args, **kwargs):
+        reselections[-1].append(args[2])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "reselect_option", counting_reselect)
+    monkeypatch.setattr(engine, "run", counting_run)
+    return reselections
+
+
 class TestReselectionSkip:
-    """``reselect_option`` skips the opt2 replay when no opt1 grant composed;
-    it must still choose what two full replays choose."""
+    """``reselect_option`` skips the other policy's replay when the current
+    policy composed no grant; it must still choose what two full replays
+    choose."""
 
     @staticmethod
-    def count_replays(monkeypatch):
-        """Record the variant of every replay ``reselect_option`` runs."""
-        replays = []
-
-        def counting_run(*args, **kwargs):
-            replays.append(args[2])
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "run", counting_run)
-        return replays
-
-    @staticmethod
-    def tally(replays, seen):
-        opt1 = replays.count(SimVariant.PLACEMENT_OPT1)
-        opt2 = replays.count(SimVariant.PLACEMENT_OPT2)
-        seen["skipped"] += opt1 - opt2
-        seen["full"] += opt2
+    def tally(reselections, seen):
+        for replays in reselections:
+            seen["skipped"] += len(replays) < 2
+            seen["full"] += len(replays) == 2
 
     def test_matches_two_full_replays(self, monkeypatch):
         rng = random.Random(43)
@@ -825,7 +838,7 @@ class TestReselectionSkip:
             for current in AllocationPolicy:
                 config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
                 expected = reselect_by_two_replays(list(log), spec, config)
-                replays = self.count_replays(monkeypatch)
+                replays = count_replays(monkeypatch)
                 got_log = list(log)
                 got = engine.reselect_option(got_log, spec, config)
                 monkeypatch.undo()
@@ -840,16 +853,132 @@ class TestReselectionSkip:
         seen = dict.fromkeys(("skipped", "full", "switched"), 0)
         for _ in range(40):
             spec, events = churning_fleet_and_trace(rng)
-            replays = self.count_replays(monkeypatch)
+            replays = count_replays(monkeypatch)
             got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
             monkeypatch.undo()
             self.tally(replays, seen)
             seen["switched"] += len({p for _, p in got.option_switches}) > 1
-            monkeypatch.setattr(engine, "reselect_option", reselect_by_two_replays)
+            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
             expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
             monkeypatch.undo()
             assert got.core() == expected.core()
         assert all(seen.values()), seen
+
+
+OPT1, OPT2 = SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2
+
+
+def composing_period(t, tag):
+    """Four VMs on one 4 GiB machine from time t: stopping the second leaves
+    two 1 GiB holes, so the 2 GiB VM composes k = 2 under either policy."""
+    return [
+        start_event(f"{tag}a", t, 1, GIB), start_event(f"{tag}b", t + 1, 1, GIB),
+        start_event(f"{tag}c", t + 2, 1, GIB), stop_event(f"{tag}b", t + 3),
+        start_event(f"{tag}d", t + 4, 1, 2 * GIB),
+    ]
+
+
+def stops(t, tag):
+    return [stop_event(f"{tag}{v}", t) for v in "acd"]
+
+
+class TestReselectionFromRecords:
+    """The current policy's score comes from the dynamic replay's own records
+    when its period began on a drained fleet, and from no replay at all when
+    the log holds no start; each path must choose what two full replays
+    choose. ``engine.run`` calls show which path each reselection took."""
+
+    SPEC = one_machine_spec(ram_gib=4)
+
+    def checked(self, monkeypatch, events, policy=AllocationPolicy.SMALLEST_FIRST):
+        """Feed events to ``step`` in the given order from a dynamic state
+        under ``policy``, then again with two full replays per reselection;
+        both reports' ``core()`` must agree. Returns each reselection's
+        replays."""
+        def replay():
+            state = new_state(self.SPEC, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+            state.config.current_policy = policy
+            for event in events:
+                step(state, event)
+            return finish(state)
+
+        reselections = count_replays(monkeypatch)
+        got = replay()
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "reselect_option", two_full_replays)
+        expected = replay()
+        monkeypatch.undo()
+        assert got.core() == expected.core()
+        assert got.option_switches
+        return reselections
+
+    @pytest.mark.parametrize("policy, other", [
+        (AllocationPolicy.SMALLEST_FIRST, OPT2), (AllocationPolicy.LARGEST_FIRST, OPT1),
+    ])
+    def test_first_period_replays_only_the_other_policy(self, monkeypatch, policy, other):
+        events = composing_period(0, "p") + stops(1000, "p")
+        assert self.checked(monkeypatch, events, policy) == [[other]]
+
+    def test_period_after_the_fleet_drained_is_scored_from_records(self, monkeypatch):
+        """Period 2 begins with VMs still live, so its current policy is
+        replayed; they all stop inside it, so period 3 begins drained."""
+        events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
+                  + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
+        assert self.checked(monkeypatch, events) == [[OPT2], [OPT1, OPT2], [OPT2]]
+
+    def test_stop_only_log_runs_no_replay(self, monkeypatch):
+        """Period 2 begins with a VM live and logs only its stop."""
+        events = [start_event("a", 0, 1, GIB), stop_event("a", 1000),
+                  start_event("b", 2000, 1, GIB)]
+        assert self.checked(monkeypatch, events) == [[], []]
+
+    @pytest.mark.parametrize("late_stop_time", [5, 4], ids=["equal-time", "earlier"])
+    def test_log_out_of_event_order_falls_back_to_a_replay(self, monkeypatch, late_stop_time):
+        """A 2 GiB start logged before a stop that event order puts first:
+        the step-fed replay composes it in the two holes, a fresh replay
+        places it in one segment once a's gigabyte has joined b's."""
+        events = [
+            start_event("a", 0, 1, GIB), start_event("b", 1, 1, GIB),
+            start_event("c", 2, 1, GIB), stop_event("b", 3),
+            start_event("x", 5, 1, 2 * GIB), stop_event("a", late_stop_time),
+            stop_event("c", 1000),
+        ]
+        assert self.checked(monkeypatch, events) == [[OPT1]]
+
+
+class TestDrainedFleetIsFresh:
+    """Scoring a period from the dynamic replay's records rests on this: once
+    every VM has stopped, a segment fleet equals a freshly built one."""
+
+    @staticmethod
+    def machine_state(state):
+        return [(m.free_list.segments, m.free_list.free_bytes, m.free_list.max_segment,
+                 m.cores_free) for m in state.machines]
+
+    @pytest.mark.parametrize("variant", [SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2,
+                                         SimVariant.DYNAMIC], ids=lambda v: v.value)
+    def test_every_drain_restores_a_fresh_fleet(self, variant):
+        rng = random.Random(46)
+        drains = composed = 0
+        for _ in range(30):
+            spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB + rng.randint(1, 9) * 4096,
+                                         64, 100.0),), rng.randint(1, 3))
+            events = []
+            for i in range(rng.randint(20, 80)):
+                t = rng.randint(0, 2000)
+                demand = rng.randint(1, 8) * GIB // 2 + rng.randint(0, 3 * PAGE_SIZE)
+                events.append(start_event(f"vm{i}", t, 1, demand))
+                events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
+            fresh = new_state(spec, variant, n=2, reselect_period=300.0)
+            state = new_state(spec, variant, n=2, reselect_period=300.0)
+            for event in event_order(events):
+                step(state, event)
+                if not state.live:
+                    drains += 1
+                    assert self.machine_state(state) == self.machine_state(fresh)
+                    assert state.index == fresh.index
+            composed += any(r.k > 1 for r in state.records)
+        assert drains > 30 and composed > 0
 
 
 class _GcJumpClock:
@@ -921,6 +1050,33 @@ class TestFrozenFleet:
         assert min(frozen) >= machines
         assert gc.get_freeze_count() == 0
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("caller_froze", [False, True])
+    def test_reselection_replays_leave_the_frozen_heap_frozen(self, monkeypatch, caller_froze):
+        """A reselection's replay runs nested in the dynamic one: it must not
+        thaw the outer fleet, nor a heap the caller froze."""
+        frozen = []
+        real_step = engine.step
+
+        def recording_step(state, event):
+            frozen.append(gc.get_freeze_count())
+            return real_step(state, event)
+
+        spec = one_machine_spec(ram_gib=4)
+        events = composing_period(0, "p") + stops(1000, "p")
+        monkeypatch.setattr(engine, "step", recording_step)
+        reselections = count_replays(monkeypatch)
+        if caller_froze:
+            gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            report = run(events, spec, SimVariant.DYNAMIC, reselect_period=1000.0)
+            assert gc.get_freeze_count() == before
+        finally:
+            if caller_froze:
+                gc.unfreeze()
+        assert report.option_switches and any(reselections)
+        assert min(frozen) >= (before if caller_froze else len(build_fleet(spec)))
 
     @pytest.mark.parametrize("gc_on", [True, False])
     def test_failed_set_up_restores_collection(self, gc_on):
