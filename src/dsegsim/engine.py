@@ -16,12 +16,17 @@ grant the machine gets its own copy, which grants exactly as a freshly
 seeded allocator would, so no seed is ever granted from. Every variant keeps
 the placement index, ``(-free, machine_id)`` for every machine in ascending
 order, keyed by free cores on the baseline and by free bytes elsewhere, and
-moves a machine's entry on each grant and release (see ``scheduler``). The
-dynamic variant's periodic policy reselection scores the current composition
-policy first and replays the logged events through this same loop under the
-other one only when the current one composed a grant. The current policy's
-score comes from the dynamic replay's own records when its period began on a
-drained fleet, which equals a fresh one, and from a replay otherwise.
+moves a machine's entry on each grant and release (see ``scheduler``).
+
+``step`` is the one code that applies an event. ``run`` drives it over a
+trace, and so does the dynamic variant's periodic policy reselection, which
+scores both composition policies on the logged events without ``run``. The
+current policy's score comes from the dynamic replay's own records when its
+period began on a drained fleet, which equals a fresh one, and from a replay
+otherwise. The policies differ from the first grant that composes, so the
+other policy is replayed only when the current one composed a grant: from a
+copy of the current replay's state just before that grant, or from a fresh
+fleet after the records, and only until the outcome is decided.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from __future__ import annotations
 import bisect
 import gc
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .baseline import BuddyAllocator
 from .report import SimulationReport, VmRecord
@@ -289,27 +294,100 @@ def reselect_option(
     caller's replay made under the current policy since the log began, when
     no VM was live then: a drained fleet equals a fresh one, so they are the
     replay's records. The policies place and grant alike until a grant
-    composes, so the other policy is replayed only when the current one
-    composed a grant; otherwise the two tie and the current policy stays."""
-    def score(ks: list[int]) -> tuple[int, int]:
-        return -sum(k <= config.n for k in ks), sum(ks)
-
-    def replayed(policy: AllocationPolicy) -> list[int]:
-        return [r.k for r in run(log, fleet_spec, SimVariant(policy.value), config.n).records]
-
+    composes, so the other policy, the challenger, is replayed only when the
+    current one composed a grant; otherwise the two tie and the current
+    policy stays. The current policy's replay hands the challenger a copy of
+    its state from just before its first composed grant, the first event at
+    which the two can differ (``_fork``); after ``drained`` records the
+    challenger starts on a fresh fleet. The challenger stops as soon as the
+    outcome is decided (``_outscores``). Both replays drive ``step``
+    directly: not ``run``, which would look for a frozen heap, nor
+    ``finish``, whose release of every live VM no score needs.
+    """
+    n = config.n
     current = chosen = config.current_policy
-    if not any(e.kind is EventKind.START for e in log):
-        ks = []
-    elif drained is not None and log == event_order(log):
+    (other,) = set(AllocationPolicy) - {current}
+    challenger = SimVariant(other.value)
+    events = event_order(log)
+    ks: list[int] = []
+    fork: tuple[SimulationState, int] | None = None
+    if drained is not None and log == events:
         ks = [r.k for r in drained]
-    else:
-        ks = replayed(current)
-    if any(k > 1 for k in ks):
-        (other,) = set(AllocationPolicy) - {current}
-        if score(replayed(other)) < score(ks):
-            chosen = other
+        if any(k > 1 for k in ks):
+            fork = new_state(fleet_spec, challenger, n), 0
+    elif any(e.kind is EventKind.START for e in events):
+        state = new_state(fleet_spec, SimVariant(current.value), n)
+        for i, k in _replay(state, events):
+            if k > 1 and fork is None:
+                fork = _fork(state, challenger), i
+        ks = [r.k for r in state.records]
+    if fork is not None and _outscores(*fork, events, sum(k <= n for k in ks), sum(ks)):
+        chosen = other
     log.clear()
     return chosen
+
+
+def _replay(
+    state: SimulationState, events: list[VmEvent], start: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Step a state through ``events[start:]``, yielding after each start
+    its index in ``events`` and the k of its grant, 0 when it placed no VM."""
+    records = state.records
+    for i in range(start, len(events)):
+        event = events[i]
+        placed = len(records)
+        step(state, event)
+        if event.kind is EventKind.START:
+            yield i, records[-1].k if len(records) > placed else 0
+
+
+def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
+    """A copy of a segment replay's state from just before the grant of its
+    last record, under ``variant``'s policy. The copy releases that grant: a
+    free-segment list is fully coalesced, so a release restores the list the
+    grant was taken from, and the VM's cores and index entry with it."""
+    vm_id = state.records[-1].vm_id
+    fork = replace(
+        state,
+        variant=variant,
+        config=replace(state.config, current_policy=_variant_policy(variant)),
+        machines=[
+            replace(m, free_list=replace(m.free_list, segments=list(m.free_list.segments)))
+            for m in state.machines
+        ],
+        index=list(state.index),
+        live=dict(state.live),
+        rejected=set(state.rejected),
+        log=list(state.log),
+        records=state.records[:-1],
+        option_switches=list(state.option_switches),
+    )
+    _release(fork, vm_id, fork.live.pop(vm_id))
+    return fork
+
+
+def _outscores(
+    state: SimulationState, start: int, events: list[VmEvent], dsn: int, total: int
+) -> bool:
+    """Whether the challenger, replayed from ``state`` at ``events[start]``,
+    ends with more VMs at k <= n than ``dsn``, or as many in fewer than
+    ``total`` segments. Its replay stops at the first start after which that
+    is decided: each start still to come adds at most one VM at k <= n, and
+    each VM placed adds at least one segment."""
+    n = state.config.n
+    mine = sum(r.k <= n for r in state.records)
+    segments = sum(r.k for r in state.records)
+    left = sum(e.kind is EventKind.START for e in events[start:])
+    for _, k in _replay(state, events, start):
+        left -= 1
+        mine += 0 < k <= n
+        segments += k
+        reach = mine + left  # the most VMs at k <= n it can end with
+        if reach < dsn or reach == dsn and segments + left >= total:
+            return False
+        if mine > dsn or not left:  # not behind with no start left: fewer segments
+            break
+    return True
 
 
 def run(
@@ -332,10 +410,10 @@ def run(
     shape, is built with automatic collection held off, then frozen out of
     collections (``gc.freeze``) until the replay returns with
     ``gc.unfreeze``. ``gc.unfreeze`` thaws every frozen object, so both are
-    skipped when anything is frozen on entry: a reselection's replay nested
-    in a dynamic one, or a caller's own frozen heap, stays frozen and the
-    nested replay's fleet is not frozen. The copy a machine gets at its
-    first grant is made during the replay and is not frozen.
+    skipped when anything is frozen on entry: a caller's own frozen heap
+    stays frozen and this replay's fleet is not frozen. No engine code nests
+    ``run``; reselection steps its replays itself. The copy a machine gets
+    at its first grant is made during the replay and is not frozen.
     """
     freeze = gc.get_freeze_count() == 0
     gc_was_on = gc.isenabled()

@@ -800,20 +800,22 @@ def two_full_replays(log, fleet_spec, config, drained=None):
 
 def count_replays(monkeypatch):
     """Record, per ``reselect_option`` call, the variant of every replay it
-    runs."""
+    runs: each one, from a fresh fleet or a fork, steps through
+    ``engine._replay``."""
     reselections = []
     real_reselect = engine.reselect_option
+    real_replay = engine._replay
 
     def counting_reselect(*args):
         reselections.append([])
         return real_reselect(*args)
 
-    def counting_run(*args, **kwargs):
-        reselections[-1].append(args[2])
-        return run(*args, **kwargs)
+    def counting_replay(state, *args):
+        reselections[-1].append(state.variant)
+        return real_replay(state, *args)
 
     monkeypatch.setattr(engine, "reselect_option", counting_reselect)
-    monkeypatch.setattr(engine, "run", counting_run)
+    monkeypatch.setattr(engine, "_replay", counting_replay)
     return reselections
 
 
@@ -886,7 +888,7 @@ class TestReselectionFromRecords:
     """The current policy's score comes from the dynamic replay's own records
     when its period began on a drained fleet, and from no replay at all when
     the log holds no start; each path must choose what two full replays
-    choose. ``engine.run`` calls show which path each reselection took."""
+    choose. The replays each reselection runs show which path it took."""
 
     SPEC = one_machine_spec(ram_gib=4)
 
@@ -944,6 +946,261 @@ class TestReselectionFromRecords:
             stop_event("c", 1000),
         ]
         assert self.checked(monkeypatch, events) == [[OPT1]]
+
+
+def scoring_fleet_and_log(rng):
+    """A reselection's log on 1-3 machines of 4-8 GiB plus an odd byte count,
+    with 2-6 cores, so that some starts find no machine with the cores, or
+    with 64. VMs of 1-3 cores ask for 1-4 quarter GiB or 1-4 GiB, plus an
+    odd byte count, so the small ones leave holes that the large ones
+    compose; about one VM in seven starts a second time while it runs. The
+    log is a window of the replay order, so some of its stops name VMs
+    started before it; one log in ten keeps only its stops."""
+    spec = FleetSpec((Generation("m", rng.randint(4, 8) * GIB + rng.randint(1, 3 * PAGE_SIZE),
+                                 rng.choice((rng.randint(2, 6), 64)), 100.0),),
+                     rng.randint(1, 3))
+    events = []
+    for i in range(rng.randint(10, 50)):
+        t = rng.randint(0, 2000)
+        demand = rng.choice((rng.randint(1, 4) * GIB // 4, rng.randint(2, 8) * GIB // 2))
+        events.append(start_event(f"vm{i}", t, rng.randint(1, 3),
+                                  demand + rng.randint(0, 3 * PAGE_SIZE)))
+        if rng.random() < 0.15:
+            events.append(start_event(f"vm{i}", t + 1, 1, GIB))
+        events.append(stop_event(f"vm{i}", t + rng.randint(2, 600)))
+    ordered = event_order(events)
+    lo = rng.randint(0, len(ordered) // 3)
+    log = ordered[lo:rng.randint(lo + 1, len(ordered))]
+    stops = [e for e in log if e.kind is EventKind.STOP]
+    if stops and rng.random() < 0.1:
+        log = stops
+    return spec, log
+
+
+def replay_outcomes(events, spec, policy, n):
+    """Per event of a fresh replay under ``policy``: the k of a start's
+    grant, 0 when the start placed no VM, None for a stop; and the state."""
+    state = new_state(spec, SimVariant(policy.value), n)
+    outcomes = []
+    for event in events:
+        placed = len(state.records)
+        step(state, event)
+        if event.kind is EventKind.STOP:
+            outcomes.append(None)
+        else:
+            outcomes.append(state.records[-1].k if len(state.records) > placed else 0)
+    return outcomes, state
+
+
+def count_steps(monkeypatch):
+    """Count ``step`` calls per variant."""
+    steps = dict.fromkeys(SimVariant, 0)
+    real_step = engine.step
+
+    def counting_step(state, event):
+        steps[state.variant] += 1
+        return real_step(state, event)
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    return steps
+
+
+class TestChallengerScoring:
+    """``reselect_option`` replays the challenger, the policy that is not
+    current, from a fork of the current policy's replay, or from a fresh
+    fleet after ``drained`` records, and stops it once the outcome is
+    decided. It must choose what two full replays choose, and step exactly
+    the events that full replays show are needed to decide."""
+
+    @staticmethod
+    def decided(mine, theirs, fork, n):
+        """The number of events the challenger steps from index ``fork`` and
+        why it stops, from the per-event outcomes of full replays under the
+        current policy (``mine``) and the challenger (``theirs``)."""
+        best = sum(0 < k <= n for k in mine if k is not None)
+        segs = sum(k for k in mine if k is not None)
+        dsn = sum(0 < k <= n for k in theirs[:fork] if k is not None)
+        total = sum(k for k in theirs[:fork] if k is not None)
+        left = sum(k is not None for k in theirs[fork:])
+        for i in range(fork, len(theirs)):
+            k = theirs[i]
+            if k is None:
+                continue
+            left -= 1
+            dsn += 0 < k <= n
+            total += k
+            if dsn + left < best:
+                return i + 1 - fork, "behind"
+            if dsn + left == best and total + left >= segs:
+                return i + 1 - fork, "no fewer segments"
+            if dsn > best:
+                return i + 1 - fork, "ahead"
+            if not left:
+                return i + 1 - fork, "fewer segments"
+        raise AssertionError("no start from the fork on")
+
+    def test_matches_two_full_replays_and_stops_once_decided(self, monkeypatch):
+        rng = random.Random(47)
+        exits = dict.fromkeys(("behind", "no fewer segments", "ahead", "fewer segments"), 0)
+        seen = dict.fromkeys(("from records", "out of order", "stops only", "rejected",
+                              "anomaly", "forked"), 0)
+        for _ in range(300):
+            spec, log = scoring_fleet_and_log(rng)
+            i = rng.randrange(len(log))
+            if rng.random() < 0.2 and i + 1 < len(log) and log[i].time < log[i + 1].time:
+                log[i], log[i + 1] = log[i + 1], log[i]
+            events = event_order(log)
+            n = rng.randint(1, 3)
+            for current in AllocationPolicy:
+                (other,) = set(AllocationPolicy) - {current}
+                config = SchedulerConfig(n=n, current_policy=current)
+                mine, state = replay_outcomes(events, spec, current, config.n)
+                theirs, _ = replay_outcomes(events, spec, other, config.n)
+                drained = None
+                if rng.random() < 0.5:
+                    # what the dynamic replay logged, in the log's own order,
+                    # from a drained fleet
+                    drained = replay_outcomes(log, spec, current, config.n)[1].records
+                expected = reselect_by_two_replays(list(log), spec, config)
+                steps = count_steps(monkeypatch)
+                got_log = list(log)
+                got = engine.reselect_option(got_log, spec, config, drained)
+                monkeypatch.undo()
+                assert got is expected
+                assert got_log == []
+
+                from_records = drained is not None and log == events
+                replayed = not from_records and any(k is not None for k in mine)
+                assert steps[SimVariant(current.value)] == (len(events) if replayed else 0)
+                composed = [i for i, k in enumerate(mine) if k is not None and k > 1]
+                if composed:
+                    fork = 0 if from_records else composed[0]
+                    count, why = self.decided(mine, theirs, fork, config.n)
+                    assert steps[SimVariant(other.value)] == count
+                    exits[why] += 1
+                    seen["forked"] += fork > 0
+                else:
+                    assert steps[SimVariant(other.value)] == 0
+                seen["from records"] += from_records
+                seen["out of order"] += drained is not None and log != events
+                seen["stops only"] += all(k is None for k in mine)
+                seen["rejected"] += state.rejections > 0
+                seen["anomaly"] += state.anomalies > 0
+        assert all(exits.values()), exits
+        assert all(seen.values()), seen
+
+    def test_dynamic_replay_forks_in_periods_begun_with_vms_live(self, monkeypatch):
+        """The fork serves the periods whose current policy is replayed,
+        because VMs were live when they began; the report still equals one
+        made with two full replays per reselection."""
+        rng = random.Random(48)
+        forked = []
+        real_reselect, real_fork = engine.reselect_option, engine._fork
+
+        def recording_reselect(log, fleet_spec, config, drained=None):
+            forked.append([drained is None, False])
+            return real_reselect(log, fleet_spec, config, drained)
+
+        def recording_fork(state, variant):
+            forked[-1][1] = True
+            return real_fork(state, variant)
+
+        for _ in range(20):
+            spec, events = churning_fleet_and_trace(rng)
+            monkeypatch.setattr(engine, "reselect_option", recording_reselect)
+            monkeypatch.setattr(engine, "_fork", recording_fork)
+            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=300.0)
+            monkeypatch.undo()
+            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
+            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=300.0)
+            monkeypatch.undo()
+            assert got.core() == expected.core()
+        assert [True, True] in forked
+        assert [False, True] not in forked
+
+    def test_losing_challenger_stops_at_the_start_that_decides(self, monkeypatch):
+        """On one 8 GiB machine the stops leave holes of 1, 1 and 2 GiB. A
+        3 GiB start takes two segments largest-first and three smallest-first,
+        one more than n = 2, so once the largest-first replay has placed every
+        VM in at most two segments, the smallest-first challenger is behind at
+        that start and steps no further."""
+        sizes = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 2, "g": 1}
+        log = [start_event(v, t, 1, size * GIB) for t, (v, size) in enumerate(sizes.items())]
+        log += [stop_event(v, 10) for v in "bdf"]
+        log += [start_event("x", 11, 1, 3 * GIB)]
+        log += [start_event(f"s{i}", 12 + i, 1, GIB // 8) for i in range(8)]
+        log += [stop_event(f"s{i}", 30) for i in range(8)]
+        config = SchedulerConfig(n=2, current_policy=AllocationPolicy.LARGEST_FIRST)
+        spec = one_machine_spec(ram_gib=8, cores=64)
+        steps = count_steps(monkeypatch)
+        got = engine.reselect_option(list(log), spec, config)
+        monkeypatch.undo()
+        assert got is AllocationPolicy.LARGEST_FIRST
+        assert got is reselect_by_two_replays(list(log), spec, config)
+        fork = log.index(start_event("x", 11, 1, 3 * GIB))
+        assert steps[OPT2] == len(log)
+        assert steps[OPT1] == 1 < len(log) - fork
+
+
+class TestFork:
+    """``_fork`` hands the challenger the current policy's replay state from
+    just before its first composed grant."""
+
+    @staticmethod
+    def machine_state(state):
+        return [(m.machine_id, m.cores_free, m.free_list.segments, m.free_list.free_bytes,
+                 m.free_list.max_segment) for m in state.machines]
+
+    @staticmethod
+    def outcome(state):
+        return ([(r.vm_id, r.time, r.machine_id, r.k, r.mode) for r in state.records],
+                sorted(state.live), state.rejected, state.rejections, state.anomalies)
+
+    def test_fork_replays_as_a_fresh_replay_from_the_composed_start(self):
+        rng = random.Random(49)
+        forks = 0
+        for _ in range(40):
+            spec, log = scoring_fleet_and_log(rng)
+            events = event_order(log)
+            for current in AllocationPolicy:
+                (other,) = set(AllocationPolicy) - {current}
+                challenger = SimVariant(other.value)
+                state = new_state(spec, SimVariant(current.value), n=2)
+                for i, event in enumerate(events):
+                    placed = len(state.records)
+                    step(state, event)
+                    if len(state.records) > placed and state.records[-1].k > 1:
+                        break
+                else:
+                    continue
+                forks += 1
+                fork = engine._fork(state, challenger)
+                for field in dataclasses.fields(fork):
+                    value = getattr(fork, field.name)
+                    if isinstance(value, (list, dict, set, SchedulerConfig)):
+                        assert value is not getattr(state, field.name), field.name
+                for mine, theirs in zip(fork.machines, state.machines):
+                    assert mine is not theirs
+                    assert mine.free_list is not theirs.free_list
+                    assert mine.free_list.segments is not theirs.free_list.segments
+                assert fork.variant is challenger
+                assert fork.config.current_policy is other
+
+                fresh = new_state(spec, challenger, n=2)
+                for event in events[:i]:
+                    step(fresh, event)
+                assert self.machine_state(fork) == self.machine_state(fresh)
+                assert fork.index == fresh.index
+                assert self.outcome(fork) == self.outcome(fresh)
+                # the current policy's replay goes on first, as in reselection
+                for event in events[i + 1:]:
+                    step(state, event)
+                for event in events[i:]:
+                    step(fork, event)
+                    step(fresh, event)
+                assert self.outcome(fork) == self.outcome(fresh)
+                assert self.machine_state(fork) == self.machine_state(fresh)
+        assert forks > 10
 
 
 class TestDrainedFleetIsFresh:
