@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import engine, report
@@ -168,7 +169,11 @@ def main(argv: list[str] | None = None) -> int:
             return _run_and_emit(load_trace(args.trace), args)
         if args.command == "bootstorm":
             snapshot = load_snapshot(args.snapshot)
-            events = derive_bootstorm(snapshot, int(args.horizon_hours * 3600))
+            horizon = args.horizon_hours * 3600
+            if not math.isfinite(horizon):
+                raise ValueError(f"bootstorm horizon must be a finite number of "
+                                 f"seconds, got {args.horizon_hours} h")
+            events = derive_bootstorm(snapshot, int(horizon))
             return _run_and_emit(events, args)
         if args.command == "gen-trace":
             lifetime = (

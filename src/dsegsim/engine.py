@@ -6,7 +6,8 @@ pages, walks the placement index for the machines that fit it, picks one by
 the variant's objective, grants the memory with the variant's allocator,
 then types the VM (register-file translation when k <= n). The engine times
 each allocator call, which is the one non-reproducible output; everything
-else is deterministic.
+else is deterministic. Automatic garbage collection is held off only inside
+that timed call; a replay otherwise leaves the collector as it finds it.
 
 Every machine is a ``MachineView``; on the baseline its free list is a buddy
 allocator instead of a free-segment list. The baseline seeds one buddy
@@ -301,8 +302,8 @@ def reselect_option(
     which the two can differ (``_fork``); after ``drained`` records the
     challenger starts on a fresh fleet. The challenger stops as soon as the
     outcome is decided (``_outscores``). Both replays drive ``step``
-    directly: not ``run``, which would look for a frozen heap, nor
-    ``finish``, whose release of every live VM no score needs.
+    directly, without ``finish``, whose release of every live VM no score
+    needs.
     """
     n = config.n
     current = chosen = config.current_policy
@@ -403,32 +404,8 @@ def run(
     Rejected placements are counted, never retried. The seed is carried into
     the report so batch runs stay distinguishable; the replay itself is
     deterministic.
-
-    A baseline fleet's buddy free lists hold one int per free block and no
-    reference cycle, yet every garbage collection of their generation would
-    walk them. So the fleet, whose machines share one seeded allocator per
-    shape, is built with automatic collection held off, then frozen out of
-    collections (``gc.freeze``) until the replay returns with
-    ``gc.unfreeze``. ``gc.unfreeze`` thaws every frozen object, so both are
-    skipped when anything is frozen on entry: a caller's own frozen heap
-    stays frozen and this replay's fleet is not frozen. No engine code nests
-    ``run``; reselection steps its replays itself. The copy a machine gets
-    at its first grant is made during the replay and is not frozen.
     """
-    freeze = gc.get_freeze_count() == 0
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        state = new_state(fleet_spec, variant, n, reselect_period)
-        if freeze:
-            gc.freeze()
-    finally:
-        if gc_was_on:
-            gc.enable()
-    try:
-        for event in event_order(events):
-            step(state, event)
-        return finish(state, seed)
-    finally:
-        if freeze:
-            gc.unfreeze()
+    state = new_state(fleet_spec, variant, n, reselect_period)
+    for event in event_order(events):
+        step(state, event)
+    return finish(state, seed)

@@ -30,8 +30,6 @@ class CounterFormatError(ValueError):
 
     def __init__(self, lineno: int, reason: str):
         super().__init__(f"line {lineno}: {reason}")
-        self.lineno = lineno
-        self.reason = reason
 
 
 class WalkMode(Enum):

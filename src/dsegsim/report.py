@@ -121,16 +121,9 @@ def alloc_frequency(events: Sequence[VmEvent], fleet: FleetSpec) -> float | None
     return starts / (span / 3600.0) / fleet.machine_count
 
 
-@dataclass(frozen=True)
-class DemandCdf:
-    points: tuple[tuple[int, float], ...]  # (size, cumulative fraction)
-    distinct_sizes: int
-
-
-def demand_size_cdf(events: Sequence[VmEvent]) -> DemandCdf:
+def demand_size_cdf(events: Sequence[VmEvent]) -> tuple[tuple[int, float], ...]:
+    """(size, cumulative fraction) for each distinct start demand, ascending."""
     sizes = sorted(e.memory_bytes for e in events if e.kind is EventKind.START)
-    if not sizes:
-        return DemandCdf((), 0)
     total = len(sizes)
     points: list[tuple[int, float]] = []
     seen = 0
@@ -138,7 +131,7 @@ def demand_size_cdf(events: Sequence[VmEvent]) -> DemandCdf:
         seen += 1
         if i + 1 == total or sizes[i + 1] != size:
             points.append((size, seen / total))
-    return DemandCdf(tuple(points), len(points))
+    return tuple(points)
 
 
 def format_pct(value: float) -> str:

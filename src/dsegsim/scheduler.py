@@ -46,7 +46,6 @@ class MachineView:
     """
 
     machine_id: int
-    cores_total: int
     cores_free: int
     free_list: FreeSegmentList
 

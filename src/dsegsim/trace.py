@@ -35,8 +35,6 @@ class TraceFormatError(ValueError):
 
     def __init__(self, lineno: int, reason: str):
         super().__init__(f"line {lineno}: {reason}")
-        self.lineno = lineno
-        self.reason = reason
 
 
 class EventKind(Enum):
@@ -153,34 +151,35 @@ def write_trace(events: Iterable[VmEvent], path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class SnapshotRecord:
-    """One running VM captured from a live cluster, with its host's shape."""
+    """One running VM captured from a live cluster."""
 
     vm_id: str
     cores: int
     memory_bytes: int
-    host_id: str
-    host_ram_bytes: int
-    host_cores: int
 
 
 def parse_snapshot(source: TextIO | str) -> list[SnapshotRecord]:
+    """Parse a snapshot. The header row is optional; each ``vm_id`` must be
+    non-empty and unique. The host columns are validated, then dropped."""
     if isinstance(source, str):
         source = io.StringIO(source)
     records = []
+    seen: set[str] = set()
     for lineno, row in enumerate(csv.reader(source), start=1):
         if not row or (lineno == 1 and tuple(row) == SNAPSHOT_HEADER):
             continue
         if len(row) != 6:
             raise TraceFormatError(lineno, f"expected 6 fields, got {len(row)}")
-        cores = _field_int(row, 1, "cores", lineno)
-        memory = _field_int(row, 2, "memory_bytes", lineno)
-        host_ram = _field_int(row, 4, "host_ram_bytes", lineno)
-        host_cores = _field_int(row, 5, "host_cores", lineno)
-        if min(cores, memory, host_ram, host_cores) <= 0:
+        vm_id = row[0].strip()
+        if not vm_id:
+            raise TraceFormatError(lineno, "empty vm_id")
+        if vm_id in seen:
+            raise TraceFormatError(lineno, f"duplicate vm_id {vm_id!r}")
+        seen.add(vm_id)
+        sizes = [_field_int(row, i, SNAPSHOT_HEADER[i], lineno) for i in (1, 2, 4, 5)]
+        if min(sizes) <= 0:
             raise TraceFormatError(lineno, "sizes must be positive")
-        records.append(
-            SnapshotRecord(row[0].strip(), cores, memory, row[3].strip(), host_ram, host_cores)
-        )
+        records.append(SnapshotRecord(vm_id, sizes[0], sizes[1]))
     return records
 
 
@@ -423,7 +422,7 @@ def build_fleet(spec: FleetSpec) -> list[MachineView]:
     for gen, count in zip(spec.generations, generation_counts(spec)):
         for _ in range(count):
             flist = new_machine(gen.ram_bytes, spec.reserved_bytes, machine_id)
-            machines.append(MachineView(machine_id, gen.cores, gen.cores, flist))
+            machines.append(MachineView(machine_id, gen.cores, flist))
             machine_id += 1
     return machines
 

@@ -285,7 +285,7 @@ def _random_machine(rng, mid):
     if not segments:
         segments = [SegmentDescriptor(0, total)]
     fl = FreeSegmentList(mid, total, 0, segments)
-    return MachineView(mid, 64, 64, fl)
+    return MachineView(mid, 64, fl)
 
 
 # ---------------------------------------------------------------- criterion 7

@@ -208,15 +208,15 @@ class TestBootstorm:
         payload = json.loads((out / "report.json").read_text())
         assert payload["placed"] == 2
 
-    @pytest.mark.parametrize("hours", ["0", "0.0001"])
-    def test_horizon_below_one_second_is_a_usage_error(
+    @pytest.mark.parametrize("hours", ["0", "0.0001", "inf", "-inf", "nan"])
+    def test_horizon_out_of_range_is_a_usage_error(
         self, tmp_path, fleet_file, hours, capsys
     ):
         snap = tmp_path / "snap.csv"
         snap.write_text(f"a,2,{2 * GIB},h1,{128 * GIB},24\n")
         code = main([
             "bootstorm", "--snapshot", str(snap), "--fleet", str(fleet_file),
-            "--horizon-hours", hours, "--out", str(tmp_path / "out"),
+            f"--horizon-hours={hours}", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_USAGE
         assert "horizon" in capsys.readouterr().err

@@ -271,11 +271,12 @@ class TestStep:
         before = [
             (s.base, s.limit) for s in state.machines[0].free_list.segments
         ]
+        cores = state.machines[0].cores_free
         step(state, start_event("vm", 0, 1, 4 * GIB))
         step(state, stop_event("vm", 10))
         after = [(s.base, s.limit) for s in state.machines[0].free_list.segments]
         assert before == after
-        assert state.machines[0].cores_free == state.machines[0].cores_total
+        assert state.machines[0].cores_free == cores
 
     def test_unknown_stop_is_an_anomaly(self):
         state = new_state(one_machine_spec(), SimVariant.PLACEMENT_OPT1)
@@ -762,7 +763,7 @@ class TestBaselineWalkLength:
 
     def test_one_entry_when_no_machine_has_the_cores(self):
         state = new_state(default_fleet_spec(1000), SimVariant.BASELINE)
-        most = max(m.cores_total for m in state.machines)
+        most = max(m.cores_free for m in state.machines)
         assert self.start_on_counted_index(state, GIB, cores=most + 1) == 1
         assert state.rejections == 1
 
@@ -1286,32 +1287,12 @@ class TestAllocLatency:
 
 
 class TestFrozenFleet:
-    """``run`` keeps the fleet out of garbage collections for the replay
-    and leaves collection as it found it, also when the set-up fails."""
+    """``run`` leaves a caller's frozen heap and the collector's switch as it
+    found them, also when the set-up fails."""
 
-    def test_fleet_is_frozen_during_the_replay_and_thawed_after(self, monkeypatch):
-        frozen = []
-        real_step = engine.step
-
-        def recording_step(state, event):
-            frozen.append(gc.get_freeze_count())
-            return real_step(state, event)
-
-        monkeypatch.setattr(engine, "step", recording_step)
-        spec = default_fleet_spec(5)
-        machines = len(build_fleet(spec))
-        events = gen_synthetic(50, DEFAULT_FLAVORS, Distribution.exponential(120),
-                               Distribution.exponential(6000), 3)
-        report = run(events, spec, SimVariant.BASELINE)
-        assert report.placed > 0
-        assert min(frozen) >= machines
-        assert gc.get_freeze_count() == 0
-        assert gc.isenabled()
-
-    @pytest.mark.parametrize("caller_froze", [False, True])
-    def test_reselection_replays_leave_the_frozen_heap_frozen(self, monkeypatch, caller_froze):
+    def test_reselection_replays_leave_the_frozen_heap_frozen(self, monkeypatch):
         """A reselection's replay runs nested in the dynamic one: it must not
-        thaw the outer fleet, nor a heap the caller froze."""
+        thaw a heap the caller froze."""
         frozen = []
         real_step = engine.step
 
@@ -1323,17 +1304,15 @@ class TestFrozenFleet:
         events = composing_period(0, "p") + stops(1000, "p")
         monkeypatch.setattr(engine, "step", recording_step)
         reselections = count_replays(monkeypatch)
-        if caller_froze:
-            gc.freeze()
+        gc.freeze()
         try:
             before = gc.get_freeze_count()
             report = run(events, spec, SimVariant.DYNAMIC, reselect_period=1000.0)
             assert gc.get_freeze_count() == before
         finally:
-            if caller_froze:
-                gc.unfreeze()
+            gc.unfreeze()
         assert report.option_switches and any(reselections)
-        assert min(frozen) >= (before if caller_froze else len(build_fleet(spec)))
+        assert min(frozen) >= before
 
     @pytest.mark.parametrize("gc_on", [True, False])
     def test_failed_set_up_restores_collection(self, gc_on):

@@ -249,7 +249,7 @@ class TestCounterFile:
     def test_unknown_name_reported_with_line(self):
         with pytest.raises(CounterFormatError) as exc:
             parse_counters("c_1d = 1\nbogus = 2\n")
-        assert exc.value.lineno == 2
+        assert str(exc.value).startswith("line 2: ")
 
     def test_bad_number_reported(self):
         with pytest.raises(CounterFormatError):

@@ -27,9 +27,9 @@ OPT1 = AllocationPolicy.SMALLEST_FIRST
 OPT2 = AllocationPolicy.LARGEST_FIRST
 
 
-def machine(mid, spans, cores=8, cores_free=None, total=32 * GIB):
+def machine(mid, spans, cores_free=8, total=32 * GIB):
     fl = FreeSegmentList(mid, total, 0, [SegmentDescriptor(b, l) for b, l in spans])
-    return MachineView(mid, cores, cores if cores_free is None else cores_free, fl)
+    return MachineView(mid, cores_free, fl)
 
 
 class TestFilterResources:
@@ -118,7 +118,7 @@ def _random_machine(rng, mid):
         cursor += gap + size
     if not spans:
         spans = [(0, total)]
-    return machine(mid, spans, cores=16, total=total)
+    return machine(mid, spans, cores_free=16, total=total)
 
 
 def walk_pick(fleet, request):
@@ -131,8 +131,8 @@ def walk_pick(fleet, request):
 
 class TestBaselinePick:
     def test_idle_machine_wins(self):
-        busy = machine(0, [(0, 8 * GIB)], cores=16, cores_free=4)
-        idle = machine(1, [(0, 8 * GIB)], cores=16, cores_free=16)
+        busy = machine(0, [(0, 8 * GIB)], cores_free=4)
+        idle = machine(1, [(0, 8 * GIB)], cores_free=16)
         req = PlacementRequest("vm", 1, GIB)
         assert walk_pick([busy, idle], req) == 1
 
@@ -145,7 +145,7 @@ class TestBaselinePick:
         rng = random.Random(23)
         for _ in range(100):
             fleet = [
-                machine(mid, [(0, 8 * GIB)], cores=32, cores_free=rng.randint(0, 32))
+                machine(mid, [(0, 8 * GIB)], cores_free=rng.randint(0, 32))
                 for mid in range(rng.randint(1, 10))
             ]
             request = PlacementRequest("vm", 1, GIB)

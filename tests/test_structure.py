@@ -3,9 +3,10 @@
 Every import sits at module level, and the modules import each other without
 a cycle, so no import has to be deferred into a function to break one. Every
 function reads each of its parameters, so no argument is threaded through
-call sites for nothing. The package root re-exports nothing, and every
+call sites for nothing. The package root re-exports nothing, every
 definition has a caller outside the tests, so no library code exists only
-for them.
+for them, and every field has a reader outside the tests, so no value is
+stored that nothing reads.
 """
 
 import ast
@@ -187,4 +188,44 @@ def test_every_definition_has_a_caller_outside_the_tests():
                 )
             if not (elsewhere or own or def_name in UNREFERENCED_BY_DESIGN):
                 offenders.append(f"{name}.{def_name}")
+    assert offenders == []
+
+
+def fields(tree):
+    """Each class's annotated class-body fields and the ``self`` attributes
+    its ``__init__`` assigns, as (class name, field name, line)."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.append((cls.name, node.target.id, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                found += [
+                    (cls.name, n.attr, n.lineno)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                ]
+    return found
+
+
+def test_every_field_has_a_reader_outside_the_tests():
+    """Each field's name is loaded as an attribute somewhere in the package
+    or the benchmark."""
+    modules = parsed_modules()
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py")]
+    read = {
+        n.attr
+        for tree in [*modules.values(), *bench]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    offenders = [
+        f"{name}.py:{line} {cls}.{field}"
+        for name, tree in modules.items()
+        for cls, field, line in fields(tree)
+        if field not in read
+    ]
     assert offenders == []

@@ -12,6 +12,7 @@ from dsegsim.trace import (
     EventKind,
     FleetSpec,
     Generation,
+    SNAPSHOT_HEADER,
     SnapshotRecord,
     TraceFormatError,
     build_fleet,
@@ -20,6 +21,7 @@ from dsegsim.trace import (
     gen_synthetic,
     generation_counts,
     load_fleet_spec,
+    parse_snapshot,
     parse_trace,
     serialize_trace,
     start_event,
@@ -45,7 +47,7 @@ class TestParseTrace:
     def test_negative_memory_reports_line(self):
         with pytest.raises(TraceFormatError) as exc:
             parse_trace("vm1,start,0,2,4096\nvm2,start,5,2,-4096\n")
-        assert exc.value.lineno == 2
+        assert str(exc.value).startswith("line 2: ")
 
     def test_duplicate_start_rejected(self):
         with pytest.raises(TraceFormatError) as exc:
@@ -62,7 +64,7 @@ class TestParseTrace:
     def test_start_while_live_rejected_at_its_line(self):
         with pytest.raises(TraceFormatError) as exc:
             parse_trace("vm1,start,0,1,4096\nvm1,stop,10\nvm1,start,5,1,4096\n")
-        assert exc.value.lineno == 3
+        assert str(exc.value).startswith("line 3: ")
         assert "duplicate" in str(exc.value)
 
     def test_stop_replays_before_a_start_at_the_same_time(self):
@@ -96,11 +98,43 @@ class TestParseTrace:
         assert serialize_trace(parse_trace(text)) == text
 
 
+def snapshot_row(vm_id="vm1", **values):
+    """A snapshot row of a 2-core, 2 GiB VM on a 128 GiB, 24-core host."""
+    row = dict(zip(SNAPSHOT_HEADER, (vm_id, 2, 2 * GIB, "h1", 128 * GIB, 24)), **values)
+    return ",".join(str(v) for v in row.values())
+
+
+def snapshot_cases():
+    """(snapshot text, the line a TraceFormatError names or None if accepted)."""
+    header, good = ",".join(SNAPSHOT_HEADER), snapshot_row()
+    yield pytest.param(f"{header}\n{good}\n", None, id="with-header")
+    yield pytest.param(f"{good}\n", None, id="without-header")
+    fields = snapshot_row("vm2").split(",")
+    yield pytest.param(f"{good}\n{','.join(fields[:5])}\n", 2, id="5-fields")
+    yield pytest.param(f"{good}\n{','.join(fields + ['x'])}\n", 2, id="7-fields")
+    for name in ("cores", "memory_bytes", "host_ram_bytes", "host_cores"):
+        for value in ("x", "1.5", "0", "-1"):
+            row = snapshot_row("vm2", **{name: value})
+            yield pytest.param(f"{header}\n{good}\n{row}\n", 3, id=f"{name}={value}")
+    yield pytest.param(f"{good}\n{snapshot_row(' ')}\n", 2, id="empty-vm_id")
+    yield pytest.param(f"{good}\n{good}\n", 2, id="repeated-vm_id")
+
+
+class TestParseSnapshot:
+    @pytest.mark.parametrize("text,line", snapshot_cases())
+    def test_accepted_format(self, text, line):
+        if line is None:
+            assert parse_snapshot(text) == [SnapshotRecord("vm1", 2, 2 * GIB)]
+        else:
+            with pytest.raises(TraceFormatError, match=f"^line {line}: "):
+                parse_snapshot(text)
+
+
 class TestBootstorm:
     SNAP = [
-        SnapshotRecord("vmB", 2, 2 * GIB, "h1", 128 * GIB, 24),
-        SnapshotRecord("vmA", 1, GIB, "h1", 128 * GIB, 24),
-        SnapshotRecord("vmC", 4, 8 * GIB, "h2", 256 * GIB, 40),
+        SnapshotRecord("vmB", 2, 2 * GIB),
+        SnapshotRecord("vmA", 1, GIB),
+        SnapshotRecord("vmC", 4, 8 * GIB),
     ]
 
     def test_all_start_at_zero_then_stop_at_horizon(self):
@@ -262,7 +296,7 @@ class TestFleet:
         assert generation_counts(spec) == [20, 20, 20, 20, 20]
         by_shape = {}
         for m in machines:
-            shape = (m.free_list.total_bytes, m.cores_total)
+            shape = (m.free_list.total_bytes, m.cores_free)
             by_shape[shape] = by_shape.get(shape, 0) + 1
         # Gen4 and Gen6 share 192 GiB but differ in cores
         assert by_shape == {
@@ -277,7 +311,7 @@ class TestFleet:
         spec = FleetSpec((Generation("only", 64 * GIB, 8, 100.0),), 1)
         machines = build_fleet(spec)
         assert len(machines) == 1
-        assert machines[0].cores_total == 8
+        assert machines[0].cores_free == 8
 
     def test_largest_remainder_rounding(self):
         spec = FleetSpec(
