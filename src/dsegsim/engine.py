@@ -45,7 +45,6 @@ from .scheduler import (
     WEEK_SECONDS,
     MachineView,
     NoCandidateError,
-    PlacementRequest,
     SchedulerConfig,
     SimVariant,
     baseline_pick,
@@ -158,16 +157,15 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     memory = event.memory_bytes
     if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
         memory += PAGE_SIZE - memory % PAGE_SIZE
-    request = PlacementRequest(event.vm_id, event.cores, memory)
     policy = state.config.current_policy
     baseline = state.variant is SimVariant.BASELINE
     stop = event.cores if baseline else memory
-    candidates = fitting_machines(state.machines, state.index, request, stop)
+    candidates = fitting_machines(state.machines, state.index, event.cores, memory, stop)
     try:
         if baseline:
-            machine_id = baseline_pick(candidates, request)
+            machine_id = baseline_pick(candidates)
         else:
-            machine_id = segment_pick(candidates, request, policy)
+            machine_id = segment_pick(candidates, memory, policy)
     except NoCandidateError:
         state.rejections += 1
         state.rejected.add(event.vm_id)
@@ -177,7 +175,7 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         # the machine's first grant, into its own copy; not a timed cost
         machine.free_list = machine.free_list.copy(machine_id)
     old = state.key(machine)
-    alloc, latency = _grant(machine.free_list, request, policy)
+    alloc, latency = _grant(machine.free_list, event.vm_id, memory, policy)
     machine.cores_free -= event.cores
     _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
@@ -188,22 +186,22 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
 
 
 def _grant(
-    memory, request: PlacementRequest, policy: AllocationPolicy
+    memory_model, vm_id: str, demand: int, policy: AllocationPolicy
 ) -> tuple[VMAllocation, float]:
-    """Allocate a starting VM's memory from either memory model. Returns the
-    grant and the allocator call's thread CPU time: at microsecond scale,
+    """Grant a starting VM ``demand`` bytes from either memory model. Returns
+    the grant and the allocator call's thread CPU time: at microsecond scale,
     wall clocks mostly measure OS preemption rather than the allocator.
     Automatic garbage collection is held off during the call, so a collection
     of the whole interpreter's heap is not charged to one grant."""
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        if isinstance(memory, BuddyAllocator):
+        if isinstance(memory_model, BuddyAllocator):
             t0 = _time.thread_time()
-            alloc = memory.allocate(request.vm_id, request.memory_bytes)
+            alloc = memory_model.allocate(vm_id, demand)
         else:
             t0 = _time.thread_time()
-            alloc = allocate(memory, request.vm_id, request.memory_bytes, policy)
+            alloc = allocate(memory_model, vm_id, demand, policy)
         return alloc, _time.thread_time() - t0
     finally:
         if gc_was_on:

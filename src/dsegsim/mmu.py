@@ -10,6 +10,7 @@ memory references of a radix-4 nested walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -181,8 +182,12 @@ class WorkloadCounters:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"counter {f.name} must be non-negative")
+            _check_counter(f.name, getattr(self, f.name))
+
+
+def _check_counter(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"counter {name} must be finite and non-negative, got {value}")
 
 
 def parse_counters(text: str) -> WorkloadCounters:
@@ -204,10 +209,11 @@ def parse_counters(text: str) -> WorkloadCounters:
             values[name] = float(number.strip())
         except ValueError:
             raise CounterFormatError(lineno, f"bad number {number.strip()!r}") from None
-    try:
-        return WorkloadCounters(**values)
-    except ValueError as exc:
-        raise CounterFormatError(0, str(exc)) from None
+        try:
+            _check_counter(name, values[name])
+        except ValueError as exc:
+            raise CounterFormatError(lineno, str(exc)) from None
+    return WorkloadCounters(**values)
 
 
 def load_counters(path: str | Path) -> WorkloadCounters:

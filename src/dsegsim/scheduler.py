@@ -54,20 +54,6 @@ class MachineView:
         return self.free_list.free_bytes
 
 
-@dataclass(frozen=True)
-class PlacementRequest:
-    vm_id: str
-    cores: int
-    memory_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.cores < 1 or self.memory_bytes <= 0:
-            raise ValueError(
-                f"request {self.vm_id}: cores={self.cores}, "
-                f"memory_bytes={self.memory_bytes}"
-            )
-
-
 @dataclass
 class SchedulerConfig:
     n: int = 3
@@ -84,37 +70,34 @@ class SchedulerConfig:
 
 
 def filter_min_segments(
-    candidates: Sequence[MachineView],
-    request: PlacementRequest,
-    policy: AllocationPolicy,
+    candidates: Sequence[MachineView], memory: int, policy: AllocationPolicy
 ) -> int:
-    """Choose the machine whose allocator would grant the fewest segments.
-
-    Ties go to the machine with the most free bytes, then the lowest id.
+    """Choose the machine whose allocator would grant ``memory`` bytes in the
+    fewest segments. Ties go to the machine with the most free bytes, then
+    the lowest id.
     """
     keys = (
-        (peek_segment_count(m.free_list, request.memory_bytes, policy),
-         -m.free_bytes, m.machine_id)
+        (peek_segment_count(m.free_list, memory, policy), -m.free_bytes, m.machine_id)
         for m in candidates
     )
     best = min((key for key in keys if key[0] is not None), default=None)
     if best is None:
-        raise NoCandidateError(f"no machine can host {request.vm_id}")
+        raise NoCandidateError(f"no machine can grant {memory} bytes")
     return best[2]
 
 
 def fitting_machines(
     machines: Sequence[MachineView],
     index: Sequence[tuple[int, int]],
-    request: PlacementRequest,
+    cores: int,
+    memory: int,
     stop: int,
 ) -> Iterator[MachineView]:
-    """The machines with enough free cores and free bytes for the request
-    (boundary inclusive), in ``index`` order: ``(-free, machine_id)`` for
-    every machine, ascending, where ``free`` is the amount of the resource
-    keying the index. The walk stops at the first entry with less free than
-    ``stop``, the request's demand of that resource."""
-    cores, memory = request.cores, request.memory_bytes
+    """The machines with at least ``cores`` free cores and ``memory`` free
+    bytes, in ``index`` order: ``(-free, machine_id)`` for every machine,
+    ascending, where ``free`` is the amount of the resource keying the index.
+    The walk stops at the first entry with less free than ``stop``, the
+    start's demand of that resource."""
     for neg_free, machine_id in index:
         if -neg_free < stop:
             return
@@ -124,23 +107,21 @@ def fitting_machines(
 
 
 def segment_pick(
-    candidates: Iterable[MachineView],
-    request: PlacementRequest,
-    policy: AllocationPolicy,
+    candidates: Iterable[MachineView], memory: int, policy: AllocationPolicy
 ) -> int:
     """``filter_min_segments``' choice among candidates in index order: the
     first that grants one segment, the minimum, else the chain's pick."""
     walked = []
     for m in candidates:
-        if m.free_list.max_segment >= request.memory_bytes:
+        if m.free_list.max_segment >= memory:
             return m.machine_id
         walked.append(m)
-    return filter_min_segments(walked, request, policy)
+    return filter_min_segments(walked, memory, policy)
 
 
-def baseline_pick(candidates: Iterable, request: PlacementRequest) -> int:
+def baseline_pick(candidates: Iterable[MachineView]) -> int:
     """Stock spread objective: most free cores, ties to the lowest id, which
     is the first candidate of a walk over the index keyed by free cores."""
     for m in candidates:
         return m.machine_id
-    raise NoCandidateError(f"no machine can host {request.vm_id}")
+    raise NoCandidateError("no machine has the free cores and bytes")

@@ -44,11 +44,23 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class VmEvent:
+    """One trace event, held to the rules of a trace row: a time of at least
+    0 and, on a start, at least one core and a positive memory demand."""
+
     vm_id: str
     kind: EventKind
     time: int
     cores: int | None = None
     memory_bytes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ValueError(f"negative time {self.time}")
+        if self.kind is EventKind.START:
+            if self.cores < 1:
+                raise ValueError(f"cores must be >= 1, got {self.cores}")
+            if self.memory_bytes <= 0:
+                raise ValueError(f"memory_bytes must be positive, got {self.memory_bytes}")
 
 
 def start_event(vm_id: str, time: int, cores: int, memory_bytes: int) -> VmEvent:
@@ -88,27 +100,23 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
         if not vm_id:
             raise TraceFormatError(lineno, "empty vm_id")
         time = _field_int(row, 2, "time", lineno)
-        if time < 0:
-            raise TraceFormatError(lineno, f"negative time {time}")
         if kind == "start":
             if len(row) != 5:
                 raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
-            cores = _field_int(row, 3, "cores", lineno)
-            memory = _field_int(row, 4, "memory_bytes", lineno)
-            if cores < 1:
-                raise TraceFormatError(lineno, f"cores must be >= 1, got {cores}")
-            if memory <= 0:
-                raise TraceFormatError(lineno, f"memory_bytes must be positive, got {memory}")
+            shape = [_field_int(row, i, TRACE_HEADER[i], lineno) for i in (3, 4)]
             if vm_id in started:
                 restarted.add(vm_id)
             started.add(vm_id)
-            events.append(start_event(vm_id, time, cores, memory))
         elif kind == "stop":
             if len(row) == 5 and (row[3].strip() or row[4].strip()):
                 raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
-            events.append(stop_event(vm_id, time))
+            shape = []
         else:
             raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
+        try:
+            events.append(VmEvent(vm_id, EventKind(kind), time, *shape))
+        except ValueError as exc:  # the event's own checks of its values
+            raise TraceFormatError(lineno, str(exc)) from None
         lines.append(lineno)
     if restarted:  # replay the VMs that start more than once
         order = sorted(

@@ -120,13 +120,10 @@ def plan_by_copy(segments, demand, policy):
             remaining -= grants[-1].size
 
 
-def filter_resources(machines, request) -> list:
-    """Keep machines with enough free cores and free memory (boundary inclusive)."""
-    return [
-        m
-        for m in machines
-        if m.cores_free >= request.cores and m.free_bytes >= request.memory_bytes
-    ]
+def filter_resources(machines, cores, memory) -> list:
+    """Keep machines with at least ``cores`` free cores and ``memory`` free
+    bytes."""
+    return [m for m in machines if m.cores_free >= cores and m.free_bytes >= memory]
 
 
 def reselect_by_two_replays(log, fleet_spec, config):

@@ -24,7 +24,6 @@ from dsegsim.report import latency_stats, segment_histogram
 from dsegsim.scheduler import (
     MachineView,
     NoCandidateError,
-    PlacementRequest,
     SchedulerConfig,
     SimVariant,
     filter_min_segments,
@@ -253,12 +252,11 @@ def test_c6_scheduler_optimality():
             fleet = [_random_machine(rng, mid) for mid in range(rng.randint(2, 10))]
             policy = rng.choice((OPT1, OPT2))
             request_mem = rng.randint(1, 8192) * (4 << 20)
-            request = PlacementRequest("vm", 1, request_mem)
-            candidates = filter_resources(fleet, request)
+            candidates = filter_resources(fleet, 1, request_mem)
             if not candidates:
                 continue
             try:
-                chosen = filter_min_segments(candidates, request, policy)
+                chosen = filter_min_segments(candidates, request_mem, policy)
             except NoCandidateError:
                 continue
             peeked = {

@@ -465,6 +465,14 @@ class TestCostModel:
         code = main(["costmodel", "--counters", str(path), "--mode", "dsn"])
         assert code == EXIT_PARSE
 
+    def test_non_finite_counter_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("n_tlb = 10\nc_1d = nan\n")
+        code = main(["costmodel", "--counters", str(path), "--mode", "native1d"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert "line 2: counter c_1d must be finite" in captured.err
+
 
 class TestUsage:
     def test_missing_subcommand_is_usage_error(self, capsys):

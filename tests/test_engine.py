@@ -13,7 +13,6 @@ from dsegsim.engine import event_order, finish, new_state, run, step
 from dsegsim.report import emit
 from dsegsim.scheduler import (
     NoCandidateError,
-    PlacementRequest,
     SchedulerConfig,
     SimVariant,
     filter_min_segments,
@@ -560,16 +559,16 @@ def index_key(variant, m):
     return (-m.free_bytes, m.machine_id)
 
 
-def oracle_walk(state, request):
-    """``filter_resources`` in the variant's index order."""
-    kept = filter_resources(state.machines, request)
+def oracle_walk(state, event):
+    """``filter_resources`` for a start, in the variant's index order."""
+    kept = filter_resources(state.machines, event.cores, event.memory_bytes)
     return sorted(kept, key=lambda m: index_key(state.variant, m))
 
 
-def engine_walk(state, request):
+def engine_walk(state, event):
     baseline = state.variant is SimVariant.BASELINE
-    stop = request.cores if baseline else request.memory_bytes
-    return fitting_machines(state.machines, state.index, request, stop)
+    stop = event.cores if baseline else event.memory_bytes
+    return fitting_machines(state.machines, state.index, event.cores, event.memory_bytes, stop)
 
 
 class TestPlacementIndex:
@@ -606,10 +605,9 @@ class TestPlacementIndex:
     def _chain_pick(state, event, seen):
         """The objective's choice over ``filter_resources`` for a start
         (None: rejected), after checking the index walk against the filter."""
-        request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
         policy = state.config.current_policy
-        kept = oracle_walk(state, request)
-        walked = [m.machine_id for m in engine_walk(state, request)]
+        kept = oracle_walk(state, event)
+        walked = [m.machine_id for m in engine_walk(state, event)]
         assert walked == [m.machine_id for m in kept]
         baseline = state.variant is SimVariant.BASELINE
         # a machine the walk passes over on the resource not keying the index
@@ -624,7 +622,7 @@ class TestPlacementIndex:
             if baseline:
                 chain = min(kept, key=lambda m: (-m.cores_free, m.machine_id)).machine_id
             else:
-                chain = filter_min_segments(kept, request, policy)
+                chain = filter_min_segments(kept, event.memory_bytes, policy)
         except (ValueError, NoCandidateError):  # min of nothing, or no feasible plan
             seen["rejected"] += 1
             return None
@@ -676,9 +674,8 @@ class TestCoresKeyedWalk:
     def oracle_pick(state, event, stopped, seen):
         """The oracle's machine for a start (None: rejected), after checking
         the engine's walk against the oracle's."""
-        request = PlacementRequest(event.vm_id, event.cores, event.memory_bytes)
-        kept = oracle_walk(state, request)
-        walked = [m.machine_id for m in engine_walk(state, request)]
+        kept = oracle_walk(state, event)
+        walked = [m.machine_id for m in engine_walk(state, event)]
         assert walked == [m.machine_id for m in kept]
         seen["restart"] += event.vm_id in stopped
         cored = [m for m in state.machines if m.cores_free >= event.cores]

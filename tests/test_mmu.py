@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -228,6 +229,11 @@ class TestVirtualizationCost:
         with pytest.raises(ValueError):
             WorkloadCounters(n_tlb=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counters_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            WorkloadCounters(c_1d=value)
+
 
 class TestCounterFile:
     def test_round_trip(self, tmp_path):
@@ -266,6 +272,12 @@ class TestCounterFile:
     def test_negative_rejected(self):
         with pytest.raises(CounterFormatError):
             parse_counters("c_1d = -5\n")
+
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "1e400"])
+    def test_negative_or_non_finite_reported_with_its_line(self, value):
+        with pytest.raises(CounterFormatError) as exc:
+            parse_counters(f"c_1d = 1\n\nc_2d = {value}\n")
+        assert str(exc.value).startswith("line 3: counter c_2d must be finite and non-negative")
 
 
 class TestRegisterFileValidation:

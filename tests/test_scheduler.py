@@ -7,7 +7,6 @@ from dsegsim.engine import reselect_option
 from dsegsim.scheduler import (
     MachineView,
     NoCandidateError,
-    PlacementRequest,
     SchedulerConfig,
     baseline_pick,
     filter_min_segments,
@@ -35,13 +34,11 @@ def machine(mid, spans, cores_free=8, total=32 * GIB):
 class TestFilterResources:
     def test_no_free_cores_excluded(self):
         m = machine(0, [(0, 8 * GIB)], cores_free=0)
-        req = PlacementRequest("vm", 1, GIB)
-        assert filter_resources([m], req) == []
+        assert filter_resources([m], 1, GIB) == []
 
     def test_exact_fit_is_inclusive(self):
         m = machine(0, [(0, 4 * GIB)], cores_free=2)
-        req = PlacementRequest("vm", 2, 4 * GIB)
-        assert filter_resources([m], req) == [m]
+        assert filter_resources([m], 2, 4 * GIB) == [m]
 
     def test_mixed_fleet_matches_predicate(self):
         rng = random.Random(3)
@@ -49,8 +46,7 @@ class TestFilterResources:
             machine(i, [(0, rng.randint(1, 64) * GIB)], cores_free=rng.randint(0, 16))
             for i in range(30)
         ]
-        req = PlacementRequest("vm", 4, 10 * GIB)
-        kept = filter_resources(fleet, req)
+        kept = filter_resources(fleet, 4, 10 * GIB)
         for m in fleet:
             expected = m.cores_free >= 4 and m.free_bytes >= 10 * GIB
             assert (m in kept) == expected
@@ -60,44 +56,40 @@ class TestMinSegmentFilter:
     def test_prefers_fewer_segments(self):
         a = machine(0, [(0, 8 * GIB)])
         b = machine(1, [(0, 4 * GIB), (5 * GIB, 9 * GIB)])
-        req = PlacementRequest("vm", 1, 6 * GIB)
-        assert filter_min_segments([a, b], req, OPT2) == 0
+        assert filter_min_segments([a, b], 6 * GIB, OPT2) == 0
 
     def test_single_candidate(self):
         b = machine(7, [(0, 4 * GIB), (5 * GIB, 9 * GIB)])
-        req = PlacementRequest("vm", 1, 6 * GIB)
-        assert filter_min_segments([b], req, OPT1) == 7
+        assert filter_min_segments([b], 6 * GIB, OPT1) == 7
 
     def test_all_infeasible_raises(self):
         a = machine(0, [(0, GIB)])
-        req = PlacementRequest("vm", 1, 2 * GIB)
         with pytest.raises(NoCandidateError):
-            filter_min_segments([a], req, OPT1)
+            filter_min_segments([a], 2 * GIB, OPT1)
         with pytest.raises(NoCandidateError):
-            filter_min_segments([], req, OPT1)
+            filter_min_segments([], 2 * GIB, OPT1)
 
     def test_tie_breaks_by_free_bytes_then_id(self):
         a = machine(3, [(0, 8 * GIB)])
         b = machine(1, [(0, 12 * GIB)])
         c = machine(2, [(0, 12 * GIB)])
-        req = PlacementRequest("vm", 1, 2 * GIB)
-        assert filter_min_segments([a, b, c], req, OPT1) == 1
+        assert filter_min_segments([a, b, c], 2 * GIB, OPT1) == 1
 
     def test_chosen_k_is_minimal_over_random_fleets(self):
         for policy in (OPT1, OPT2):
             rng = random.Random(17)
             for _ in range(200):
                 fleet = [_random_machine(rng, mid) for mid in range(rng.randint(2, 8))]
-                req = PlacementRequest("vm", 1, rng.randint(1, 2048) * (1 << 20))
-                candidates = filter_resources(fleet, req)
+                memory = rng.randint(1, 2048) * (1 << 20)
+                candidates = filter_resources(fleet, 1, memory)
                 if not candidates:
                     continue
                 try:
-                    chosen = filter_min_segments(candidates, req, policy)
+                    chosen = filter_min_segments(candidates, memory, policy)
                 except NoCandidateError:
                     continue
                 peeked = {
-                    m.machine_id: peek_segment_count(m.free_list, req.memory_bytes, policy)
+                    m.machine_id: peek_segment_count(m.free_list, memory, policy)
                     for m in candidates
                 }
                 best = peeked[chosen]
@@ -121,25 +113,24 @@ def _random_machine(rng, mid):
     return machine(mid, spans, cores_free=16, total=total)
 
 
-def walk_pick(fleet, request):
+def walk_pick(fleet, cores, memory):
     """``baseline_pick`` over the walk of a cores-keyed index of ``fleet``,
     as the engine keeps it for the baseline."""
     machines = {m.machine_id: m for m in fleet}
     index = sorted((-m.cores_free, m.machine_id) for m in fleet)
-    return baseline_pick(fitting_machines(machines, index, request, request.cores), request)
+    return baseline_pick(fitting_machines(machines, index, cores, memory, cores))
 
 
 class TestBaselinePick:
     def test_idle_machine_wins(self):
         busy = machine(0, [(0, 8 * GIB)], cores_free=4)
         idle = machine(1, [(0, 8 * GIB)], cores_free=16)
-        req = PlacementRequest("vm", 1, GIB)
-        assert walk_pick([busy, idle], req) == 1
+        assert walk_pick([busy, idle], 1, GIB) == 1
 
     def test_equal_load_takes_lowest_id(self):
         a = machine(5, [(0, 8 * GIB)], cores_free=8)
         b = machine(2, [(0, 8 * GIB)], cores_free=8)
-        assert walk_pick([a, b], PlacementRequest("vm", 1, GIB)) == 2
+        assert walk_pick([a, b], 1, GIB) == 2
 
     def test_matches_argmax_oracle(self):
         rng = random.Random(23)
@@ -148,18 +139,17 @@ class TestBaselinePick:
                 machine(mid, [(0, 8 * GIB)], cores_free=rng.randint(0, 32))
                 for mid in range(rng.randint(1, 10))
             ]
-            request = PlacementRequest("vm", 1, GIB)
-            kept = filter_resources(fleet, request)
+            kept = filter_resources(fleet, 1, GIB)
             if not kept:
                 with pytest.raises(NoCandidateError):
-                    walk_pick(fleet, request)
+                    walk_pick(fleet, 1, GIB)
                 continue
             best = min(kept, key=lambda m: (-m.cores_free, m.machine_id))
-            assert walk_pick(fleet, request) == best.machine_id
+            assert walk_pick(fleet, 1, GIB) == best.machine_id
 
     def test_no_candidate_raises(self):
         with pytest.raises(NoCandidateError):
-            baseline_pick(iter(()), PlacementRequest("vm", 1, GIB))
+            baseline_pick(iter(()))
 
 
 def composition_beats_smallest_log():

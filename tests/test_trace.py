@@ -83,6 +83,23 @@ class TestParseTrace:
         with pytest.raises(TraceFormatError):
             parse_trace("vm1,start,0,0,4096\n")
 
+    @pytest.mark.parametrize(
+        "time,cores,memory",
+        [(0, 0, GIB), (0, -1, GIB), (0, 1, 0), (0, 1, -1), (-1, 1, GIB)],
+        ids=["cores=0", "cores=-1", "memory_bytes=0", "memory_bytes=-1", "time=-1"],
+    )
+    def test_library_and_parser_reject_the_same_starts(self, time, cores, memory):
+        with pytest.raises(ValueError) as built:
+            start_event("vm2", time, cores, memory)
+        assert not isinstance(built.value, TraceFormatError)
+        with pytest.raises(TraceFormatError) as parsed:
+            parse_trace(f"vm1,start,0,1,4096\nvm2,start,{time},{cores},{memory}\n")
+        assert str(parsed.value) == f"line 2: {built.value}"
+        if time == 0:  # a snapshot's VMs all start at time 0
+            with pytest.raises(ValueError) as derived:
+                derive_bootstorm([SnapshotRecord("vm2", cores, memory)], 3600)
+            assert str(derived.value) == str(built.value)
+
     def test_events_sorted_by_time_stable(self):
         text = "b,start,5,1,4096\na,start,2,1,4096\nc,start,5,1,8192\n"
         events = parse_trace(text)
