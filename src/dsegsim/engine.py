@@ -55,8 +55,11 @@ from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocat
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
 
 
-@dataclass
+@dataclass(slots=True)
 class LiveVm:
+    """A placed VM until its stop. Slotted and unhashable; nothing mutates an
+    instance, which a forked replay's ``live`` map shares with its origin."""
+
     machine_id: int
     allocation: VMAllocation
     cores: int

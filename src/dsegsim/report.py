@@ -16,9 +16,13 @@ from typing import Sequence
 from .trace import EventKind, FleetSpec, VmEvent
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VmRecord:
-    """Outcome of one placed VM."""
+    """Outcome of one placed VM.
+
+    Slotted, so mutable and unhashable, but nothing mutates an instance: a
+    replay's record list, the report's tuple and a forked replay's copy of
+    the list share them."""
 
     vm_id: str
     time: int
@@ -183,11 +187,15 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     if fmt == "json":
         payload = summary_dict(report)
-        # The records' own field dicts hold only scalars, so they need no copy,
-        # and the span tuples encode as arrays. json.dumps without indent runs
-        # CPython's C encoder; indent, or json.dump to a file, runs the
-        # pure-Python one.
-        payload["records"] = [vars(r) for r in report.records]
+        # One dict per record, its keys in VmRecord's field order (a slotted
+        # record has no vars()); the span tuples encode as arrays. json.dumps
+        # without indent runs CPython's C encoder; indent, or json.dump to a
+        # file, runs the pure-Python one.
+        payload["records"] = [
+            {"vm_id": r.vm_id, "time": r.time, "machine_id": r.machine_id, "k": r.k,
+             "mode": r.mode, "alloc_latency": r.alloc_latency}
+            for r in report.records
+        ]
         payload["final_free"] = {
             str(m): spans for m, spans in sorted(report.final_free.items())
         }

@@ -54,9 +54,13 @@ class VmMode(Enum):
     FALLBACK = "fallback"  # nested or shadow paging
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentDescriptor:
-    """A contiguous byte range [base, limit) of host physical memory."""
+    """A contiguous byte range [base, limit) of host physical memory.
+
+    Slotted, so mutable and unhashable, but nothing mutates an instance: an
+    exact-fit grant hands out the very descriptor its free list held, and a
+    fork of a replay shares every descriptor of the free lists it copies."""
 
     base: int
     limit: int
@@ -117,9 +121,12 @@ class FreeSegmentList:
             raise ValueError(f"stored max_segment {self.max_segment} differs from the list")
 
 
-@dataclass
+@dataclass(slots=True)
 class VMAllocation:
-    """Host segments granted to one VM, in grant order."""
+    """Host segments granted to one VM, in grant order.
+
+    Slotted and unhashable; nothing mutates an instance, which a replay and
+    its fork share through their maps of live VMs."""
 
     vm_id: str
     segments: tuple[SegmentDescriptor, ...]

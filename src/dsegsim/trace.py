@@ -42,10 +42,20 @@ class EventKind(Enum):
     STOP = "stop"
 
 
-@dataclass(frozen=True)
+# parse_trace's lookup of a row's kind: an EventKind(...) call per row costs
+# more than the row's own checks
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
+@dataclass(slots=True)
 class VmEvent:
-    """One trace event, held to the rules of a trace row: a time of at least
-    0 and, on a start, at least one core and a positive memory demand."""
+    """One trace event, held to the rules of a trace row: an integer time of
+    at least 0; on a start, an integer count of at least one core and a
+    positive integer memory demand; on a stop, neither.
+
+    Slotted, so mutable and unhashable, but nothing mutates an instance: the
+    caller's list, ``engine.event_order``'s sorted copy and the dynamic
+    variant's log share them."""
 
     vm_id: str
     kind: EventKind
@@ -54,13 +64,22 @@ class VmEvent:
     memory_bytes: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.time) is not int:
+            raise ValueError(f"time must be an integer, got {self.time!r}")
         if self.time < 0:
             raise ValueError(f"negative time {self.time}")
         if self.kind is EventKind.START:
+            if type(self.cores) is not int or type(self.memory_bytes) is not int:
+                raise ValueError(
+                    f"a start needs integer cores and memory_bytes, "
+                    f"got {self.cores!r} and {self.memory_bytes!r}"
+                )
             if self.cores < 1:
                 raise ValueError(f"cores must be >= 1, got {self.cores}")
             if self.memory_bytes <= 0:
                 raise ValueError(f"memory_bytes must be positive, got {self.memory_bytes}")
+        elif self.cores is not None or self.memory_bytes is not None:
+            raise ValueError("a stop carries no cores or memory_bytes")
 
 
 def start_event(vm_id: str, time: int, cores: int, memory_bytes: int) -> VmEvent:
@@ -94,27 +113,30 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
     for lineno, row in enumerate(csv.reader(source), start=1):
         if not row or (lineno == 1 and tuple(row) == TRACE_HEADER):
             continue
-        if len(row) not in (3, 5):
-            raise TraceFormatError(lineno, f"expected 3 or 5 fields, got {len(row)}")
-        vm_id, kind = row[0].strip(), row[1].strip().lower()
+        fields = len(row)
+        if fields not in (3, 5):
+            raise TraceFormatError(lineno, f"expected 3 or 5 fields, got {fields}")
+        vm_id = row[0].strip()
         if not vm_id:
             raise TraceFormatError(lineno, "empty vm_id")
+        kind = _KINDS.get(row[1].strip().lower())
         time = _field_int(row, 2, "time", lineno)
-        if kind == "start":
-            if len(row) != 5:
+        if kind is EventKind.START:
+            if fields != 5:
                 raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
-            shape = [_field_int(row, i, TRACE_HEADER[i], lineno) for i in (3, 4)]
+            cores = _field_int(row, 3, "cores", lineno)
+            memory_bytes = _field_int(row, 4, "memory_bytes", lineno)
             if vm_id in started:
                 restarted.add(vm_id)
             started.add(vm_id)
-        elif kind == "stop":
-            if len(row) == 5 and (row[3].strip() or row[4].strip()):
+        elif kind is EventKind.STOP:
+            if fields == 5 and (row[3].strip() or row[4].strip()):
                 raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
-            shape = []
+            cores = memory_bytes = None
         else:
             raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
         try:
-            events.append(VmEvent(vm_id, EventKind(kind), time, *shape))
+            events.append(VmEvent(vm_id, kind, time, cores, memory_bytes))
         except ValueError as exc:  # the event's own checks of its values
             raise TraceFormatError(lineno, str(exc)) from None
         lines.append(lineno)

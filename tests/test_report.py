@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -312,6 +313,16 @@ class TestReportJson:
         assert payload["final_free"]["3"] == [[0, 4096], [8192, GIB]]
         assert payload["records"][1]["alloc_latency"] == 1e-7
         assert payload["out_of_order"] == 2
+
+    def test_records_carry_the_record_fields_in_order(self, tmp_path):
+        """emit writes each record's object field by field; its keys are
+        VmRecord's fields, in declaration order, and its values theirs."""
+        report = hand_built_report()
+        (path,) = emit(report, "json", tmp_path)
+        records = json.loads(path.read_text(encoding="utf-8"))["records"]
+        names = [f.name for f in dataclasses.fields(VmRecord)]
+        assert [list(r) for r in records] == [names] * len(report.records)
+        assert records == [dataclasses.asdict(r) for r in report.records]
 
     def test_one_compact_object(self, tmp_path):
         (path,) = emit(hand_built_report(), "json", tmp_path)

@@ -6,13 +6,19 @@ function reads each of its parameters, so no argument is threaded through
 call sites for nothing. The package root re-exports nothing, every
 definition has a caller outside the tests, so no library code exists only
 for them, and every field has a reader outside the tests, so no value is
-stored that nothing reads.
+stored that nothing reads. The types built once or more per replayed event
+are slotted and not frozen.
 """
 
 import ast
 import collections
 import graphlib
 from pathlib import Path
+
+from dsegsim.engine import LiveVm
+from dsegsim.report import VmRecord
+from dsegsim.segments import SegmentDescriptor, VMAllocation
+from dsegsim.trace import start_event
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dsegsim"
 
@@ -229,3 +235,23 @@ def test_every_field_has_a_reader_outside_the_tests():
         if field not in read
     ]
     assert offenders == []
+
+
+def test_per_event_types_are_slotted():
+    """Instances without a ``__dict__``, built by the plain generated
+    ``__init__``: a frozen dataclass sets each field through
+    ``object.__setattr__``, several times the cost per event."""
+    segment = SegmentDescriptor(0, 4096)
+    allocation = VMAllocation("vm", (segment,))
+    instances = [
+        start_event("vm", 0, 1, 4096),
+        VmRecord("vm", 0, 0, 1, "dsn", 0.0),
+        segment,
+        allocation,
+        LiveVm(0, allocation, 1),
+    ]
+    for obj in instances:
+        cls = type(obj)
+        assert "__slots__" in vars(cls), cls.__name__
+        assert not hasattr(obj, "__dict__"), cls.__name__
+        assert not cls.__dataclass_params__.frozen, cls.__name__

@@ -13,8 +13,10 @@ from dsegsim.trace import (
     FleetSpec,
     Generation,
     SNAPSHOT_HEADER,
+    TRACE_HEADER,
     SnapshotRecord,
     TraceFormatError,
+    VmEvent,
     build_fleet,
     default_fleet_spec,
     derive_bootstorm,
@@ -100,6 +102,34 @@ class TestParseTrace:
                 derive_bootstorm([SnapshotRecord("vm2", cores, memory)], 3600)
             assert str(derived.value) == str(built.value)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("b", EventKind.START, 1.5, 1, GIB),
+            ("b", EventKind.START, True, 1, GIB),
+            ("b", EventKind.STOP, 5.0),
+            ("b", EventKind.START, 0, 1.0, GIB),
+            ("b", EventKind.START, 0, True, GIB),
+            ("b", EventKind.START, 0, 1, float(GIB)),
+            ("b", EventKind.START, 0),
+            ("b", EventKind.START, 0, 1),
+            ("b", EventKind.STOP, 5, 2, GIB),
+            ("b", EventKind.STOP, 5, None, GIB),
+            ("b", EventKind.STOP, 5, 0),
+        ],
+        ids=[
+            "float-time", "bool-time", "float-stop-time", "float-cores", "bool-cores",
+            "float-memory_bytes", "start-without-cores", "start-without-memory_bytes",
+            "stop-with-cores-and-memory", "stop-with-memory", "stop-with-zero-cores",
+        ],
+    )
+    def test_event_holds_only_what_a_row_can(self, args):
+        """No row parses to a non-integer time, cores or memory_bytes, nor
+        to a start without them or a stop with them; no event holds one."""
+        with pytest.raises(ValueError) as built:
+            VmEvent(*args)
+        assert not isinstance(built.value, TraceFormatError)
+
     def test_events_sorted_by_time_stable(self):
         text = "b,start,5,1,4096\na,start,2,1,4096\nc,start,5,1,8192\n"
         events = parse_trace(text)
@@ -113,6 +143,68 @@ class TestParseTrace:
         ]
         text = serialize_trace(events)
         assert serialize_trace(parse_trace(text)) == text
+
+
+def trace_cases():
+    """(trace text, then for a rejected trace the line and the message of its
+    TraceFormatError, for an accepted one None twice): one case per way a row
+    can be rejected for its format, and the accepted forms."""
+    header, good = ",".join(TRACE_HEADER), f"vm1,start,0,2,{2 * GIB}"
+    yield pytest.param(f"{header}\n{good}\nvm1,stop,10\n", None, None, id="with-header")
+    yield pytest.param(f"{good}\nvm1,stop,10,,\n", None, None, id="padded-stop")
+    yield pytest.param(
+        f"vm1,START,0,2,{2 * GIB}\nvm1,Stop,10\n", None, None, id="upper-case-kind"
+    )
+    for row in ("vm2,start", "vm2,start,5,1", "vm2,start,5,1,4096,"):
+        fields = row.count(",") + 1
+        yield pytest.param(
+            f"{good}\n{row}\n", 2, f"expected 3 or 5 fields, got {fields}",
+            id=f"{fields}-fields",
+        )
+    yield pytest.param(f"{good}\n ,start,5,1,4096\n", 2, "empty vm_id", id="empty-vm_id")
+    for i, name in enumerate(("time", "cores", "memory_bytes")):
+        for value in ("x", "1.5"):
+            row = ["vm2", "start", "5", "1", "4096"]
+            row[2 + i] = value
+            yield pytest.param(
+                f"{header}\n{good}\n{','.join(row)}\n", 3, f"bad {name} in {row!r}",
+                id=f"{name}={value}",
+            )
+    yield pytest.param(
+        f"{good}\nvm1,stop,x\n", 2, f"bad time in {['vm1', 'stop', 'x']!r}",
+        id="stop-time=x",
+    )
+    yield pytest.param(
+        f"{good}\nvm2,start,5\n", 2, "start row needs cores and memory_bytes",
+        id="3-field-start",
+    )
+    for payload in ("1,", ",4096", "1,4096"):
+        yield pytest.param(
+            f"{good}\nvm1,stop,10,{payload}\n", 2,
+            "stop row must leave cores and memory empty", id=f"stop-with-{payload}",
+        )
+    yield pytest.param(
+        f"{good}\nvm2,reboot,5,1,4096\n", 2, "unknown event kind 'reboot'",
+        id="unknown-kind",
+    )
+    # the time is checked before the kind
+    yield pytest.param(
+        f"{good}\nvm2,reboot,x\n", 2, f"bad time in {['vm2', 'reboot', 'x']!r}",
+        id="unknown-kind-time=x",
+    )
+
+
+class TestTraceFormat:
+    @pytest.mark.parametrize("text,line,reason", trace_cases())
+    def test_accepted_format(self, text, line, reason):
+        if line is None:
+            assert parse_trace(text) == [
+                start_event("vm1", 0, 2, 2 * GIB), stop_event("vm1", 10),
+            ]
+        else:
+            with pytest.raises(TraceFormatError, match=f"^line {line}: ") as exc:
+                parse_trace(text)
+            assert str(exc.value) == f"line {line}: {reason}"
 
 
 def snapshot_row(vm_id="vm1", **values):
