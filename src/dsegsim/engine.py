@@ -54,6 +54,10 @@ from .scheduler import (
 from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
 
+# VmRecord.mode's strings, read once rather than through the Enum per start
+_DSN = VmMode.DSN.value
+_FALLBACK = VmMode.FALLBACK.value
+
 
 @dataclass(slots=True)
 class LiveVm:
@@ -182,9 +186,9 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     machine.cores_free -= event.cores
     _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
-    mode = VmMode.DSN if alloc.k <= state.config.n else VmMode.FALLBACK
+    mode = _DSN if alloc.k <= state.config.n else _FALLBACK
     state.records.append(
-        VmRecord(event.vm_id, event.time, machine_id, alloc.k, mode.value, latency)
+        VmRecord(event.vm_id, event.time, machine_id, alloc.k, mode, latency)
     )
 
 

@@ -6,11 +6,19 @@ exact-size segment when one exists, otherwise the low end of the largest
 sufficiently large segment, otherwise a policy-driven composition of several
 segments. Releases re-insert segments and merge them with abutting
 neighbours, so the list never contains two adjacent free ranges.
+
+A grant is planned on a list of the free segments' sizes kept in step with
+the free list, so each search for an exact fit, the largest segment or the
+smallest ones is one list operation (``in``, ``max``, ``index``, a sort of
+indices) rather than a loop over descriptors. A placement dry run only counts
+the segments a grant would take, from the sorted sizes, without copying the
+list or planning the grant.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -158,50 +166,49 @@ def new_machine(total_bytes: int, reserved_bytes: int, machine_id: int = 0) -> F
     return FreeSegmentList(machine_id, total_bytes, reserved_bytes, [seg])
 
 
+_base = operator.attrgetter("base")
+
+
 def _max_size(free: list[SegmentDescriptor]) -> int:
     return max((s.limit - s.base for s in free), default=0)
-
-
-def _fit(free: list[SegmentDescriptor], size: int) -> tuple[int, int]:
-    """One scan for a segment to cover ``size`` bytes: ``(i, -1)`` for the
-    first segment of exactly ``size`` bytes, else ``(-1, j)`` for the largest
-    segment bigger than ``size``, -1 when none is. The list is base-ordered,
-    so ties go to the lowest base."""
-    best = -1
-    best_size = size
-    for i, seg in enumerate(free):
-        seg_size = seg.limit - seg.base
-        if seg_size == size:
-            return i, -1
-        if seg_size > best_size:
-            best = i
-            best_size = seg_size
-    return -1, best
 
 
 def _plan(
     free: list[SegmentDescriptor],
     demand: int,
     policy: AllocationPolicy,
+    sizes: list[int] | None = None,
 ) -> list[SegmentDescriptor]:
     """Take ``demand`` bytes out of ``free``, in place, and return the grants.
+
+    ``sizes`` holds each free segment's size, in list order; it is built from
+    ``free`` when not given, and kept in step with ``free`` as segments are
+    taken or split. Every search runs on it: ``index`` finds the first, so
+    lowest-base, segment of a size, and the smallest-first composition sorts
+    indices stably by size, so its ties go to the lowest base too.
 
     The caller checks ``demand`` against the stored free bytes first; the
     list running out anyway means that counter was wrong.
     """
+    if sizes is None:
+        sizes = [s.limit - s.base for s in free]
     grants: list[SegmentDescriptor] = []
     remaining = demand
     while True:
-        exact, bigger = _fit(free, remaining)
-        if exact >= 0:
-            grants.append(free.pop(exact))
+        if remaining in sizes:
+            i = sizes.index(remaining)
+            del sizes[i]
+            grants.append(free.pop(i))
             return grants
-        if bigger >= 0:
+        largest = max(sizes, default=0)
+        if largest > remaining:
             # Grant the low end; the remainder keeps the split segment's slot,
             # which leaves the list ordered by base.
-            base, limit = free[bigger].base, free[bigger].limit
+            i = sizes.index(largest)
+            base, limit = free[i].base, free[i].limit
             grants.append(SegmentDescriptor(base, base + remaining))
-            free[bigger] = SegmentDescriptor(base + remaining, limit)
+            free[i] = SegmentDescriptor(base + remaining, limit)
+            sizes[i] = largest - remaining
             return grants
         # No single segment covers the demand: compose one per policy.
         if not free:
@@ -209,15 +216,20 @@ def _plan(
                 f"free list ran out {remaining} bytes short of its free_bytes counter"
             )
         if policy is AllocationPolicy.SMALLEST_FIRST:
-            for seg in sorted(free, key=lambda s: (s.size, s.base)):
-                if seg.size >= remaining:
+            taken = []
+            for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+                if sizes[i] >= remaining:
                     break
-                free.remove(seg)
-                grants.append(seg)
-                remaining -= seg.size
+                taken.append(i)
+                remaining -= sizes[i]
+            grants += [free[i] for i in taken]
+            for i in sorted(taken, reverse=True):
+                del free[i], sizes[i]
         else:
-            grants.append(free.pop(_fit(free, 0)[1]))
-            remaining -= grants[-1].size
+            i = sizes.index(largest)
+            del sizes[i]
+            grants.append(free.pop(i))
+            remaining -= largest
 
 
 def allocate(
@@ -241,9 +253,10 @@ def allocate(
             f"machine {flist.machine_id}: demand {demand} exceeds "
             f"{flist.free_bytes} free bytes"
         )
-    grants = _plan(flist.segments, demand, policy)
+    sizes = [s.limit - s.base for s in flist.segments]
+    grants = _plan(flist.segments, demand, policy, sizes)
     flist.free_bytes -= demand
-    flist.max_segment = _max_size(flist.segments)
+    flist.max_segment = max(sizes, default=0)
     return VMAllocation(vm_id=vm_id, segments=tuple(grants))
 
 
@@ -252,30 +265,60 @@ def peek_segment_count(
 ) -> int | None:
     """Number of segments allocate() would grant, without mutating the list.
 
-    Returns None when the demand is infeasible on this machine.
+    Returns None when the demand is infeasible on this machine. The count
+    comes from the sorted sizes, not from a plan run on a copy: 1 when some
+    segment covers the demand, else 1 plus the number of smallest (opt1) or
+    largest (opt2) sizes a composition takes while each is below what
+    remains of the demand. Raises AllocatorError, as allocate() does, when
+    the list runs out before its free_bytes counter.
     """
     if demand <= 0:
         raise InvalidSizeError(f"demand must be positive, got {demand}")
     if demand > flist.free_bytes:
         return None
-    return len(_plan(list(flist.segments), demand, policy))
+    sizes = sorted([s.limit - s.base for s in flist.segments])
+    if sizes and sizes[-1] >= demand:
+        return 1
+    if policy is AllocationPolicy.LARGEST_FIRST:
+        sizes.reverse()
+    count = 1
+    remaining = demand
+    for size in sizes:
+        if size >= remaining:
+            return count
+        remaining -= size
+        count += 1
+    raise AllocatorError(
+        f"free list ran out {remaining} bytes short of its free_bytes counter"
+    )
 
 
 def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList:
     """Return an allocation's segments to the free list, coalescing at every
     coincident border.
 
-    Raises OverlapError (leaving the list unchanged) if any released segment
-    intersects a free segment, which signals a double free.
+    Raises OverlapError if a released segment intersects a free segment or
+    another released one, which signals a double free, and InvalidSizeError
+    if one lies outside ``[reserved_bytes, total_bytes)``; either way the list
+    is left unchanged.
     """
     free = flist.segments
-    for seg in allocation.segments:
-        i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
+    segs = sorted(allocation.segments, key=_base)
+    for a, b in zip(segs, segs[1:]):
+        if b.base < a.limit:
+            raise OverlapError(f"released {a} and {b} overlap")
+    if segs and (segs[0].base < flist.reserved_bytes or segs[-1].limit > flist.total_bytes):
+        raise InvalidSizeError(
+            f"released segments span [{segs[0].base:#x}, {segs[-1].limit:#x}), outside "
+            f"the user region [{flist.reserved_bytes:#x}, {flist.total_bytes:#x})"
+        )
+    for seg in segs:
+        i = bisect.bisect_right(free, seg.base, key=_base)
         if i > 0 and free[i - 1].limit > seg.base:
             raise OverlapError(f"released {seg} overlaps free {free[i - 1]}")
         if i < len(free) and seg.limit > free[i].base:
             raise OverlapError(f"released {seg} overlaps free {free[i]}")
-    for seg in sorted(allocation.segments, key=lambda s: s.base):
+    for seg in segs:
         merged = _insert_coalescing(free, seg)
         flist.free_bytes += seg.size
         flist.max_segment = max(flist.max_segment, merged.size)
@@ -287,7 +330,7 @@ def _insert_coalescing(
 ) -> SegmentDescriptor:
     """Insert ``seg`` and merge it with abutting neighbours; returns the
     merged segment."""
-    i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
+    i = bisect.bisect_right(free, seg.base, key=_base)
     base, limit = seg.base, seg.limit
     lo = i
     if i > 0 and free[i - 1].limit == base:

@@ -143,6 +143,25 @@ class TestRelease:
             release(fl, _alloc(SegmentDescriptor(GIB, 3 * GIB)))
         assert spans(fl) == [(0, 2 * GIB)]
 
+    def test_overlapping_released_segments_raise_and_leave_list_unchanged(self):
+        fl = new_machine(1 << 30, 0)
+        seg = allocate(fl, "a", 1 << 20, OPT1).segments[0]
+        before = (spans(fl), fl.free_bytes, fl.max_segment)
+        with pytest.raises(OverlapError):
+            release(fl, VMAllocation("a", (seg, seg)))
+        assert (spans(fl), fl.free_bytes, fl.max_segment) == before
+        fl.check_invariants()
+
+    @pytest.mark.parametrize("span", [(0, PAGE_SIZE), (1 << 30, (1 << 30) + PAGE_SIZE)],
+                             ids=["below-reserved", "past-total"])
+    def test_segment_outside_user_region_raises_and_leaves_list_unchanged(self, span):
+        fl = new_machine(1 << 30, 1 << 20)
+        before = (spans(fl), fl.free_bytes, fl.max_segment)
+        with pytest.raises(InvalidSizeError):
+            release(fl, _alloc(SegmentDescriptor(*span)))
+        assert (spans(fl), fl.free_bytes, fl.max_segment) == before
+        fl.check_invariants()
+
     def test_release_of_multi_segment_allocation(self):
         fl = flist((0, GIB), (2 * GIB, 3 * GIB), (4 * GIB, 6 * GIB))
         alloc = allocate(fl, "vm", 3 * GIB, OPT1)
@@ -168,12 +187,13 @@ class TestPeek:
 
 
 def random_free_list(rng):
-    """Up to 10 free segments of odd byte sizes, each after a gap of at least
+    """Up to 40 free segments (a fragmented machine of the ``fragment``
+    workload holds up to 39) of odd byte sizes, each after a gap of at least
     one byte; sizes repeat often, so exact fits and size ties occur."""
     common = [rng.randint(1, 9000) for _ in range(3)]
     spans = []
     cursor = 0
-    for _ in range(rng.randint(0, 10)):
+    for _ in range(rng.randint(0, 40)):
         base = cursor + rng.randint(1, 5000)
         cursor = base + rng.choice((rng.randint(1, 9000), rng.choice(common)))
         spans.append((base, cursor))
@@ -181,20 +201,27 @@ def random_free_list(rng):
 
 
 class TestPlanMatchesTheCopyingPlanner:
-    """``_plan`` edits the list in place with one scan per fit; it grants,
-    and leaves, what the copying, two-scan planner does."""
+    """``_plan`` edits the list in place on a sizes list kept in step with
+    it, and ``peek_segment_count`` only counts; they grant, leave and count
+    what the copying, two-scan planner does."""
 
     @pytest.mark.parametrize("policy", [OPT1, OPT2], ids=lambda p: p.value)
     def test_grants_and_remaining_list(self, policy):
         rng = random.Random(23)
-        seen = dict.fromkeys(("exact", "split", "composed", "infeasible"), 0)
-        for _ in range(3000):
+        seen = dict.fromkeys(
+            ("exact", "split", "composed", "k>=4", "composed, exact last", "infeasible"), 0
+        )
+        for _ in range(4000):
             fl = random_free_list(rng)
             sizes = [s.size for s in fl.segments]
+            # the last choice sums the sizes a composition takes first, so
+            # that compositions often end in an exact fit
+            taken_first = sorted(sizes, reverse=policy is OPT2)
             demand = rng.choice([
                 rng.randint(1, fl.free_bytes + 10),
                 rng.choice(sizes or [1]),
                 rng.randint(max(sizes, default=0) + 1, fl.free_bytes + 1),
+                sum(taken_first[:rng.randint(2, max(2, len(sizes)))]) or 1,
             ])
             before = list(fl.segments)
             expected = plan_by_copy(before, demand, policy)
@@ -210,6 +237,8 @@ class TestPlanMatchesTheCopyingPlanner:
             grants, remaining = expected
             if len(grants) > 1:
                 seen["composed"] += 1
+                seen["k>=4"] += len(grants) >= 4
+                seen["composed, exact last"] += grants[-1] in before
             else:
                 seen["exact" if grants[0] in before else "split"] += 1
             free = list(before)
