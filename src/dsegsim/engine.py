@@ -54,9 +54,14 @@ from .scheduler import (
 from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
 
-# VmRecord.mode's strings, read once rather than through the Enum per start
+# VmRecord.mode's strings and the Enum members tested per event, read once
+# rather than through their classes per event
 _DSN = VmMode.DSN.value
 _FALLBACK = VmMode.FALLBACK.value
+_START = EventKind.START
+_STOP = EventKind.STOP
+_BASELINE = SimVariant.BASELINE
+_DYNAMIC = SimVariant.DYNAMIC
 
 
 @dataclass(slots=True)
@@ -135,7 +140,7 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
     and counted as out of order."""
     if event.time < state.clock:
         state.out_of_order += 1
-    if state.variant is SimVariant.DYNAMIC:
+    if state.variant is _DYNAMIC:
         if event.time >= state.next_reselect:
             # one reselection over the logged events, none for the empty
             # periods after it
@@ -150,7 +155,7 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
             state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
     state.clock = max(state.clock, event.time)
-    if event.kind is EventKind.STOP:
+    if event.kind is _STOP:
         _stop_vm(state, event)
     else:
         _start_vm(state, event)
@@ -165,7 +170,7 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
         memory += PAGE_SIZE - memory % PAGE_SIZE
     policy = state.config.current_policy
-    baseline = state.variant is SimVariant.BASELINE
+    baseline = state.variant is _BASELINE
     stop = event.cores if baseline else memory
     candidates = fitting_machines(state.machines, state.index, event.cores, memory, stop)
     try:
@@ -186,10 +191,9 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     machine.cores_free -= event.cores
     _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
-    mode = _DSN if alloc.k <= state.config.n else _FALLBACK
-    state.records.append(
-        VmRecord(event.vm_id, event.time, machine_id, alloc.k, mode, latency)
-    )
+    k = len(alloc.segments)
+    mode = _DSN if k <= state.config.n else _FALLBACK
+    state.records.append(VmRecord(event.vm_id, event.time, machine_id, k, mode, latency))
 
 
 def _grant(
@@ -251,7 +255,7 @@ def _stop_vm(state: SimulationState, event: VmEvent) -> None:
 def event_order(events: list[VmEvent]) -> list[VmEvent]:
     """Replay order: by time, stops before starts, then input order (the
     sort is stable)."""
-    return sorted(events, key=lambda e: (e.time, e.kind is EventKind.START))
+    return sorted(events, key=lambda e: (e.time, e.kind is _START))
 
 
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
@@ -321,7 +325,7 @@ def reselect_option(
         ks = [r.k for r in drained]
         if any(k > 1 for k in ks):
             fork = new_state(fleet_spec, challenger, n), 0
-    elif any(e.kind is EventKind.START for e in events):
+    elif any(e.kind is _START for e in events):
         state = new_state(fleet_spec, SimVariant(current.value), n)
         for i, k in _replay(state, events):
             if k > 1 and fork is None:
@@ -343,7 +347,7 @@ def _replay(
         event = events[i]
         placed = len(records)
         step(state, event)
-        if event.kind is EventKind.START:
+        if event.kind is _START:
             yield i, records[-1].k if len(records) > placed else 0
 
 
@@ -383,7 +387,7 @@ def _outscores(
     n = state.config.n
     mine = sum(r.k <= n for r in state.records)
     segments = sum(r.k for r in state.records)
-    left = sum(e.kind is EventKind.START for e in events[start:])
+    left = sum(e.kind is _START for e in events[start:])
     for _, k in _replay(state, events, start):
         left -= 1
         mine += 0 < k <= n

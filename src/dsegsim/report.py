@@ -183,7 +183,6 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hist = segment_histogram(report)
     written: list[Path] = []
     if fmt == "json":
         payload = summary_dict(report)
@@ -211,6 +210,7 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
+        hist = segment_histogram(report)
         path = out / "histogram.csv"
         path.write_text(
             "pct_1,pct_2,pct_3,pct_gt3\n"
@@ -232,6 +232,7 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
         )
         written.append(path)
     elif fmt == "plotdata":
+        hist = segment_histogram(report)
         path = out / "histogram.dat"
         lines = ["# segments percent_of_placed_vms (bucket 4 aggregates k > 3)"]
         lines += [

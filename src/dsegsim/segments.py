@@ -7,12 +7,15 @@ sufficiently large segment, otherwise a policy-driven composition of several
 segments. Releases re-insert segments and merge them with abutting
 neighbours, so the list never contains two adjacent free ranges.
 
-A grant is planned on a list of the free segments' sizes kept in step with
-the free list, so each search for an exact fit, the largest segment or the
-smallest ones is one list operation (``in``, ``max``, ``index``, a sort of
-indices) rather than a loop over descriptors. A placement dry run only counts
-the segments a grant would take, from the sorted sizes, without copying the
-list or planning the grant.
+Each free list stores its segments' sizes beside the descriptors, and every
+grant and release edits the two in step, so a grant's search for an exact
+fit, the largest segment or the smallest ones is one list operation (``in``,
+``max``, ``index``, a sort of indices) rather than a loop over descriptors. A
+placement dry run only counts the segments a grant would take, from the
+sorted sizes, without copying the list or planning the grant. A release
+bisects each released segment once, in the unchanged list, then inserts the
+segments from the highest base down, so that no insertion moves the slot
+found for a segment still to come.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ class VmMode(Enum):
     FALLBACK = "fallback"  # nested or shadow paging
 
 
+# the composition policies, read once rather than through the Enum per grant
+_SMALLEST_FIRST = AllocationPolicy.SMALLEST_FIRST
+_LARGEST_FIRST = AllocationPolicy.LARGEST_FIRST
+
+
 @dataclass(slots=True)
 class SegmentDescriptor:
     """A contiguous byte range [base, limit) of host physical memory.
@@ -90,9 +98,11 @@ class FreeSegmentList:
 
     ``reserved_bytes`` is the privileged region at the bottom of physical
     memory (hypervisor plus management tasks); it is never part of the list.
-    ``free_bytes`` and ``max_segment`` (the size of the largest free segment,
-    0 when none) are stored counters: the constructor computes them from
-    ``segments``, and ``allocate`` and ``release`` keep them up to date.
+    ``sizes`` holds each free segment's size, in list order; ``free_bytes``
+    and ``max_segment`` (the size of the largest free segment, 0 when none)
+    are stored counters. The constructor, ``dataclasses.replace`` included,
+    computes all three from ``segments``, and ``allocate`` and ``release``
+    keep them in step with it.
     """
 
     machine_id: int
@@ -101,10 +111,12 @@ class FreeSegmentList:
     segments: list[SegmentDescriptor] = field(default_factory=list)
     free_bytes: int = field(init=False)
     max_segment: int = field(init=False)
+    sizes: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.free_bytes = sum(s.size for s in self.segments)
-        self.max_segment = _max_size(self.segments)
+        self.sizes = [s.limit - s.base for s in self.segments]
+        self.free_bytes = sum(self.sizes)
+        self.max_segment = max(self.sizes, default=0)
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
         """Free memory as (base, limit) byte ranges, ascending."""
@@ -123,9 +135,12 @@ class FreeSegmentList:
             prev = seg
         if self.free_bytes > self.total_bytes - self.reserved_bytes:
             raise ValueError("free bytes exceed the user region")
-        if self.free_bytes != sum(s.size for s in self.segments):
+        sizes = [s.size for s in self.segments]
+        if self.sizes != sizes:
+            raise ValueError(f"stored sizes {self.sizes} differ from the list")
+        if self.free_bytes != sum(sizes):
             raise ValueError(f"stored free_bytes {self.free_bytes} differs from the list")
-        if self.max_segment != _max_size(self.segments):
+        if self.max_segment != max(sizes, default=0):
             raise ValueError(f"stored max_segment {self.max_segment} differs from the list")
 
 
@@ -169,29 +184,23 @@ def new_machine(total_bytes: int, reserved_bytes: int, machine_id: int = 0) -> F
 _base = operator.attrgetter("base")
 
 
-def _max_size(free: list[SegmentDescriptor]) -> int:
-    return max((s.limit - s.base for s in free), default=0)
-
-
 def _plan(
     free: list[SegmentDescriptor],
+    sizes: list[int],
     demand: int,
     policy: AllocationPolicy,
-    sizes: list[int] | None = None,
 ) -> list[SegmentDescriptor]:
     """Take ``demand`` bytes out of ``free``, in place, and return the grants.
 
-    ``sizes`` holds each free segment's size, in list order; it is built from
-    ``free`` when not given, and kept in step with ``free`` as segments are
-    taken or split. Every search runs on it: ``index`` finds the first, so
-    lowest-base, segment of a size, and the smallest-first composition sorts
-    indices stably by size, so its ties go to the lowest base too.
+    ``sizes`` holds each free segment's size, in list order, and is kept in
+    step with ``free`` as segments are taken or split. Every search runs on
+    it: ``index`` finds the first, so lowest-base, segment of a size, and the
+    smallest-first composition sorts indices stably by size, so its ties go
+    to the lowest base too.
 
     The caller checks ``demand`` against the stored free bytes first; the
     list running out anyway means that counter was wrong.
     """
-    if sizes is None:
-        sizes = [s.limit - s.base for s in free]
     grants: list[SegmentDescriptor] = []
     remaining = demand
     while True:
@@ -215,7 +224,7 @@ def _plan(
             raise AllocatorError(
                 f"free list ran out {remaining} bytes short of its free_bytes counter"
             )
-        if policy is AllocationPolicy.SMALLEST_FIRST:
+        if policy is _SMALLEST_FIRST:
             taken = []
             for i in sorted(range(len(sizes)), key=sizes.__getitem__):
                 if sizes[i] >= remaining:
@@ -253,8 +262,8 @@ def allocate(
             f"machine {flist.machine_id}: demand {demand} exceeds "
             f"{flist.free_bytes} free bytes"
         )
-    sizes = [s.limit - s.base for s in flist.segments]
-    grants = _plan(flist.segments, demand, policy, sizes)
+    sizes = flist.sizes
+    grants = _plan(flist.segments, sizes, demand, policy)
     flist.free_bytes -= demand
     flist.max_segment = max(sizes, default=0)
     return VMAllocation(vm_id=vm_id, segments=tuple(grants))
@@ -276,11 +285,9 @@ def peek_segment_count(
         raise InvalidSizeError(f"demand must be positive, got {demand}")
     if demand > flist.free_bytes:
         return None
-    sizes = sorted([s.limit - s.base for s in flist.segments])
-    if sizes and sizes[-1] >= demand:
+    if flist.max_segment >= demand:
         return 1
-    if policy is AllocationPolicy.LARGEST_FIRST:
-        sizes.reverse()
+    sizes = sorted(flist.sizes, reverse=policy is _LARGEST_FIRST)
     count = 1
     remaining = demand
     for size in sizes:
@@ -301,6 +308,13 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
     another released one, which signals a double free, and InvalidSizeError
     if one lies outside ``[reserved_bytes, total_bytes)``; either way the list
     is left unchanged.
+
+    Each released segment is bisected once, into its slot in the unchanged
+    list, and the segments go in from the highest base down. An insertion
+    edits its own slot and the one below it. No insertion before it touched
+    the slot below, and whatever range now fills its own slot starts where
+    the next free memory above it starts, so comparing bases still finds
+    every border.
     """
     free = flist.segments
     segs = sorted(allocation.segments, key=_base)
@@ -312,34 +326,28 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
             f"released segments span [{segs[0].base:#x}, {segs[-1].limit:#x}), outside "
             f"the user region [{flist.reserved_bytes:#x}, {flist.total_bytes:#x})"
         )
+    slots = []
     for seg in segs:
         i = bisect.bisect_right(free, seg.base, key=_base)
         if i > 0 and free[i - 1].limit > seg.base:
             raise OverlapError(f"released {seg} overlaps free {free[i - 1]}")
         if i < len(free) and seg.limit > free[i].base:
             raise OverlapError(f"released {seg} overlaps free {free[i]}")
-    for seg in segs:
-        merged = _insert_coalescing(free, seg)
-        flist.free_bytes += seg.size
-        flist.max_segment = max(flist.max_segment, merged.size)
+        slots.append(i)
+    sizes = flist.sizes
+    largest = flist.max_segment
+    for seg, lo in zip(reversed(segs), reversed(slots)):
+        base, limit = seg.base, seg.limit
+        flist.free_bytes += limit - base
+        hi = lo
+        if lo > 0 and free[lo - 1].limit == base:
+            lo -= 1
+            base = free[lo].base
+        if hi < len(free) and free[hi].base == limit:
+            limit = free[hi].limit
+            hi += 1
+        free[lo:hi] = [SegmentDescriptor(base, limit)]
+        sizes[lo:hi] = [limit - base]
+        largest = max(largest, limit - base)
+    flist.max_segment = largest
     return flist
-
-
-def _insert_coalescing(
-    free: list[SegmentDescriptor], seg: SegmentDescriptor
-) -> SegmentDescriptor:
-    """Insert ``seg`` and merge it with abutting neighbours; returns the
-    merged segment."""
-    i = bisect.bisect_right(free, seg.base, key=_base)
-    base, limit = seg.base, seg.limit
-    lo = i
-    if i > 0 and free[i - 1].limit == base:
-        base = free[i - 1].base
-        lo = i - 1
-    hi = i
-    if i < len(free) and free[i].base == limit:
-        limit = free[i].limit
-        hi = i + 1
-    merged = SegmentDescriptor(base, limit)
-    free[lo:hi] = [merged]
-    return merged

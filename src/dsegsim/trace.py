@@ -43,8 +43,11 @@ class EventKind(Enum):
 
 
 # parse_trace's lookup of a row's kind: an EventKind(...) call per row costs
-# more than the row's own checks
+# more than the row's own checks; the members, read once rather than through
+# the class per event
 _KINDS = {kind.value: kind for kind in EventKind}
+_START = EventKind.START
+_STOP = EventKind.STOP
 
 
 @dataclass(slots=True)
@@ -68,7 +71,7 @@ class VmEvent:
             raise ValueError(f"time must be an integer, got {self.time!r}")
         if self.time < 0:
             raise ValueError(f"negative time {self.time}")
-        if self.kind is EventKind.START:
+        if self.kind is _START:
             if type(self.cores) is not int or type(self.memory_bytes) is not int:
                 raise ValueError(
                     f"a start needs integer cores and memory_bytes, "
@@ -121,7 +124,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             raise TraceFormatError(lineno, "empty vm_id")
         kind = _KINDS.get(row[1].strip().lower())
         time = _field_int(row, 2, "time", lineno)
-        if kind is EventKind.START:
+        if kind is _START:
             if fields != 5:
                 raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
             cores = _field_int(row, 3, "cores", lineno)
@@ -129,7 +132,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             if vm_id in started:
                 restarted.add(vm_id)
             started.add(vm_id)
-        elif kind is EventKind.STOP:
+        elif kind is _STOP:
             if fields == 5 and (row[3].strip() or row[4].strip()):
                 raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
             cores = memory_bytes = None
@@ -142,7 +145,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
         lines.append(lineno)
     if restarted:  # replay the VMs that start more than once
         order = sorted(
-            (e.time, e.kind is EventKind.START, i)
+            (e.time, e.kind is _START, i)
             for i, e in enumerate(events)
             if e.vm_id in restarted
         )

@@ -1,11 +1,13 @@
 """Slow references for the fast paths: a page-granularity bitmap mirror that
 cross-checks both allocators, the segment allocator's plan on a copy of the
-free list with two scans per fit, the fleet-wide resource filter that the
-placement index's walk must agree with, policy reselection by two full
-replays, and report.json's payload built by deep copy."""
+free list with two scans per fit, its release with two bisects per segment,
+the fleet-wide resource filter that the placement index's walk must agree
+with, policy reselection by two full replays, and report.json's payload
+built by deep copy."""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict
 
 import numpy as np
@@ -13,7 +15,13 @@ import numpy as np
 from dsegsim import engine
 from dsegsim.report import summary_dict
 from dsegsim.scheduler import SimVariant
-from dsegsim.segments import PAGE_SIZE, AllocationPolicy, SegmentDescriptor
+from dsegsim.segments import (
+    PAGE_SIZE,
+    AllocationPolicy,
+    InvalidSizeError,
+    OverlapError,
+    SegmentDescriptor,
+)
 
 
 class BitmapOracle:
@@ -118,6 +126,34 @@ def plan_by_copy(segments, demand, policy):
         else:
             grants.append(free.pop(_largest(free, 0)))
             remaining -= grants[-1].size
+
+
+def release_two_pass(flist, released):
+    """The free list that releasing ``released`` into ``flist`` leaves, as
+    release was first written, on a copy: every segment checked against its
+    neighbours, then each inserted lowest base first, bisected again and
+    merged with the neighbours it abuts. Raises what release raises."""
+    free = list(flist.segments)
+    segs = sorted(released, key=lambda s: s.base)
+    for a, b in zip(segs, segs[1:]):
+        if b.base < a.limit:
+            raise OverlapError(f"released {a} and {b} overlap")
+    if segs and (segs[0].base < flist.reserved_bytes or segs[-1].limit > flist.total_bytes):
+        raise InvalidSizeError(f"released segments outside the user region: {segs}")
+    for seg in segs:
+        i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
+        if i > 0 and free[i - 1].limit > seg.base or i < len(free) and seg.limit > free[i].base:
+            raise OverlapError(f"released {seg} overlaps a free segment")
+    for seg in segs:
+        i = bisect.bisect_right(free, seg.base, key=lambda s: s.base)
+        base, limit = seg.base, seg.limit
+        lo = hi = i
+        if i > 0 and free[i - 1].limit == base:
+            lo, base = i - 1, free[i - 1].base
+        if i < len(free) and free[i].base == limit:
+            hi, limit = i + 1, free[i].limit
+        free[lo:hi] = [SegmentDescriptor(base, limit)]
+    return free
 
 
 def filter_resources(machines, cores, memory) -> list:

@@ -532,6 +532,34 @@ class TestGoldenOutput:
         assert {policy for _, policy in dynamic.option_switches} == {"opt1", "opt2"}
 
 
+class TestWholeReplayInvariants:
+    """Every free list stays ordered, coalesced and in step with its stored
+    sizes and counters, and the placement index with the machines, after
+    every event of a replay that composes grants, rejects VMs and switches
+    policy."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2, SimVariant.DYNAMIC],
+        ids=lambda v: v.value,
+    )
+    def test_invariants_hold_after_every_step(self, variant):
+        make_events, spec, period = GOLDEN_TRACES["memory"]
+        state = new_state(spec, variant, 3, period)
+        policies = [state.config.current_policy]
+        for event in event_order(make_events()):
+            step(state, event)
+            for m in state.machines:
+                m.free_list.check_invariants()
+            assert state.index == sorted((-m.free_bytes, m.machine_id) for m in state.machines)
+            if state.config.current_policy is not policies[-1]:
+                policies.append(state.config.current_policy)
+        assert any(r.k > 1 for r in state.records)
+        assert state.rejections > 0
+        if variant is SimVariant.DYNAMIC:  # switched to opt2 and back
+            assert len(policies) >= 3
+
+
 def random_fleet_and_trace(rng):
     """2-12 machines in two generations of identical machines (ties on free
     bytes), some with fewer cores than a VM asks for, and more memory

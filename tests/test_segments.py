@@ -1,3 +1,4 @@
+import bisect
 import copy
 import hashlib
 import random
@@ -22,7 +23,7 @@ from dsegsim.segments import (
     peek_segment_count,
     release,
 )
-from oracle import BitmapOracle, plan_by_copy
+from oracle import BitmapOracle, plan_by_copy, release_two_pass
 
 GIB = 1 << 30
 OPT1 = AllocationPolicy.SMALLEST_FIRST
@@ -142,24 +143,25 @@ class TestRelease:
         with pytest.raises(OverlapError):
             release(fl, _alloc(SegmentDescriptor(GIB, 3 * GIB)))
         assert spans(fl) == [(0, 2 * GIB)]
+        assert fl.sizes == [2 * GIB]
 
     def test_overlapping_released_segments_raise_and_leave_list_unchanged(self):
         fl = new_machine(1 << 30, 0)
         seg = allocate(fl, "a", 1 << 20, OPT1).segments[0]
-        before = (spans(fl), fl.free_bytes, fl.max_segment)
+        before = (spans(fl), list(fl.sizes), fl.free_bytes, fl.max_segment)
         with pytest.raises(OverlapError):
             release(fl, VMAllocation("a", (seg, seg)))
-        assert (spans(fl), fl.free_bytes, fl.max_segment) == before
+        assert (spans(fl), fl.sizes, fl.free_bytes, fl.max_segment) == before
         fl.check_invariants()
 
     @pytest.mark.parametrize("span", [(0, PAGE_SIZE), (1 << 30, (1 << 30) + PAGE_SIZE)],
                              ids=["below-reserved", "past-total"])
     def test_segment_outside_user_region_raises_and_leaves_list_unchanged(self, span):
         fl = new_machine(1 << 30, 1 << 20)
-        before = (spans(fl), fl.free_bytes, fl.max_segment)
+        before = (spans(fl), list(fl.sizes), fl.free_bytes, fl.max_segment)
         with pytest.raises(InvalidSizeError):
             release(fl, _alloc(SegmentDescriptor(*span)))
-        assert (spans(fl), fl.free_bytes, fl.max_segment) == before
+        assert (spans(fl), fl.sizes, fl.free_bytes, fl.max_segment) == before
         fl.check_invariants()
 
     def test_release_of_multi_segment_allocation(self):
@@ -242,8 +244,10 @@ class TestPlanMatchesTheCopyingPlanner:
             else:
                 seen["exact" if grants[0] in before else "split"] += 1
             free = list(before)
-            assert _plan(free, demand, policy) == grants
+            sizes = [s.size for s in before]
+            assert _plan(free, sizes, demand, policy) == grants
             assert free == remaining
+            assert sizes == [s.size for s in remaining]
             assert peeked == len(grants)
             assert allocate(fl, "vm", demand, policy).segments == tuple(grants)
             assert fl.segments == remaining
@@ -311,6 +315,10 @@ class TestRandomizedInvariants:
             setattr(stale, counter, getattr(stale, counter) - PAGE_SIZE)
             with pytest.raises(ValueError, match=counter):
                 stale.check_invariants()
+        stale = copy.deepcopy(fl)
+        stale.sizes[0] -= PAGE_SIZE
+        with pytest.raises(ValueError, match="sizes"):
+            stale.check_invariants()
 
     def test_conservation_with_reservation(self):
         fl = new_machine(64 * PAGE_SIZE, 16 * PAGE_SIZE)
@@ -339,6 +347,69 @@ def fragmented_list(draw):
         cursor = base + pages * PAGE_SIZE
         spans.append((base, cursor))
     return flist(*spans, total=cursor + PAGE_SIZE)
+
+
+@st.composite
+def release_case(draw):
+    """A machine laid out in runs of 1-4 pages above a reservation of 0-2
+    pages, each run free, released or held by another VM: the free list
+    holds the free runs, coalesced, and the released runs, each one segment
+    and in drawn order, are the allocation to release."""
+    reserved = draw(st.integers(0, 2)) * PAGE_SIZE
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(("free", "released", "held")), st.integers(1, 4)),
+        min_size=1, max_size=14,
+    ))
+    layout = {"free": [], "released": [], "held": []}
+    cursor = reserved
+    for label, pages in runs:
+        seg = SegmentDescriptor(cursor, cursor + pages * PAGE_SIZE)
+        cursor = seg.limit
+        free = layout["free"]
+        if label == "free" and free and free[-1].limit == seg.base:
+            free[-1] = SegmentDescriptor(free[-1].base, seg.limit)
+        else:
+            layout[label].append(seg)
+    fl = FreeSegmentList(0, cursor, reserved, layout["free"])
+    return fl, draw(st.permutations(layout["released"])), layout["held"]
+
+
+class TestReleaseMatchesTheTwoPassRelease:
+    """``release`` bisects each segment once and inserts from the highest
+    base down; it leaves the list that bisecting twice and inserting from
+    the lowest base up leaves, and the bitmap's free runs."""
+
+    CASES = ("two in one gap", "abutting released", "abuts both neighbours",
+             "into an empty list")
+
+    def test_multi_segment_release(self):
+        seen = dict.fromkeys(self.CASES, 0)
+
+        @settings(max_examples=400, deadline=None)
+        @given(release_case())
+        def check(case):
+            fl, released, held = case
+            free = list(fl.segments)
+            segs = sorted(released, key=lambda s: s.base)
+            slots = [bisect.bisect_right(free, s.base, key=lambda f: f.base) for s in segs]
+            bases, limits = {f.base for f in free}, {f.limit for f in free}
+            seen["two in one gap"] += len(set(slots)) < len(slots)
+            seen["abutting released"] += any(a.limit == b.base for a, b in zip(segs, segs[1:]))
+            seen["abuts both neighbours"] += any(
+                s.base in limits and s.limit in bases for s in segs
+            )
+            seen["into an empty list"] += not free and bool(segs)
+            expected = release_two_pass(fl, released)
+            oracle = BitmapOracle(fl.total_bytes, fl.reserved_bytes)
+            oracle.mark_allocated(released + held)
+            oracle.mark_released(released)
+            release(fl, VMAllocation("vm", tuple(released)))
+            assert fl.segments == expected
+            oracle.assert_matches_free_list(fl)
+            fl.check_invariants()
+
+        check()
+        assert min(seen.values()) > 0, seen
 
 
 class TestProperties:

@@ -7,7 +7,8 @@ call sites for nothing. The package root re-exports nothing, every
 definition has a caller outside the tests, so no library code exists only
 for them, and every field has a reader outside the tests, so no value is
 stored that nothing reads. The types built once or more per replayed event
-are slotted and not frozen.
+are slotted and not frozen, and the functions run per event read no Enum
+member off its class.
 """
 
 import ast
@@ -255,3 +256,41 @@ def test_per_event_types_are_slotted():
         assert "__slots__" in vars(cls), cls.__name__
         assert not hasattr(obj, "__dict__"), cls.__name__
         assert not cls.__dataclass_params__.frozen, cls.__name__
+
+
+# The functions that run once or more per replayed event, by module; a method
+# is named ``Class.method``.
+PER_EVENT_FUNCTIONS = {
+    "engine": (
+        "step", "_start_vm", "_grant", "_release", "_reindex", "_stop_vm",
+        "event_order", "reselect_option", "_replay", "_outscores",
+    ),
+    "scheduler": ("filter_min_segments", "fitting_machines", "segment_pick", "baseline_pick"),
+    "segments": ("_plan", "allocate", "peek_segment_count", "release"),
+    "trace": ("parse_trace", "VmEvent.__post_init__"),
+}
+ENUMS = {"EventKind", "SimVariant", "AllocationPolicy", "VmMode"}
+
+
+def test_per_event_functions_read_no_enum_member_off_its_class():
+    """A read such as ``EventKind.START`` looks the member up through the
+    Enum's metaclass, several times the cost of a module constant; the
+    per-event functions test members bound once, at import. A function
+    missing from its module fails the lookup, so none goes unchecked."""
+    offenders = []
+    for module, names in PER_EVENT_FUNCTIONS.items():
+        tree = parsed_modules()[module]
+        functions = {
+            f"{cls.name}.{fn.name}" if cls else fn.name: fn
+            for cls in [None, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+            for fn in (cls or tree).body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        for name in names:
+            offenders += [
+                f"{module}.py:{node.lineno} {name} reads {node.value.id}.{node.attr}"
+                for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in ENUMS
+            ]
+    assert offenders == []
