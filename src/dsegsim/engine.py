@@ -361,10 +361,7 @@ def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
         state,
         variant=variant,
         config=replace(state.config, current_policy=_variant_policy(variant)),
-        machines=[
-            replace(m, free_list=replace(m.free_list, segments=list(m.free_list.segments)))
-            for m in state.machines
-        ],
+        machines=[replace(m, free_list=m.free_list.copy()) for m in state.machines],
         index=list(state.index),
         live=dict(state.live),
         rejected=set(state.rejected),

@@ -76,14 +76,14 @@ def filter_min_segments(
     fewest segments. Ties go to the machine with the most free bytes, then
     the lowest id.
     """
-    keys = (
-        (peek_segment_count(m.free_list, memory, policy), -m.free_bytes, m.machine_id)
+    keys = [
+        (count, -m.free_bytes, m.machine_id)
         for m in candidates
-    )
-    best = min((key for key in keys if key[0] is not None), default=None)
-    if best is None:
+        if (count := peek_segment_count(m.free_list, memory, policy)) is not None
+    ]
+    if not keys:
         raise NoCandidateError(f"no machine can grant {memory} bytes")
-    return best[2]
+    return min(keys)[2]
 
 
 def fitting_machines(

@@ -7,13 +7,16 @@ sufficiently large segment, otherwise a policy-driven composition of several
 segments. Releases re-insert segments and merge them with abutting
 neighbours, so the list never contains two adjacent free ranges.
 
-Each free list stores its segments' sizes beside the descriptors, and every
-grant and release edits the two in step, so a grant's search for an exact
-fit, the largest segment or the smallest ones is one list operation (``in``,
-``max``, ``index``, a sort of indices) rather than a loop over descriptors. A
-placement dry run only counts the segments a grant would take, from the
-sorted sizes, without copying the list or planning the grant. A release
-bisects each released segment once, in the unchanged list, then inserts the
+Each free list stores its segments as two parallel int columns, bases and
+sizes, and every grant and release edits the two in step, so a grant's
+search for an exact fit, the largest segment or the smallest ones is one
+list operation (``in``, ``index``, a sort of indices) rather than a loop
+over descriptors. ``SegmentDescriptor`` objects are built only for what a
+grant hands out. The largest segment's size is a stored counter: a grant
+starts from it and rescans the sizes once, after its plan. A placement dry
+run only counts the segments a grant would take, from the sorted sizes,
+without copying the list or planning the grant. A release bisects the bases
+once per released segment, in the unchanged columns, then inserts the
 segments from the highest base down, so that no insertion moves the slot
 found for a segment still to come.
 """
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
 
 PAGE_SIZE = 4096
@@ -74,9 +78,9 @@ _LARGEST_FIRST = AllocationPolicy.LARGEST_FIRST
 class SegmentDescriptor:
     """A contiguous byte range [base, limit) of host physical memory.
 
-    Slotted, so mutable and unhashable, but nothing mutates an instance: an
-    exact-fit grant hands out the very descriptor its free list held, and a
-    fork of a replay shares every descriptor of the free lists it copies."""
+    Slotted, so mutable and unhashable, but nothing mutates an instance: a
+    grant builds one per granted segment, and a replay and its fork share
+    the descriptors of the VMs live when it forked."""
 
     base: int
     limit: int
@@ -92,56 +96,86 @@ class SegmentDescriptor:
         return self.limit - self.base
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class FreeSegmentList:
-    """Per-machine list of free segments, ascending by base, fully coalesced.
+    """Per-machine free memory, ascending by base and fully coalesced.
 
     ``reserved_bytes`` is the privileged region at the bottom of physical
-    memory (hypervisor plus management tasks); it is never part of the list.
-    ``sizes`` holds each free segment's size, in list order; ``free_bytes``
-    and ``max_segment`` (the size of the largest free segment, 0 when none)
-    are stored counters. The constructor, ``dataclasses.replace`` included,
-    computes all three from ``segments``, and ``allocate`` and ``release``
-    keep them in step with it.
+    memory (hypervisor plus management tasks); it is never free. The free
+    segments are two parallel int columns, ``bases`` and ``sizes``;
+    ``free_bytes`` and ``max_segment`` (the size of the largest free
+    segment, 0 when none) are stored counters. The constructor computes all
+    four from descriptors, and ``allocate`` and ``release`` keep them in
+    step. ``segments`` builds descriptors from the columns on each read; no
+    grant or release reads it.
     """
 
     machine_id: int
     total_bytes: int
     reserved_bytes: int
-    segments: list[SegmentDescriptor] = field(default_factory=list)
-    free_bytes: int = field(init=False)
-    max_segment: int = field(init=False)
-    sizes: list[int] = field(init=False, repr=False, compare=False)
+    bases: list[int]
+    sizes: list[int]
+    free_bytes: int
+    max_segment: int
 
-    def __post_init__(self) -> None:
-        self.sizes = [s.limit - s.base for s in self.segments]
+    def __init__(
+        self,
+        machine_id: int,
+        total_bytes: int,
+        reserved_bytes: int,
+        segments: Iterable[SegmentDescriptor] = (),
+    ) -> None:
+        self.machine_id = machine_id
+        self.total_bytes = total_bytes
+        self.reserved_bytes = reserved_bytes
+        self.bases = []
+        self.sizes = []
+        for s in segments:
+            self.bases.append(s.base)
+            self.sizes.append(s.limit - s.base)
         self.free_bytes = sum(self.sizes)
-        self.max_segment = max(self.sizes, default=0)
+        self.max_segment = max(self.sizes) if self.sizes else 0
+
+    @property
+    def segments(self) -> list[SegmentDescriptor]:
+        """The free segments as descriptors, ascending by base."""
+        return [SegmentDescriptor(b, b + s) for b, s in zip(self.bases, self.sizes)]
+
+    def copy(self) -> FreeSegmentList:
+        """An equal list that shares neither column with this one."""
+        flist = FreeSegmentList(self.machine_id, self.total_bytes, self.reserved_bytes)
+        flist.bases = self.bases.copy()
+        flist.sizes = self.sizes.copy()
+        flist.free_bytes = self.free_bytes
+        flist.max_segment = self.max_segment
+        return flist
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
         """Free memory as (base, limit) byte ranges, ascending."""
-        return tuple((s.base, s.limit) for s in self.segments)
+        return tuple((b, b + s) for b, s in zip(self.bases, self.sizes))
 
     def check_invariants(self) -> None:
-        """Raise ValueError if ordering, coalescing, or bounds are violated."""
-        prev: SegmentDescriptor | None = None
-        for seg in self.segments:
-            if seg.base < self.reserved_bytes or seg.limit > self.total_bytes:
-                raise ValueError(f"segment {seg} outside the user region")
-            if prev is not None and prev.limit >= seg.base:
+        """Raise ValueError, naming the column or counter at fault, if the
+        columns differ in length, hold an empty segment or one outside the
+        user region, are unordered or uncoalesced, or disagree with the
+        counters."""
+        bases, sizes = self.bases, self.sizes
+        if len(bases) != len(sizes):
+            raise ValueError(f"bases has {len(bases)} entries but sizes has {len(sizes)}")
+        for i, (base, size) in enumerate(zip(bases, sizes)):
+            if size <= 0:
+                raise ValueError(f"sizes[{i}] = {size} is not positive")
+            if base < self.reserved_bytes or base + size > self.total_bytes:
                 raise ValueError(
-                    f"segments {prev} and {seg} overlap or are uncoalesced"
+                    f"bases[{i}], sizes[{i}]: [{base:#x}, {base + size:#x}) lies outside "
+                    f"the user region [{self.reserved_bytes:#x}, {self.total_bytes:#x})"
                 )
-            prev = seg
-        if self.free_bytes > self.total_bytes - self.reserved_bytes:
-            raise ValueError("free bytes exceed the user region")
-        sizes = [s.size for s in self.segments]
-        if self.sizes != sizes:
-            raise ValueError(f"stored sizes {self.sizes} differ from the list")
+            if i and bases[i - 1] + sizes[i - 1] >= base:
+                raise ValueError(f"bases[{i - 1}] and bases[{i}] overlap, abut or are unordered")
         if self.free_bytes != sum(sizes):
-            raise ValueError(f"stored free_bytes {self.free_bytes} differs from the list")
-        if self.max_segment != max(sizes, default=0):
-            raise ValueError(f"stored max_segment {self.max_segment} differs from the list")
+            raise ValueError(f"stored free_bytes {self.free_bytes} differs from the sizes")
+        if self.max_segment != (max(sizes) if sizes else 0):
+            raise ValueError(f"stored max_segment {self.max_segment} differs from the sizes")
 
 
 @dataclass(slots=True)
@@ -177,26 +211,32 @@ def new_machine(total_bytes: int, reserved_bytes: int, machine_id: int = 0) -> F
             f"reservation {reserved_bytes} leaves no whole page of user memory "
             f"out of {total_bytes}"
         )
-    seg = SegmentDescriptor(base, limit)
-    return FreeSegmentList(machine_id, total_bytes, reserved_bytes, [seg])
+    flist = FreeSegmentList(machine_id, total_bytes, reserved_bytes)
+    flist.bases.append(base)
+    flist.sizes.append(limit - base)
+    flist.free_bytes = flist.max_segment = limit - base
+    return flist
 
 
 _base = operator.attrgetter("base")
 
 
 def _plan(
-    free: list[SegmentDescriptor],
+    bases: list[int],
     sizes: list[int],
     demand: int,
     policy: AllocationPolicy,
+    largest: int,
 ) -> list[SegmentDescriptor]:
-    """Take ``demand`` bytes out of ``free``, in place, and return the grants.
+    """Take ``demand`` bytes out of the free columns, in place, and return
+    the grants.
 
-    ``sizes`` holds each free segment's size, in list order, and is kept in
-    step with ``free`` as segments are taken or split. Every search runs on
-    it: ``index`` finds the first, so lowest-base, segment of a size, and the
-    smallest-first composition sorts indices stably by size, so its ties go
-    to the lowest base too.
+    ``bases`` and ``sizes`` are a free list's columns and ``largest`` is
+    ``max(sizes)``, 0 when empty: the list's stored ``max_segment``, which
+    is rescanned here only after a composition step. Every search runs on
+    ``sizes``: ``index`` finds the first, so lowest-base, segment of a size,
+    and the smallest-first composition sorts indices stably by size, so its
+    ties go to the lowest base too.
 
     The caller checks ``demand`` against the stored free bytes first; the
     list running out anyway means that counter was wrong.
@@ -207,20 +247,20 @@ def _plan(
         if remaining in sizes:
             i = sizes.index(remaining)
             del sizes[i]
-            grants.append(free.pop(i))
+            base = bases.pop(i)
+            grants.append(SegmentDescriptor(base, base + remaining))
             return grants
-        largest = max(sizes, default=0)
         if largest > remaining:
             # Grant the low end; the remainder keeps the split segment's slot,
             # which leaves the list ordered by base.
             i = sizes.index(largest)
-            base, limit = free[i].base, free[i].limit
+            base = bases[i]
             grants.append(SegmentDescriptor(base, base + remaining))
-            free[i] = SegmentDescriptor(base + remaining, limit)
+            bases[i] = base + remaining
             sizes[i] = largest - remaining
             return grants
         # No single segment covers the demand: compose one per policy.
-        if not free:
+        if not sizes:
             raise AllocatorError(
                 f"free list ran out {remaining} bytes short of its free_bytes counter"
             )
@@ -231,14 +271,16 @@ def _plan(
                     break
                 taken.append(i)
                 remaining -= sizes[i]
-            grants += [free[i] for i in taken]
+            grants += [SegmentDescriptor(bases[i], bases[i] + sizes[i]) for i in taken]
             for i in sorted(taken, reverse=True):
-                del free[i], sizes[i]
+                del bases[i], sizes[i]
         else:
             i = sizes.index(largest)
             del sizes[i]
-            grants.append(free.pop(i))
+            base = bases.pop(i)
+            grants.append(SegmentDescriptor(base, base + largest))
             remaining -= largest
+        largest = max(sizes) if sizes else 0
 
 
 def allocate(
@@ -263,9 +305,9 @@ def allocate(
             f"{flist.free_bytes} free bytes"
         )
     sizes = flist.sizes
-    grants = _plan(flist.segments, sizes, demand, policy)
+    grants = _plan(flist.bases, sizes, demand, policy, flist.max_segment)
     flist.free_bytes -= demand
-    flist.max_segment = max(sizes, default=0)
+    flist.max_segment = max(sizes) if sizes else 0
     return VMAllocation(vm_id=vm_id, segments=tuple(grants))
 
 
@@ -310,17 +352,19 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
     is left unchanged.
 
     Each released segment is bisected once, into its slot in the unchanged
-    list, and the segments go in from the highest base down. An insertion
+    bases, and the segments go in from the highest base down. An insertion
     edits its own slot and the one below it. No insertion before it touched
     the slot below, and whatever range now fills its own slot starts where
     the next free memory above it starts, so comparing bases still finds
     every border.
     """
-    free = flist.segments
-    segs = sorted(allocation.segments, key=_base)
-    for a, b in zip(segs, segs[1:]):
-        if b.base < a.limit:
-            raise OverlapError(f"released {a} and {b} overlap")
+    bases, sizes = flist.bases, flist.sizes
+    segs = allocation.segments
+    if len(segs) > 1:
+        segs = sorted(segs, key=_base)
+        for a, b in zip(segs, segs[1:]):
+            if b.base < a.limit:
+                raise OverlapError(f"released {a} and {b} overlap")
     if segs and (segs[0].base < flist.reserved_bytes or segs[-1].limit > flist.total_bytes):
         raise InvalidSizeError(
             f"released segments span [{segs[0].base:#x}, {segs[-1].limit:#x}), outside "
@@ -328,26 +372,31 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
         )
     slots = []
     for seg in segs:
-        i = bisect.bisect_right(free, seg.base, key=_base)
-        if i > 0 and free[i - 1].limit > seg.base:
-            raise OverlapError(f"released {seg} overlaps free {free[i - 1]}")
-        if i < len(free) and seg.limit > free[i].base:
-            raise OverlapError(f"released {seg} overlaps free {free[i]}")
+        i = bisect.bisect_right(bases, seg.base)
+        if i > 0 and bases[i - 1] + sizes[i - 1] > seg.base:
+            raise OverlapError(
+                f"released {seg} overlaps free [{bases[i - 1]:#x}, "
+                f"{bases[i - 1] + sizes[i - 1]:#x})"
+            )
+        if i < len(bases) and seg.limit > bases[i]:
+            raise OverlapError(
+                f"released {seg} overlaps free [{bases[i]:#x}, {bases[i] + sizes[i]:#x})"
+            )
         slots.append(i)
-    sizes = flist.sizes
     largest = flist.max_segment
     for seg, lo in zip(reversed(segs), reversed(slots)):
         base, limit = seg.base, seg.limit
         flist.free_bytes += limit - base
         hi = lo
-        if lo > 0 and free[lo - 1].limit == base:
+        if lo > 0 and bases[lo - 1] + sizes[lo - 1] == base:
             lo -= 1
-            base = free[lo].base
-        if hi < len(free) and free[hi].base == limit:
-            limit = free[hi].limit
+            base = bases[lo]
+        if hi < len(bases) and bases[hi] == limit:
+            limit += sizes[hi]
             hi += 1
-        free[lo:hi] = [SegmentDescriptor(base, limit)]
-        sizes[lo:hi] = [limit - base]
-        largest = max(largest, limit - base)
+        bases[lo:hi] = (base,)
+        sizes[lo:hi] = (limit - base,)
+        if limit - base > largest:
+            largest = limit - base
     flist.max_segment = largest
     return flist

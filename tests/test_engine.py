@@ -1208,7 +1208,8 @@ class TestFork:
                 for mine, theirs in zip(fork.machines, state.machines):
                     assert mine is not theirs
                     assert mine.free_list is not theirs.free_list
-                    assert mine.free_list.segments is not theirs.free_list.segments
+                    assert mine.free_list.bases is not theirs.free_list.bases
+                    assert mine.free_list.sizes is not theirs.free_list.sizes
                 assert fork.variant is challenger
                 assert fork.config.current_policy is other
 

@@ -203,9 +203,9 @@ def random_free_list(rng):
 
 
 class TestPlanMatchesTheCopyingPlanner:
-    """``_plan`` edits the list in place on a sizes list kept in step with
-    it, and ``peek_segment_count`` only counts; they grant, leave and count
-    what the copying, two-scan planner does."""
+    """``_plan`` edits a free list's two columns in place, starting from its
+    stored largest size, and ``peek_segment_count`` only counts; they grant,
+    leave and count what the copying, two-scan planner does."""
 
     @pytest.mark.parametrize("policy", [OPT1, OPT2], ids=lambda p: p.value)
     def test_grants_and_remaining_list(self, policy):
@@ -243,10 +243,9 @@ class TestPlanMatchesTheCopyingPlanner:
                 seen["composed, exact last"] += grants[-1] in before
             else:
                 seen["exact" if grants[0] in before else "split"] += 1
-            free = list(before)
-            sizes = [s.size for s in before]
-            assert _plan(free, sizes, demand, policy) == grants
-            assert free == remaining
+            bases, sizes = list(fl.bases), list(fl.sizes)
+            assert _plan(bases, sizes, demand, policy, fl.max_segment) == grants
+            assert bases == [s.base for s in remaining]
             assert sizes == [s.size for s in remaining]
             assert peeked == len(grants)
             assert allocate(fl, "vm", demand, policy).segments == tuple(grants)
@@ -315,10 +314,31 @@ class TestRandomizedInvariants:
             setattr(stale, counter, getattr(stale, counter) - PAGE_SIZE)
             with pytest.raises(ValueError, match=counter):
                 stale.check_invariants()
+        # a size edited without the counters leaves free_bytes stale
         stale = copy.deepcopy(fl)
         stale.sizes[0] -= PAGE_SIZE
-        with pytest.raises(ValueError, match="sizes"):
+        with pytest.raises(ValueError, match="free_bytes"):
             stale.check_invariants()
+
+    @pytest.mark.parametrize("column, edit", [
+        ("bases", lambda fl: fl.bases.pop()),
+        ("sizes", lambda fl: fl.sizes.append(GIB)),
+        ("sizes", lambda fl: fl.sizes.__setitem__(0, 0)),
+        ("sizes", lambda fl: fl.sizes.__setitem__(0, -GIB)),
+        ("bases", lambda fl: fl.bases.__setitem__(1, 5 * GIB)),  # past total_bytes
+        ("bases", lambda fl: fl.bases.__setitem__(0, -PAGE_SIZE)),  # below reserved
+        ("bases", lambda fl: fl.bases.__setitem__(1, GIB)),  # abuts its neighbour
+        ("bases", lambda fl: fl.bases.__setitem__(1, GIB // 2)),  # overlaps it
+        ("bases", lambda fl: fl.bases.reverse()),  # unordered
+    ], ids=["short bases", "long sizes", "zero size", "negative size", "past total",
+            "below reserved", "uncoalesced", "overlapping", "unordered"])
+    def test_broken_columns_fail_the_invariant_check(self, column, edit):
+        """Each check names the column at fault. The column checks run before
+        the counter checks, which some of these edits would also trip."""
+        fl = flist((0, GIB), (2 * GIB, 5 * GIB), total=6 * GIB)
+        edit(fl)
+        with pytest.raises(ValueError, match=column):
+            fl.check_invariants()
 
     def test_conservation_with_reservation(self):
         fl = new_machine(64 * PAGE_SIZE, 16 * PAGE_SIZE)

@@ -8,7 +8,8 @@ definition has a caller outside the tests, so no library code exists only
 for them, and every field has a reader outside the tests, so no value is
 stored that nothing reads. The types built once or more per replayed event
 are slotted and not frozen, and the functions run per event read no Enum
-member off its class.
+member off its class and pass no keyword to ``min`` or ``max``. A free list
+builds no segment descriptor, and neither does a release.
 """
 
 import ast
@@ -272,25 +273,72 @@ PER_EVENT_FUNCTIONS = {
 ENUMS = {"EventKind", "SimVariant", "AllocationPolicy", "VmMode"}
 
 
+def functions_of(tree):
+    """A module's functions by name, its methods as ``Class.method``."""
+    return {
+        f"{cls.name}.{fn.name}" if cls else fn.name: fn
+        for cls in [None, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+        for fn in (cls or tree).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
+def per_event_functions():
+    """(module, name, node) of each of ``PER_EVENT_FUNCTIONS``. A function
+    missing from its module fails the lookup, so none goes unchecked."""
+    modules = parsed_modules()
+    for module, names in PER_EVENT_FUNCTIONS.items():
+        functions = functions_of(modules[module])
+        for name in names:
+            yield module, name, functions[name]
+
+
 def test_per_event_functions_read_no_enum_member_off_its_class():
     """A read such as ``EventKind.START`` looks the member up through the
     Enum's metaclass, several times the cost of a module constant; the
-    per-event functions test members bound once, at import. A function
-    missing from its module fails the lookup, so none goes unchecked."""
-    offenders = []
-    for module, names in PER_EVENT_FUNCTIONS.items():
-        tree = parsed_modules()[module]
-        functions = {
-            f"{cls.name}.{fn.name}" if cls else fn.name: fn
-            for cls in [None, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
-            for fn in (cls or tree).body
-            if isinstance(fn, ast.FunctionDef)
-        }
-        for name in names:
-            offenders += [
-                f"{module}.py:{node.lineno} {name} reads {node.value.id}.{node.attr}"
-                for node in ast.walk(functions[name])
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name) and node.value.id in ENUMS
-            ]
+    per-event functions test members bound once, at import."""
+    offenders = [
+        f"{module}.py:{node.lineno} {name} reads {node.value.id}.{node.attr}"
+        for module, name, fn in per_event_functions()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id in ENUMS
+    ]
+    assert offenders == []
+
+
+def test_per_event_functions_pass_no_keyword_to_min_or_max():
+    """``max(sizes, default=0)`` costs about 250 ns more than ``max(sizes)``
+    on CPython 3.11, for the keyword alone; the per-event functions test for
+    an empty sequence themselves."""
+    offenders = [
+        f"{module}.py:{node.lineno} {name} calls {node.func.id}(..., {kw.arg}=...)"
+        for module, name, fn in per_event_functions()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id in ("min", "max")
+        for kw in node.keywords
+    ]
+    assert offenders == []
+
+
+def test_release_and_the_free_list_build_no_descriptor():
+    """A free list keeps its segments as int columns, and ``SegmentDescriptor``
+    objects are built only for what ``allocate`` grants. ``segments``, the
+    descriptor view that the tests and the benchmark's tracer read, is the
+    one method exempt; nothing on the per-event path reads it."""
+    functions = functions_of(parsed_modules()["segments"])
+    checked = [
+        name for name in functions
+        if name == "release" or name.startswith("FreeSegmentList.")
+        and name != "FreeSegmentList.segments"
+    ]
+    assert {"release", "FreeSegmentList.__init__", "FreeSegmentList.copy"} <= set(checked)
+    offenders = [
+        f"segments.py:{node.lineno} {name} builds a SegmentDescriptor"
+        for name in checked
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "SegmentDescriptor"
+    ]
     assert offenders == []
