@@ -145,8 +145,7 @@ def _run_and_emit(events, args) -> int:
     hist = report.segment_histogram(result)
     print(
         f"placed {result.placed}/{result.start_count} VMs "
-        f"({result.rejections} rejected, {result.anomalies} anomalies, "
-        f"{result.out_of_order} out of order); "
+        f"({result.rejections} rejected, {result.anomalies} anomalies); "
         f"pct_1={report.format_pct(hist.pct_1)}"
     )
     for path in files:

@@ -9,15 +9,15 @@ each allocator call, which is the one non-reproducible output; everything
 else is deterministic. Automatic garbage collection is held off only inside
 that timed call; a replay otherwise leaves the collector as it finds it.
 
-Every machine is a ``MachineView``; on the baseline its free list is a buddy
-allocator instead of a free-segment list. The baseline seeds one buddy
-allocator per machine shape (total and reserved bytes) in each replay, which
-every machine of that shape shares until its first grant; just before that
-grant the machine gets its own copy, which grants exactly as a freshly
-seeded allocator would, so no seed is ever granted from. Every variant keeps
-the placement index, ``(-free, machine_id)`` for every machine in ascending
-order, keyed by free cores on the baseline and by free bytes elsewhere, and
-moves a machine's entry on each grant and release (see ``scheduler``).
+Every machine is a ``MachineView`` that starts with a one-segment free list,
+which holds the same free bytes and free runs as a freshly seeded buddy
+allocator. The baseline seeds one per machine shape (total and reserved
+bytes) in each replay, and a machine gets its own copy of its shape's seed
+just before its first grant, so no seed is ever granted from. Every variant
+keeps the placement index, ``(-free, machine_id)`` for every machine in
+ascending order, keyed by free cores on the baseline and by free bytes
+elsewhere, and moves a machine's entry on each grant and release (see
+``scheduler``).
 
 ``step`` is the one code that applies an event. ``run`` drives it over a
 trace, and so does the dynamic variant's periodic policy reselection, which
@@ -84,16 +84,14 @@ class SimulationState:
     key: Callable[[MachineView], int]
     # (-key(m), machine_id) per machine, ascending
     index: list[tuple[int, int]]
-    # the baseline's buddy allocator per shape, held by machines until a grant
-    seeds: frozenset[BuddyAllocator]
-    clock: int = 0
+    # the baseline's buddy allocator per (total, reserved) bytes; else empty
+    seeds: dict[tuple[int, int], BuddyAllocator]
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
     log: list[VmEvent] = field(default_factory=list)
     records: list[VmRecord] = field(default_factory=list)
     rejections: int = 0
     anomalies: int = 0
-    out_of_order: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
     # index in records where the logged period begins; None if a VM was live then
@@ -125,21 +123,18 @@ def new_state(
             shape = (m.free_list.total_bytes, m.free_list.reserved_bytes)
             if shape not in seeds:
                 seeds[shape] = BuddyAllocator(*shape)
-            m.free_list = seeds[shape]
     key = attrgetter("cores_free" if baseline else "free_list.free_bytes")
     index = sorted((-key(m), m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, key, index, frozenset(seeds.values()),
+        variant, config, fleet_spec, machines, key, index, seeds,
         next_reselect=reselect_period,
     )
 
 
-def step(state: SimulationState, event: VmEvent) -> SimulationState:
-    """Apply one event. Unknown stops and duplicate starts are recorded as
-    anomalies and change nothing; an event earlier than the clock is applied
-    and counted as out of order."""
-    if event.time < state.clock:
-        state.out_of_order += 1
+def step(state: SimulationState, event: VmEvent) -> None:
+    """Apply one event, in whatever order the caller gives them (``run``
+    sorts them with ``event_order``). Unknown stops and duplicate starts are
+    recorded as anomalies and change nothing."""
     if state.variant is _DYNAMIC:
         if event.time >= state.next_reselect:
             # one reselection over the logged events, none for the empty
@@ -154,12 +149,10 @@ def step(state: SimulationState, event: VmEvent) -> SimulationState:
             period = state.config.reselect_period
             state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
-    state.clock = max(state.clock, event.time)
     if event.kind is _STOP:
         _stop_vm(state, event)
     else:
         _start_vm(state, event)
-    return state
 
 
 def _start_vm(state: SimulationState, event: VmEvent) -> None:
@@ -183,9 +176,10 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
         state.rejected.add(event.vm_id)
         return
     machine = state.machines[machine_id]
-    if baseline and machine.free_list in state.seeds:
+    if baseline and not isinstance(machine.free_list, BuddyAllocator):
         # the machine's first grant, into its own copy; not a timed cost
-        machine.free_list = machine.free_list.copy(machine_id)
+        flist = machine.free_list
+        machine.free_list = state.seeds[flist.total_bytes, flist.reserved_bytes].copy(machine_id)
     old = state.key(machine)
     alloc, latency = _grant(machine.free_list, event.vm_id, memory, policy)
     machine.cores_free -= event.cores
@@ -201,7 +195,7 @@ def _grant(
 ) -> tuple[VMAllocation, float]:
     """Grant a starting VM ``demand`` bytes from either memory model. Returns
     the grant and the allocator call's thread CPU time: at microsecond scale,
-    wall clocks mostly measure OS preemption rather than the allocator.
+    wall time mostly measures OS preemption rather than the allocator.
     Automatic garbage collection is held off during the call, so a collection
     of the whole interpreter's heap is not charged to one grant."""
     gc_was_on = gc.isenabled()
@@ -265,13 +259,7 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
     for vm_id in sorted(state.live):
         _release(state, vm_id, state.live[vm_id])
     state.live.clear()
-    # machines that still hold a seed share its free runs, which are never
-    # empty; without seeds (the segment variants) the lookup is skipped
-    seed_runs = {id(seed): seed.free_runs() for seed in state.seeds}
-    final_free = {
-        m.machine_id: seed_runs and seed_runs.get(id(m.free_list)) or m.free_list.free_runs()
-        for m in state.machines
-    }
+    final_free = {m.machine_id: m.free_list.free_runs() for m in state.machines}
     return SimulationReport(
         variant=state.variant.value,
         n=state.config.n,
@@ -284,7 +272,6 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
         implicit_stops=implicit,
         option_switches=tuple(state.option_switches),
         final_free=final_free,
-        out_of_order=state.out_of_order,
     )
 
 
@@ -363,6 +350,7 @@ def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
         config=replace(state.config, current_policy=_variant_policy(variant)),
         machines=[replace(m, free_list=m.free_list.copy()) for m in state.machines],
         index=list(state.index),
+        seeds=dict(state.seeds),
         live=dict(state.live),
         rejected=set(state.rejected),
         log=list(state.log),

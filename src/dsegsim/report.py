@@ -45,9 +45,6 @@ class SimulationReport:
     implicit_stops: int
     option_switches: tuple[tuple[int, str], ...]
     final_free: dict[int, tuple[tuple[int, int], ...]]
-    # events applied earlier than the replay clock; a data-quality flag, not
-    # part of core()
-    out_of_order: int = 0
 
     @property
     def placed(self) -> int:
@@ -57,7 +54,7 @@ class SimulationReport:
         return [r.alloc_latency * 1000.0 for r in self.records]
 
     def core(self) -> dict:
-        """Deterministic projection: everything except wall-clock latencies."""
+        """Deterministic projection: everything except measured latencies."""
         return {
             "variant": self.variant,
             "n": self.n,
@@ -161,7 +158,6 @@ def summary_dict(report: SimulationReport) -> dict:
         "rejections": report.rejections,
         "anomalies": report.anomalies,
         "implicit_stops": report.implicit_stops,
-        "out_of_order": report.out_of_order,
         "segment_histogram": {
             "pct_1": hist.pct_1,
             "pct_2": hist.pct_2,

@@ -349,11 +349,11 @@ def gen_synthetic(
     _force_flavor_coverage(picks, len(flavors), rng)
     width = max(5, len(str(max(vm_count - 1, 0))))
     events: list[VmEvent] = []
-    clock = 0.0
+    arrival = 0.0
     try:
         for i, pick in enumerate(picks):
-            clock += interarrival.sample(rng)
-            start = int(round(clock))
+            arrival += interarrival.sample(rng)
+            start = int(round(arrival))
             flavor = flavors[pick]
             vm_id = f"vm{i:0{width}d}"
             events.append(start_event(vm_id, start, flavor.cores, flavor.memory_bytes))
@@ -387,6 +387,13 @@ def _force_flavor_coverage(picks: list[int], flavor_count: int, rng: random.Rand
         picks[idx] = flavor
 
 
+# The largest host and fleet a fleet spec may describe, so that a replay's
+# memory stays bounded: a buddy seed holds about 72 B per 64 MiB block, 72 MB
+# at 2**46 bytes (64 TiB), and a machine about 460 B, 460 MB at 10**6.
+MAX_RAM_BYTES = 1 << 46
+MAX_MACHINES = 10**6
+
+
 @dataclass(frozen=True)
 class Generation:
     """One server generation: its shape and its share of the fleet."""
@@ -397,6 +404,8 @@ class Generation:
     proportion: float  # percent of the fleet
 
     def __post_init__(self) -> None:
+        if self.ram_bytes > MAX_RAM_BYTES:
+            raise ValueError(f"generation {self.name!r}: ram_bytes exceeds 2**46 (64 TiB)")
         if self.ram_bytes <= 0 or self.cores < 1 or self.proportion < 0:
             raise ValueError(f"bad generation {self}")
 
@@ -419,9 +428,8 @@ class FleetSpec:
     reserved_bytes: int = 0
 
     def __post_init__(self) -> None:
-        # generation_counts multiplies the count by each float share
-        if not 1 <= self.machine_count <= sys.float_info.max:
-            raise ValueError("machine_count must be >= 1 and fit in a float")
+        if not 1 <= self.machine_count <= MAX_MACHINES:
+            raise ValueError("machine_count must be between 1 and 10**6")
         if self.reserved_bytes < 0:
             raise ValueError("reserved_bytes must be >= 0")
         total = sum(g.proportion for g in self.generations)

@@ -3,13 +3,15 @@ import heapq
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dsegsim.baseline import BuddyAllocator
+from dsegsim.baseline import DEFAULT_MAX_ORDER, BuddyAllocator
 from dsegsim.segments import (
     InsufficientMemoryError,
     InvalidSizeError,
     PAGE_SIZE,
     SegmentDescriptor,
+    new_machine,
 )
 from oracle import BitmapOracle
 
@@ -142,6 +144,36 @@ class TestOddRegions:
             heaps, sets = greedy_seed(buddy.num_pages, max_order)
             assert buddy._heaps == heaps
             assert buddy._sets == sets
+
+
+BLOCK = PAGE_SIZE << DEFAULT_MAX_ORDER  # 64 MiB
+# byte counts from below one page to a few 64 MiB blocks, odd ones included
+SIZES = st.integers(-PAGE_SIZE, 3 * PAGE_SIZE) | st.integers(-PAGE_SIZE, 4 * BLOCK + PAGE_SIZE)
+
+
+class TestFreshSeedEqualsNewMachine:
+    """The baseline keeps a machine's ``new_machine`` free list until its
+    first grant, in place of a freshly seeded buddy allocator: the two must
+    hold the same free memory for every shape, or both reject it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=SIZES, reserved=SIZES)
+    @example(total=BLOCK - 1, reserved=PAGE_SIZE + 1)  # below one block
+    @example(total=3 * BLOCK + 12345, reserved=BLOCK - 7)
+    @example(total=128 * GIB, reserved=3 * GIB + 5)
+    @example(total=8000, reserved=4000)  # no whole page of user memory
+    @example(total=PAGE_SIZE, reserved=PAGE_SIZE)
+    @example(total=0, reserved=0)
+    def test_same_free_bytes_and_runs_or_both_raise(self, total, reserved):
+        try:
+            flist = new_machine(total, reserved)
+        except InvalidSizeError:
+            with pytest.raises(InvalidSizeError):
+                BuddyAllocator(total, reserved)
+            return
+        buddy = BuddyAllocator(total, reserved)
+        assert buddy.free_bytes == flist.free_bytes
+        assert buddy.free_runs() == flist.free_runs()
 
 
 def greedy_seed(num_pages, max_order):

@@ -10,7 +10,7 @@ import pytest
 
 import dsegsim
 from dsegsim.cli import EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from dsegsim.trace import default_fleet_spec
+from dsegsim.trace import default_fleet_spec, load_fleet_spec
 
 GIB = 1 << 30
 
@@ -44,10 +44,8 @@ class TestReplay:
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["placed"] == 2
-        assert payload["out_of_order"] == 0
         out = capsys.readouterr().out
         assert "placed 2/2" in out
-        assert "0 out of order" in out
 
     def test_missing_file_reports_and_fails(self, fleet_file, capsys):
         code = main(["replay", "--trace", "/nonexistent.csv", "--fleet", str(fleet_file)])
@@ -123,6 +121,49 @@ class TestReplay:
         ])
         assert code == EXIT_USAGE
         assert "machine_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def fleet_with(tmp_path, machine_count=5, ram_bytes=None):
+        """The default fleet as JSON, its first generation's RAM replaced."""
+        spec = dataclasses.asdict(default_fleet_spec(5))
+        spec["machine_count"] = machine_count
+        if ram_bytes is not None:
+            spec["generations"][0]["ram_bytes"] = ram_bytes
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps(spec))
+        return fleet
+
+    @pytest.mark.parametrize("variant", ["baseline", "opt1"])
+    @pytest.mark.parametrize("ram_bytes", [2**100, 2**46 + 4096])
+    def test_host_above_64_tib_is_a_usage_error(
+        self, tmp_path, trace_file, capsys, variant, ram_bytes
+    ):
+        fleet = self.fleet_with(tmp_path, ram_bytes=ram_bytes)
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet),
+            "--variant", variant, "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "ram_bytes exceeds 2**46 (64 TiB)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_host_of_64_tib_loads(self, tmp_path):
+        # loaded, not replayed: a baseline seed at the bound takes ~72 MB
+        spec = load_fleet_spec(self.fleet_with(tmp_path, ram_bytes=2**46))
+        assert spec.generations[0].ram_bytes == 2**46
+
+    def test_fleet_above_a_million_machines_is_a_usage_error(
+        self, tmp_path, trace_file, capsys
+    ):
+        fleet = self.fleet_with(tmp_path, machine_count=10**12)
+        out = tmp_path / "out"
+        code = main([
+            "replay", "--trace", str(trace_file), "--fleet", str(fleet), "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "machine_count must be between 1 and 10**6" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["baseline", "opt1", "opt2", "dynamic"])

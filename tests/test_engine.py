@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from dsegsim import engine
 from dsegsim.baseline import BuddyAllocator
 from dsegsim.engine import event_order, finish, new_state, run, step
-from dsegsim.report import emit
 from dsegsim.scheduler import (
     NoCandidateError,
     SchedulerConfig,
@@ -18,7 +17,7 @@ from dsegsim.scheduler import (
     filter_min_segments,
     fitting_machines,
 )
-from dsegsim.segments import PAGE_SIZE, AllocationPolicy, peek_segment_count
+from dsegsim.segments import PAGE_SIZE, AllocationPolicy, new_machine, peek_segment_count
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
     Distribution,
@@ -113,20 +112,24 @@ class TestBaselineSeeding:
         shapes = {(g.ram_bytes, spec.reserved_bytes) for g in spec.generations}
         assert len(shapes) == 4  # Gen4 and Gen6 share 192 GiB
         assert sorted(seeded) == sorted(shapes)
-        seeds = {(b.total_bytes, b.reserved_bytes): b for b in state.seeds}
-        assert seeds.keys() == shapes
-        for seed in state.seeds:
-            fresh = BuddyAllocator(seed.total_bytes, seed.reserved_bytes)
-            assert vars(seed) == vars(fresh)
+        assert state.seeds.keys() == shapes
+        for shape, seed in state.seeds.items():
+            # no seed was granted from: each still equals a fresh one
+            assert vars(seed) == vars(BuddyAllocator(*shape))
         granted = sorted({r.machine_id for r in state.records})
         assert 0 < len(granted) < 200
         for m, built in zip(state.machines, build_fleet(spec)):
             if m.machine_id not in granted:
-                assert m.free_list is seeds[built.free_list.total_bytes, spec.reserved_bytes]
+                untouched = new_machine(
+                    built.free_list.total_bytes, spec.reserved_bytes, m.machine_id
+                )
+                assert m.free_list == untouched
         owners = [state.machines[machine_id].free_list for machine_id in granted]
+        assert all(isinstance(b, BuddyAllocator) for b in owners)
         assert [b.machine_id for b in owners] == granted
         containers = [
-            c for b in (*state.seeds, *owners) for c in (*b._heaps, *b._sets, b._owned)
+            c for b in (*state.seeds.values(), *owners)
+            for c in (*b._heaps, *b._sets, b._owned)
         ]
         assert len({id(c) for c in containers}) == len(containers)
 
@@ -198,10 +201,15 @@ class TestBaselineSeeding:
             for state in (fresh, shared):
                 calls.clear()
                 reports.append(finish(state).core())
-                held = [m.free_list for m in state.machines]
-                assert sorted(calls) == sorted({id(b) for b in (*state.seeds, *held)})
+                held = [m.free_list for m in state.machines
+                        if isinstance(m.free_list, BuddyAllocator)]
+                # once per machine that holds a buddy allocator, never a seed
+                assert sorted(calls) == sorted(map(id, held))
             assert reports[0] == reports[1]
-            seen["untouched"] += sum(m.free_list in shared.seeds for m in shared.machines)
+            granted = {r.machine_id for r in shared.records}
+            assert {m.machine_id for m in shared.machines
+                    if isinstance(m.free_list, BuddyAllocator)} == granted
+            seen["untouched"] += len(shared.machines) - len(granted)
             seen["rejected"] += shared.rejections
         assert all(seen.values()), seen
 
@@ -366,23 +374,13 @@ class TestStep:
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
     def test_events_before_the_clock_are_applied_and_counted(self, variant):
+        """Events earlier than one already stepped are applied in the order
+        given, and each placed VM is counted once in the records."""
         state = new_state(one_machine_spec(), variant)
         for vm_id, time in (("a", 10), ("b", 5), ("c", 7)):
             step(state, start_event(vm_id, time, 1, GIB))
-        assert state.out_of_order == 2  # 5 and 7 both trail the clock at 10
-        assert state.clock == 10
         assert sorted(state.live) == ["a", "b", "c"]
-        report = finish(state)
-        assert report.out_of_order == 2
-        assert "out_of_order" not in report.core()
-        assert report.core() == dataclasses.replace(report, out_of_order=0).core()
-
-    def test_out_of_order_count_is_written_to_report_json(self, tmp_path):
-        state = new_state(one_machine_spec(), SimVariant.PLACEMENT_OPT1)
-        for vm_id, time in (("a", 10), ("b", 5), ("c", 7)):
-            step(state, start_event(vm_id, time, 1, GIB))
-        (path,) = emit(finish(state), "json", tmp_path)
-        assert json.loads(path.read_text())["out_of_order"] == 2
+        assert [(r.vm_id, r.time) for r in state.records] == [("a", 10), ("b", 5), ("c", 7)]
 
 
 class TestReversibility:
@@ -799,7 +797,8 @@ class TestBaselineWalkLength:
         # free bytes do not key the baseline's index: no entry moves
         for machine_id in ahead[:j]:
             machine = state.machines[machine_id]
-            machine.free_list = memory = machine.free_list.copy(machine_id)
+            shape = (machine.free_list.total_bytes, machine.free_list.reserved_bytes)
+            machine.free_list = memory = state.seeds[shape].copy(machine_id)
             memory.allocate("hog", memory.free_bytes - GIB)
         assert self.start_on_counted_index(state, 2 * GIB) == j + 1
         assert state.records[-1].machine_id == ahead[j]

@@ -263,7 +263,6 @@ def hand_built_report():
             0: ((4096, 12288), (65536, 2 * GIB), (3 * GIB, 4 * GIB)),
             1: (),
         },
-        out_of_order=2,
     )
 
 
@@ -312,7 +311,6 @@ class TestReportJson:
         assert list(payload["final_free"]) == ["0", "1", "3"]
         assert payload["final_free"]["3"] == [[0, 4096], [8192, GIB]]
         assert payload["records"][1]["alloc_latency"] == 1e-7
-        assert payload["out_of_order"] == 2
 
     def test_records_carry_the_record_fields_in_order(self, tmp_path):
         """emit writes each record's object field by field; its keys are

@@ -8,6 +8,8 @@ import pytest
 
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
+    MAX_MACHINES,
+    MAX_RAM_BYTES,
     Distribution,
     EventKind,
     FleetSpec,
@@ -446,6 +448,20 @@ class TestFleet:
     def test_bad_proportions_rejected(self):
         with pytest.raises(ValueError):
             FleetSpec((Generation("a", GIB, 1, 70.0),), 3)
+
+    def test_machine_count_is_bounded_at_a_million(self):
+        # a spec only: no fleet is built
+        assert MAX_MACHINES == 10**6
+        assert default_fleet_spec(MAX_MACHINES).machine_count == MAX_MACHINES
+        with pytest.raises(ValueError, match="machine_count must be between 1 and 10"):
+            default_fleet_spec(MAX_MACHINES + 1)
+
+    def test_ram_bytes_is_bounded_at_64_tib(self):
+        assert MAX_RAM_BYTES == 64 << 40
+        assert Generation("big", MAX_RAM_BYTES, 8, 100.0).ram_bytes == MAX_RAM_BYTES
+        for ram in (MAX_RAM_BYTES + 1, MAX_RAM_BYTES + 4096, 2**100):
+            with pytest.raises(ValueError, match="ram_bytes exceeds 2\\*\\*46"):
+                Generation("big", ram, 8, 100.0)
 
     def test_machine_ids_are_dense_and_ordered(self):
         machines = build_fleet(default_fleet_spec(23))
