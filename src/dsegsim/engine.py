@@ -11,9 +11,10 @@ that timed call; a replay otherwise leaves the collector as it finds it.
 
 Every machine is a ``MachineView`` that starts with a one-segment free list,
 which holds the same free bytes and free runs as a freshly seeded buddy
-allocator. The baseline seeds one per machine shape (total and reserved
-bytes) in each replay, and a machine gets its own copy of its shape's seed
-just before its first grant, so no seed is ever granted from. Every variant
+allocator. Just before a baseline machine's first grant it gets its own copy
+of its shape's buddy seed (total and reserved bytes), which the replay seeds
+at the first grant to any machine of that shape, so only shapes that are
+granted are seeded and no seed is ever granted from. Every variant
 keeps the placement index, ``(-free, machine_id)`` for every machine in
 ascending order, keyed by free cores on the baseline and by free bytes
 elsewhere, and moves a machine's entry on each grant and release (see
@@ -37,7 +38,7 @@ import gc
 import time as _time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from .baseline import BuddyAllocator
 from .report import SimulationReport, VmRecord
@@ -84,10 +85,10 @@ class SimulationState:
     key: Callable[[MachineView], int]
     # (-key(m), machine_id) per machine, ascending
     index: list[tuple[int, int]]
-    # the baseline's buddy allocator per (total, reserved) bytes; else empty
-    seeds: dict[tuple[int, int], BuddyAllocator]
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
+    # the baseline's buddy seed per (total, reserved) bytes of a granted machine
+    seeds: dict[tuple[int, int], BuddyAllocator] = field(default_factory=dict)
     log: list[VmEvent] = field(default_factory=list)
     records: list[VmRecord] = field(default_factory=list)
     rejections: int = 0
@@ -116,25 +117,18 @@ def new_state(
         reselect_period=reselect_period,
     )
     machines = build_fleet(fleet_spec)
-    seeds: dict[tuple[int, int], BuddyAllocator] = {}
-    baseline = variant is SimVariant.BASELINE
-    if baseline:
-        for m in machines:
-            shape = (m.free_list.total_bytes, m.free_list.reserved_bytes)
-            if shape not in seeds:
-                seeds[shape] = BuddyAllocator(*shape)
-    key = attrgetter("cores_free" if baseline else "free_list.free_bytes")
+    key = attrgetter("cores_free" if variant is SimVariant.BASELINE else "free_list.free_bytes")
     index = sorted((-key(m), m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, key, index, seeds,
-        next_reselect=reselect_period,
+        variant, config, fleet_spec, machines, key, index, next_reselect=reselect_period
     )
 
 
-def step(state: SimulationState, event: VmEvent) -> None:
+def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
     """Apply one event, in whatever order the caller gives them (``run``
-    sorts them with ``event_order``). Unknown stops and duplicate starts are
-    recorded as anomalies and change nothing."""
+    sorts them with ``event_order``), and return the record of the VM it
+    placed; None for a stop or a start that placed none. Unknown stops and
+    duplicate starts are recorded as anomalies and change nothing."""
     if state.variant is _DYNAMIC:
         if event.time >= state.next_reselect:
             # one reselection over the logged events, none for the empty
@@ -151,14 +145,14 @@ def step(state: SimulationState, event: VmEvent) -> None:
         state.log.append(event)
     if event.kind is _STOP:
         _stop_vm(state, event)
-    else:
-        _start_vm(state, event)
+        return None
+    return _start_vm(state, event)
 
 
-def _start_vm(state: SimulationState, event: VmEvent) -> None:
+def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
     if event.vm_id in state.live:
         state.anomalies += 1
-        return
+        return None
     memory = event.memory_bytes
     if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
         memory += PAGE_SIZE - memory % PAGE_SIZE
@@ -174,30 +168,36 @@ def _start_vm(state: SimulationState, event: VmEvent) -> None:
     except NoCandidateError:
         state.rejections += 1
         state.rejected.add(event.vm_id)
-        return
+        return None
     machine = state.machines[machine_id]
-    if baseline and not isinstance(machine.free_list, BuddyAllocator):
-        # the machine's first grant, into its own copy; not a timed cost
-        flist = machine.free_list
-        machine.free_list = state.seeds[flist.total_bytes, flist.reserved_bytes].copy(machine_id)
     old = state.key(machine)
-    alloc, latency = _grant(machine.free_list, event.vm_id, memory, policy)
+    alloc, latency = _grant(state, machine, event.vm_id, memory, policy)
     machine.cores_free -= event.cores
     _reindex(state.index, machine_id, old, state.key(machine))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
     k = len(alloc.segments)
     mode = _DSN if k <= state.config.n else _FALLBACK
-    state.records.append(VmRecord(event.vm_id, event.time, machine_id, k, mode, latency))
+    record = VmRecord(event.vm_id, event.time, machine_id, k, mode, latency)
+    state.records.append(record)
+    return record
 
 
 def _grant(
-    memory_model, vm_id: str, demand: int, policy: AllocationPolicy
+    state: SimulationState, machine: MachineView, vm_id: str, demand: int, policy: AllocationPolicy
 ) -> tuple[VMAllocation, float]:
-    """Grant a starting VM ``demand`` bytes from either memory model. Returns
-    the grant and the allocator call's thread CPU time: at microsecond scale,
-    wall time mostly measures OS preemption rather than the allocator.
-    Automatic garbage collection is held off during the call, so a collection
-    of the whole interpreter's heap is not charged to one grant."""
+    """Grant a starting VM ``demand`` bytes from the machine's memory model;
+    at its first grant, a baseline machine first gets its own copy of its
+    shape's seed, outside the timed call. Returns the grant and the
+    allocator call's thread CPU time: at microsecond scale, wall time mostly
+    measures OS preemption rather than the allocator. Automatic garbage
+    collection is held off during the call, so a collection of the whole
+    interpreter's heap is not charged to one grant."""
+    memory_model = machine.free_list
+    if state.variant is _BASELINE and not isinstance(memory_model, BuddyAllocator):
+        shape = memory_model.total_bytes, memory_model.reserved_bytes
+        if shape not in state.seeds:
+            state.seeds[shape] = BuddyAllocator(*shape)
+        machine.free_list = memory_model = state.seeds[shape].copy(machine.machine_id)
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
@@ -314,28 +314,15 @@ def reselect_option(
             fork = new_state(fleet_spec, challenger, n), 0
     elif any(e.kind is _START for e in events):
         state = new_state(fleet_spec, SimVariant(current.value), n)
-        for i, k in _replay(state, events):
-            if k > 1 and fork is None:
+        for i, event in enumerate(events):
+            record = step(state, event)
+            if fork is None and record is not None and record.k > 1:
                 fork = _fork(state, challenger), i
         ks = [r.k for r in state.records]
     if fork is not None and _outscores(*fork, events, sum(k <= n for k in ks), sum(ks)):
         chosen = other
     log.clear()
     return chosen
-
-
-def _replay(
-    state: SimulationState, events: list[VmEvent], start: int = 0
-) -> Iterator[tuple[int, int]]:
-    """Step a state through ``events[start:]``, yielding after each start
-    its index in ``events`` and the k of its grant, 0 when it placed no VM."""
-    records = state.records
-    for i in range(start, len(events)):
-        event = events[i]
-        placed = len(records)
-        step(state, event)
-        if event.kind is _START:
-            yield i, records[-1].k if len(records) > placed else 0
 
 
 def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
@@ -372,11 +359,16 @@ def _outscores(
     n = state.config.n
     mine = sum(r.k <= n for r in state.records)
     segments = sum(r.k for r in state.records)
-    left = sum(e.kind is _START for e in events[start:])
-    for _, k in _replay(state, events, start):
+    events = events[start:]
+    left = sum(e.kind is _START for e in events)
+    for event in events:
+        record = step(state, event)
+        if event.kind is _STOP:
+            continue
         left -= 1
-        mine += 0 < k <= n
-        segments += k
+        if record is not None:
+            mine += record.k <= n
+            segments += record.k
         reach = mine + left  # the most VMs at k <= n it can end with
         if reach < dsn or reach == dsn and segments + left >= total:
             return False

@@ -41,9 +41,9 @@ class SimVariant(Enum):
 class MachineView:
     """Scheduler-side view of one machine: cores plus its free-segment list.
 
-    On the baseline, the engine swaps ``free_list`` for the machine's own
-    ``BuddyAllocator`` at its first grant, which offers the same
-    ``free_bytes`` and ``free_runs``.
+    On the baseline, the engine swaps ``free_list`` at the machine's first
+    grant for its own copy of its shape's ``BuddyAllocator`` seed, which
+    offers the same ``free_bytes`` and ``free_runs``.
     """
 
     machine_id: int

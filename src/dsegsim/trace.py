@@ -321,9 +321,6 @@ class Distribution:
             return self.params[0] * rng.paretovariate(self.params[1])
         return rng.expovariate(1.0 / self.params[0])
 
-    def __str__(self) -> str:
-        return f"{self.kind}({', '.join(str(p) for p in self.params)})"
-
 
 def gen_synthetic(
     vm_count: int,

@@ -91,6 +91,24 @@ class TestRun:
         assert big.mode == "fallback"
 
 
+class TestStepReturn:
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_the_placed_vms_record_else_none(self, variant):
+        state = new_state(one_machine_spec(ram_gib=4), variant)
+        placed = step(state, start_event("a", 0, 1, GIB))
+        assert placed is state.records[-1]
+        assert placed.vm_id == "a"
+        assert step(state, start_event("a", 1, 1, GIB)) is None  # a duplicate start
+        assert state.anomalies == 1
+        assert step(state, start_event("big", 2, 1, 8 * GIB)) is None  # rejected
+        assert state.rejections == 1
+        assert step(state, stop_event("a", 3)) is None
+        assert step(state, stop_event("big", 4)) is None
+        placed = step(state, start_event("b", 5, 1, GIB))
+        assert placed is state.records[-1]
+        assert [r.vm_id for r in state.records] == ["a", "b"]
+
+
 class TestBaselineSeeding:
     def test_one_seed_per_shape_shared_until_a_machines_first_grant(self, monkeypatch):
         seeded = []
@@ -111,13 +129,20 @@ class TestBaselineSeeding:
         finish(state)
         shapes = {(g.ram_bytes, spec.reserved_bytes) for g in spec.generations}
         assert len(shapes) == 4  # Gen4 and Gen6 share 192 GiB
-        assert sorted(seeded) == sorted(shapes)
-        assert state.seeds.keys() == shapes
+        granted = sorted({r.machine_id for r in state.records})
+        assert 0 < len(granted) < 200
+        granted_shapes = {
+            (state.machines[machine_id].free_list.total_bytes, spec.reserved_bytes)
+            for machine_id in granted
+        }
+        assert len(granted_shapes) == 1  # the baseline grants from one shape of four
+        # one seed per granted shape, none for a shape never granted
+        assert sorted(seeded) == sorted(granted_shapes)
+        assert state.seeds.keys() == granted_shapes
+        assert not state.seeds.keys() & (shapes - granted_shapes)
         for shape, seed in state.seeds.items():
             # no seed was granted from: each still equals a fresh one
             assert vars(seed) == vars(BuddyAllocator(*shape))
-        granted = sorted({r.machine_id for r in state.records})
-        assert 0 < len(granted) < 200
         for m, built in zip(state.machines, build_fleet(spec)):
             if m.machine_id not in granted:
                 untouched = new_machine(
@@ -613,17 +638,16 @@ class TestPlacementIndex:
             spec, events = random_fleet_and_trace(rng)
             state = new_state(spec, variant, n=2, reselect_period=600.0)
             for event in event_order(events):
-                placed = len(state.records)
                 checked = event.kind is EventKind.START and event.vm_id not in state.live
                 if checked:
                     expected = self._chain_pick(state, event, seen)
                 # a reselection inside step may switch the policy first
                 reselects = (variant is SimVariant.DYNAMIC
                              and event.time >= state.next_reselect)
-                step(state, event)
+                record = step(state, event)
                 assert state.index == sorted(index_key(variant, m) for m in state.machines)
                 if checked and not reselects:
-                    got = state.records[-1].machine_id if len(state.records) > placed else None
+                    got = record.machine_id if record is not None else None
                     assert got == expected
         assert all(seen.values()), seen
 
@@ -724,12 +748,11 @@ class TestCoresKeyedWalk:
                 expected = self.oracle_pick(state, event, stopped, seen)
             elif event.kind is EventKind.STOP:
                 stopped.add(event.vm_id)
-            placed = len(state.records)
-            step(state, event)
+            record = step(state, event)
             assert state.index == sorted((-m.cores_free, m.machine_id)
                                          for m in state.machines)
             if checked:
-                got = state.records[-1].machine_id if len(state.records) > placed else None
+                got = record.machine_id if record is not None else None
                 assert got == expected
 
     def test_random_fleets_match_the_oracle(self):
@@ -798,7 +821,7 @@ class TestBaselineWalkLength:
         for machine_id in ahead[:j]:
             machine = state.machines[machine_id]
             shape = (machine.free_list.total_bytes, machine.free_list.reserved_bytes)
-            machine.free_list = memory = state.seeds[shape].copy(machine_id)
+            machine.free_list = memory = BuddyAllocator(*shape, machine_id=machine_id)
             memory.allocate("hog", memory.free_bytes - GIB)
         assert self.start_on_counted_index(state, 2 * GIB) == j + 1
         assert state.records[-1].machine_id == ahead[j]
@@ -825,22 +848,31 @@ def two_full_replays(log, fleet_spec, config, drained=None):
 
 def count_replays(monkeypatch):
     """Record, per ``reselect_option`` call, the variant of every replay it
-    runs: each one, from a fresh fleet or a fork, steps through
-    ``engine._replay``."""
+    runs: each one starts from exactly one ``engine.new_state`` (a fresh
+    fleet) or ``engine._fork`` made inside that call."""
     reselections = []
+    scoring = []
     real_reselect = engine.reselect_option
-    real_replay = engine._replay
 
     def counting_reselect(*args):
         reselections.append([])
-        return real_reselect(*args)
+        scoring.append(True)
+        try:
+            return real_reselect(*args)
+        finally:
+            scoring.pop()
 
-    def counting_replay(state, *args):
-        reselections[-1].append(state.variant)
-        return real_replay(state, *args)
+    def counting(real):
+        def start(*args):
+            state = real(*args)
+            if scoring:
+                reselections[-1].append(state.variant)
+            return state
+        return start
 
     monkeypatch.setattr(engine, "reselect_option", counting_reselect)
-    monkeypatch.setattr(engine, "_replay", counting_replay)
+    monkeypatch.setattr(engine, "new_state", counting(engine.new_state))
+    monkeypatch.setattr(engine, "_fork", counting(engine._fork))
     return reselections
 
 
@@ -1008,12 +1040,11 @@ def replay_outcomes(events, spec, policy, n):
     state = new_state(spec, SimVariant(policy.value), n)
     outcomes = []
     for event in events:
-        placed = len(state.records)
-        step(state, event)
+        record = step(state, event)
         if event.kind is EventKind.STOP:
             outcomes.append(None)
         else:
-            outcomes.append(state.records[-1].k if len(state.records) > placed else 0)
+            outcomes.append(record.k if record is not None else 0)
     return outcomes, state
 
 
@@ -1192,9 +1223,8 @@ class TestFork:
                 challenger = SimVariant(other.value)
                 state = new_state(spec, SimVariant(current.value), n=2)
                 for i, event in enumerate(events):
-                    placed = len(state.records)
-                    step(state, event)
-                    if len(state.records) > placed and state.records[-1].k > 1:
+                    record = step(state, event)
+                    if record is not None and record.k > 1:
                         break
                 else:
                     continue

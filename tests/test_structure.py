@@ -264,7 +264,7 @@ def test_per_event_types_are_slotted():
 PER_EVENT_FUNCTIONS = {
     "engine": (
         "step", "_start_vm", "_grant", "_release", "_reindex", "_stop_vm",
-        "event_order", "reselect_option", "_replay", "_outscores",
+        "event_order", "reselect_option", "_outscores",
     ),
     "scheduler": ("filter_min_segments", "fitting_machines", "segment_pick", "baseline_pick"),
     "segments": ("_plan", "allocate", "peek_segment_count", "release"),
