@@ -48,9 +48,8 @@ from .scheduler import (
     NoCandidateError,
     SchedulerConfig,
     SimVariant,
-    baseline_pick,
+    filter_min_segments,
     fitting_machines,
-    segment_pick,
 )
 from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
 from .trace import EventKind, FleetSpec, VmEvent, build_fleet
@@ -157,19 +156,23 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
     if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
         memory += PAGE_SIZE - memory % PAGE_SIZE
     policy = state.config.current_policy
-    baseline = state.variant is _BASELINE
-    stop = event.cores if baseline else memory
-    candidates = fitting_machines(state.machines, state.index, event.cores, memory, stop)
-    try:
-        if baseline:
-            machine_id = baseline_pick(candidates)
-        else:
-            machine_id = segment_pick(candidates, memory, policy)
-    except NoCandidateError:
-        state.rejections += 1
-        state.rejected.add(event.vm_id)
-        return None
-    machine = state.machines[machine_id]
+    if state.variant is _BASELINE:
+        stop, segment = event.cores, 0
+    else:
+        stop = segment = memory
+    machine, walked = fitting_machines(
+        state.machines, state.index, event.cores, memory, stop, segment
+    )
+    if machine is None:
+        # On the baseline, whose threshold of 0 takes the first fit, no
+        # machine fits and none was walked past, so the chain rejects.
+        try:
+            machine = state.machines[filter_min_segments(walked, memory, policy)]
+        except NoCandidateError:
+            state.rejections += 1
+            state.rejected.add(event.vm_id)
+            return None
+    machine_id = machine.machine_id
     old = state.key(machine)
     alloc, latency = _grant(state, machine, event.vm_id, memory, policy)
     machine.cores_free -= event.cores
@@ -188,7 +191,8 @@ def _grant(
     """Grant a starting VM ``demand`` bytes from the machine's memory model;
     at its first grant, a baseline machine first gets its own copy of its
     shape's seed, outside the timed call. Returns the grant and the
-    allocator call's thread CPU time: at microsecond scale, wall time mostly
+    allocator call's thread CPU time in seconds, the exact difference of two
+    nanosecond readings divided once: at microsecond scale, wall time mostly
     measures OS preemption rather than the allocator. Automatic garbage
     collection is held off during the call, so a collection of the whole
     interpreter's heap is not charged to one grant."""
@@ -202,12 +206,12 @@ def _grant(
     gc.disable()
     try:
         if isinstance(memory_model, BuddyAllocator):
-            t0 = _time.thread_time()
+            t0 = _time.thread_time_ns()
             alloc = memory_model.allocate(vm_id, demand)
         else:
-            t0 = _time.thread_time()
+            t0 = _time.thread_time_ns()
             alloc = allocate(memory_model, vm_id, demand, policy)
-        return alloc, _time.thread_time() - t0
+        return alloc, (_time.thread_time_ns() - t0) / 1e9
     finally:
         if gc_was_on:
             gc.enable()

@@ -10,10 +10,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .trace import EventKind, FleetSpec, VmEvent
+from .trace import EventKind, FleetSpec, VmEvent, csv_text
+
+# One report.json record as json.dumps writes it: VmRecord's fields in
+# declaration order, each string through json's ASCII string encoder.
+_RECORD_JSON = (
+    '{"vm_id": %s, "time": %d, "machine_id": %d, "k": %d, "mode": %s, "alloc_latency": %s}'
+)
 
 
 @dataclass(slots=True)
@@ -89,10 +96,10 @@ class SegmentHistogram:
 def segment_histogram(report: SimulationReport) -> SegmentHistogram:
     if not report.records:
         return SegmentHistogram(0.0, 0.0, 0.0, 0.0, empty=True)
-    buckets = [0, 0, 0, 0]
-    for r in report.records:
-        buckets[min(r.k, 4) - 1] += 1
-    total = len(report.records)
+    ks = [r.k for r in report.records]
+    total = len(ks)
+    ones, twos, threes = ks.count(1), ks.count(2), ks.count(3)
+    buckets = (ones, twos, threes, total - ones - twos - threes)
     # b * 100 stays an exact float, so an all-ones report yields exactly 100.0
     return SegmentHistogram(*(b * 100.0 / total for b in buckets))
 
@@ -181,30 +188,39 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if fmt == "json":
-        payload = summary_dict(report)
-        # One dict per record, its keys in VmRecord's field order (a slotted
-        # record has no vars()); the span tuples encode as arrays. json.dumps
-        # without indent runs CPython's C encoder; indent, or json.dump to a
-        # file, runs the pure-Python one.
-        payload["records"] = [
-            {"vm_id": r.vm_id, "time": r.time, "machine_id": r.machine_id, "k": r.k,
-             "mode": r.mode, "alloc_latency": r.alloc_latency}
+        # json.dumps of the summary, then of the records and final_free
+        # under their keys, written into the summary's object
+        summary = summary_dict(report)
+        stats = summary["alloc_latency_ms"]
+        # repr writes a float as json does unless it is NaN or infinite, and
+        # the latencies' mean is finite only when every latency is
+        float_text = repr if stats is None or math.isfinite(stats["mean"]) else json.dumps
+        encode = encode_basestring_ascii
+        records = ", ".join([
+            _RECORD_JSON % (
+                encode(r.vm_id), r.time, r.machine_id, r.k, encode(r.mode),
+                float_text(r.alloc_latency),
+            )
             for r in report.records
-        ]
-        payload["final_free"] = {
-            str(m): spans for m, spans in sorted(report.final_free.items())
-        }
+        ])
+        final_free = {str(m): spans for m, spans in sorted(report.final_free.items())}
         path = out / "report.json"
-        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        path.write_text(
+            f'{json.dumps(summary)[:-1]}, "records": [{records}], '
+            f'"final_free": {json.dumps(final_free)}}}\n',
+            encoding="utf-8",
+        )
         written.append(path)
     elif fmt == "csv":
         path = out / "records.csv"
-        lines = ["vm_id,time,machine_id,k,mode,alloc_latency_ms"]
-        lines += [
-            f"{r.vm_id},{r.time},{r.machine_id},{r.k},{r.mode},{r.alloc_latency * 1000.0!r}"
-            for r in report.records
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(
+            csv_text(
+                ("vm_id", "time", "machine_id", "k", "mode", "alloc_latency_ms"),
+                [(r.vm_id, r.time, r.machine_id, r.k, r.mode, r.alloc_latency * 1000.0)
+                 for r in report.records],
+            ),
+            encoding="utf-8",
+        )
         written.append(path)
         hist = segment_histogram(report)
         path = out / "histogram.csv"

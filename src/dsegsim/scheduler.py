@@ -3,13 +3,15 @@
 The segment-aware scheduler places each VM where the hypervisor allocator
 would grant it the fewest segments; ties go to the machine with the most free
 bytes, then the lowest id. The baseline instead takes the most free cores.
-Both read their candidates from ``fitting_machines``, a walk over a placement
-index of machines ordered by free bytes (by free cores on the baseline) that
-yields every machine with enough free cores and free bytes, in that
-tie-break order, so ``baseline_pick`` takes the first. ``segment_pick`` takes
-the first candidate whose largest free segment covers the demand; only when
-none does it run ``filter_min_segments``, which dry-runs the allocator's plan
-on each candidate's own free-segment list without changing it.
+Both walk a placement index of machines ordered by free bytes (by free cores
+on the baseline) with ``fitting_machines``, which returns the first machine
+with enough free cores and free bytes whose largest free segment covers a
+threshold, and the fitting machines it walked past, in that tie-break order.
+The baseline's threshold of 0 takes the first fit. The segment variants'
+threshold is the demand, so the first fit grants one segment, the minimum;
+only when none does they run ``filter_min_segments`` over the walked
+machines, which dry-runs the allocator's plan on each candidate's own
+free-segment list without changing it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .segments import AllocationPolicy, FreeSegmentList, peek_segment_count
 
@@ -93,36 +95,26 @@ def fitting_machines(
     cores: int,
     memory: int,
     stop: int,
-) -> Iterator[MachineView]:
-    """The machines with at least ``cores`` free cores and ``memory`` free
-    bytes, in ``index`` order: ``(-free, machine_id)`` for every machine,
-    ascending, where ``free`` is the amount of the resource keying the index.
-    The walk stops at the first entry with less free than ``stop``, the
-    start's demand of that resource."""
+    segment: int,
+) -> tuple[MachineView | None, list[MachineView]]:
+    """Walk ``index`` for the machines with at least ``cores`` free cores
+    and ``memory`` free bytes, and return the first whose largest free
+    segment covers ``segment`` bytes, None if none does, with the fitting
+    machines walked past before it, in walk order.
+
+    ``index`` holds ``(-free, machine_id)`` for every machine, ascending,
+    where ``free`` is the amount of the resource keying the index. The walk
+    stops at the first entry with less free than ``stop``, the start's
+    demand of that resource. A ``segment`` of 0 takes the first fitting
+    machine without reading its free list, which may be a
+    ``BuddyAllocator``."""
+    walked = []
     for neg_free, machine_id in index:
         if -neg_free < stop:
-            return
+            break
         m = machines[machine_id]
         if m.cores_free >= cores and m.free_list.free_bytes >= memory:
-            yield m
-
-
-def segment_pick(
-    candidates: Iterable[MachineView], memory: int, policy: AllocationPolicy
-) -> int:
-    """``filter_min_segments``' choice among candidates in index order: the
-    first that grants one segment, the minimum, else the chain's pick."""
-    walked = []
-    for m in candidates:
-        if m.free_list.max_segment >= memory:
-            return m.machine_id
-        walked.append(m)
-    return filter_min_segments(walked, memory, policy)
-
-
-def baseline_pick(candidates: Iterable[MachineView]) -> int:
-    """Stock spread objective: most free cores, ties to the lowest id, which
-    is the first candidate of a walk over the index keyed by free cores."""
-    for m in candidates:
-        return m.machine_id
-    raise NoCandidateError("no machine has the free cores and bytes")
+            if not segment or m.free_list.max_segment >= segment:
+                return m, walked
+            walked.append(m)
+    return None, walked

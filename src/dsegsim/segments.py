@@ -74,22 +74,24 @@ _SMALLEST_FIRST = AllocationPolicy.SMALLEST_FIRST
 _LARGEST_FIRST = AllocationPolicy.LARGEST_FIRST
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class SegmentDescriptor:
     """A contiguous byte range [base, limit) of host physical memory.
 
     Slotted, so mutable and unhashable, but nothing mutates an instance: a
     grant builds one per granted segment, and a replay and its fork share
-    the descriptors of the VMs live when it forked."""
+    the descriptors of the VMs live when it forked. The constructor is
+    written out, check first, so that it runs one Python frame rather than
+    the generated ``__init__`` and a ``__post_init__``."""
 
     base: int
     limit: int
 
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.limit <= self.base:
-            raise InvalidSizeError(
-                f"segment [{self.base:#x}, {self.limit:#x}) is empty or negative"
-            )
+    def __init__(self, base: int, limit: int) -> None:
+        if base < 0 or limit <= base:
+            raise InvalidSizeError(f"segment [{base:#x}, {limit:#x}) is empty or negative")
+        self.base = base
+        self.limit = limit
 
     @property
     def size(self) -> int:

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, NoReturn, Sequence, TextIO
 
 from .scheduler import MachineView
 from .segments import new_machine
@@ -50,7 +50,7 @@ _START = EventKind.START
 _STOP = EventKind.STOP
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class VmEvent:
     """One trace event, held to the rules of a trace row: an integer time of
     at least 0; on a start, an integer count of at least one core and a
@@ -58,31 +58,45 @@ class VmEvent:
 
     Slotted, so mutable and unhashable, but nothing mutates an instance: the
     caller's list, ``engine.event_order``'s sorted copy and the dynamic
-    variant's log share them."""
+    variant's log share them. The constructor is written out, checks first,
+    so that building an event runs one Python frame rather than the
+    generated ``__init__`` and a ``__post_init__``."""
 
     vm_id: str
     kind: EventKind
     time: int
-    cores: int | None = None
-    memory_bytes: int | None = None
+    cores: int | None
+    memory_bytes: int | None
 
-    def __post_init__(self) -> None:
-        if type(self.time) is not int:
-            raise ValueError(f"time must be an integer, got {self.time!r}")
-        if self.time < 0:
-            raise ValueError(f"negative time {self.time}")
-        if self.kind is _START:
-            if type(self.cores) is not int or type(self.memory_bytes) is not int:
+    def __init__(
+        self,
+        vm_id: str,
+        kind: EventKind,
+        time: int,
+        cores: int | None = None,
+        memory_bytes: int | None = None,
+    ) -> None:
+        if type(time) is not int:
+            raise ValueError(f"time must be an integer, got {time!r}")
+        if time < 0:
+            raise ValueError(f"negative time {time}")
+        if kind is _START:
+            if type(cores) is not int or type(memory_bytes) is not int:
                 raise ValueError(
                     f"a start needs integer cores and memory_bytes, "
-                    f"got {self.cores!r} and {self.memory_bytes!r}"
+                    f"got {cores!r} and {memory_bytes!r}"
                 )
-            if self.cores < 1:
-                raise ValueError(f"cores must be >= 1, got {self.cores}")
-            if self.memory_bytes <= 0:
-                raise ValueError(f"memory_bytes must be positive, got {self.memory_bytes}")
-        elif self.cores is not None or self.memory_bytes is not None:
+            if cores < 1:
+                raise ValueError(f"cores must be >= 1, got {cores}")
+            if memory_bytes <= 0:
+                raise ValueError(f"memory_bytes must be positive, got {memory_bytes}")
+        elif cores is not None or memory_bytes is not None:
             raise ValueError("a stop carries no cores or memory_bytes")
+        self.vm_id = vm_id
+        self.kind = kind
+        self.time = time
+        self.cores = cores
+        self.memory_bytes = memory_bytes
 
 
 def start_event(vm_id: str, time: int, cores: int, memory_bytes: int) -> VmEvent:
@@ -100,12 +114,38 @@ def _field_int(row: list[str], idx: int, name: str, lineno: int) -> int:
         raise TraceFormatError(lineno, f"bad {name} in {row!r}") from None
 
 
+def _reject_row(row: list[str], kind: EventKind | None, lineno: int) -> NoReturn:
+    """Raise the error of a row that made no event, checking its fields one
+    at a time in the order their errors take precedence: the time, then the
+    kind and its fields, then the event's own checks of its values."""
+    time = _field_int(row, 2, "time", lineno)
+    if kind is _START:
+        if len(row) != 5:
+            raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
+        cores = _field_int(row, 3, "cores", lineno)
+        memory_bytes = _field_int(row, 4, "memory_bytes", lineno)
+    elif kind is _STOP:
+        if len(row) == 5 and (row[3].strip() or row[4].strip()):
+            raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
+        cores = memory_bytes = None
+    else:
+        raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
+    try:
+        VmEvent(row[0].strip(), kind, time, cores, memory_bytes)
+    except ValueError as exc:
+        raise TraceFormatError(lineno, str(exc)) from None
+    raise AssertionError(f"line {lineno}: {row!r} makes an event")
+
+
 def parse_trace(source: TextIO | str) -> list[VmEvent]:
     """Parse a trace, returning events sorted by time (stable for ties).
 
     The header row is optional on input; serialization always writes it. A VM
     may start again after its stop; a start while the VM is live, in replay
     order (by time, stops before starts, then input order), is rejected.
+
+    Each row's event is built in one ``try``; a row that fails it is checked
+    again field by field (``_reject_row``) to name what is wrong.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -123,25 +163,21 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
         if not vm_id:
             raise TraceFormatError(lineno, "empty vm_id")
         kind = _KINDS.get(row[1].strip().lower())
-        time = _field_int(row, 2, "time", lineno)
-        if kind is _START:
-            if fields != 5:
-                raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
-            cores = _field_int(row, 3, "cores", lineno)
-            memory_bytes = _field_int(row, 4, "memory_bytes", lineno)
-            if vm_id in started:
-                restarted.add(vm_id)
-            started.add(vm_id)
-        elif kind is _STOP:
-            if fields == 5 and (row[3].strip() or row[4].strip()):
-                raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
-            cores = memory_bytes = None
-        else:
-            raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
         try:
-            events.append(VmEvent(vm_id, kind, time, cores, memory_bytes))
-        except ValueError as exc:  # the event's own checks of its values
-            raise TraceFormatError(lineno, str(exc)) from None
+            if kind is _START:
+                event = VmEvent(vm_id, kind, int(row[2]), int(row[3]), int(row[4]))
+                if vm_id in started:
+                    restarted.add(vm_id)
+                started.add(vm_id)
+            elif kind is _STOP and (fields == 3 or not (row[3].strip() or row[4].strip())):
+                event = VmEvent(vm_id, kind, int(row[2]))
+            else:
+                event = None
+        except (ValueError, IndexError):
+            event = None
+        if event is None:
+            _reject_row(row, kind, lineno)
+        events.append(event)
         lines.append(lineno)
     if restarted:  # replay the VMs that start more than once
         order = sorted(
@@ -162,15 +198,30 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
     return events
 
 
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """CSV text of a header and rows, LF line endings, that ``csv.reader``
+    reads back field for field. A field is quoted only where it holds a
+    comma, a quote or a line feed; ``csv.writer`` leaves a carriage return
+    unquoted unless the line terminator holds one, so text with one is
+    written again with every field quoted."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+        if "\r" not in out.getvalue():
+            break
+    return out.getvalue()
+
+
 def serialize_trace(events: Iterable[VmEvent]) -> str:
-    """Canonical trace text: header, one row per event, LF line endings."""
-    lines = [",".join(TRACE_HEADER)]
-    for e in events:
-        if e.kind is EventKind.START:
-            lines.append(f"{e.vm_id},start,{e.time},{e.cores},{e.memory_bytes}")
-        else:
-            lines.append(f"{e.vm_id},stop,{e.time},,")
-    return "\n".join(lines) + "\n"
+    """Canonical trace text: header, one row per event, LF line endings,
+    a vm_id quoted where CSV needs it (see ``csv_text``)."""
+    return csv_text(TRACE_HEADER, [
+        (e.vm_id, "start", e.time, e.cores, e.memory_bytes) if e.kind is _START
+        else (e.vm_id, "stop", e.time, "", "")
+        for e in events
+    ])
 
 
 def load_trace(path: str | Path) -> list[VmEvent]:

@@ -2,12 +2,16 @@
 cross-checks both allocators, the segment allocator's plan on a copy of the
 free list with two scans per fit, its release with two bisects per segment,
 the fleet-wide resource filter that the placement index's walk must agree
-with, policy reselection by two full replays, and report.json's payload
-built by deep copy."""
+with, policy reselection by two full replays, report.json's payload built
+by deep copy and its text built by ``json.dumps`` of one dict per record,
+and the trace parser that converts a row's fields one call at a time."""
 
 from __future__ import annotations
 
 import bisect
+import csv
+import io
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -22,6 +26,7 @@ from dsegsim.segments import (
     OverlapError,
     SegmentDescriptor,
 )
+from dsegsim.trace import TRACE_HEADER, EventKind, TraceFormatError, VmEvent
 
 
 class BitmapOracle:
@@ -186,3 +191,85 @@ def report_payload(report) -> dict:
         for m, spans in sorted(report.final_free.items())
     }
     return payload
+
+
+def report_json_by_dumps(report) -> str:
+    """report.json's text as ``emit`` wrote it before records were written
+    by template: the summary dict, one dict per record in ``VmRecord``'s
+    field order, and the sorted free spans, through one ``json.dumps``."""
+    payload = summary_dict(report)
+    payload["records"] = [
+        {"vm_id": r.vm_id, "time": r.time, "machine_id": r.machine_id, "k": r.k,
+         "mode": r.mode, "alloc_latency": r.alloc_latency}
+        for r in report.records
+    ]
+    payload["final_free"] = {
+        str(m): spans for m, spans in sorted(report.final_free.items())
+    }
+    return json.dumps(payload) + "\n"
+
+
+def _field_int(row, idx, name, lineno):
+    try:
+        return int(row[idx])
+    except (ValueError, IndexError):
+        raise TraceFormatError(lineno, f"bad {name} in {row!r}") from None
+
+
+def parse_trace_by_field(text):
+    """``parse_trace`` as it was before each row's event was built in one
+    ``try``: every field converted by its own call, in the order the errors
+    take precedence (field count, vm_id, time, then the kind's fields), then
+    the event's own checks."""
+    kinds = {kind.value: kind for kind in EventKind}
+    events = []
+    lines = []
+    started = set()
+    restarted = set()
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row or (lineno == 1 and tuple(row) == TRACE_HEADER):
+            continue
+        fields = len(row)
+        if fields not in (3, 5):
+            raise TraceFormatError(lineno, f"expected 3 or 5 fields, got {fields}")
+        vm_id = row[0].strip()
+        if not vm_id:
+            raise TraceFormatError(lineno, "empty vm_id")
+        kind = kinds.get(row[1].strip().lower())
+        time = _field_int(row, 2, "time", lineno)
+        if kind is EventKind.START:
+            if fields != 5:
+                raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
+            cores = _field_int(row, 3, "cores", lineno)
+            memory_bytes = _field_int(row, 4, "memory_bytes", lineno)
+            if vm_id in started:
+                restarted.add(vm_id)
+            started.add(vm_id)
+        elif kind is EventKind.STOP:
+            if fields == 5 and (row[3].strip() or row[4].strip()):
+                raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
+            cores = memory_bytes = None
+        else:
+            raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
+        try:
+            events.append(VmEvent(vm_id, kind, time, cores, memory_bytes))
+        except ValueError as exc:
+            raise TraceFormatError(lineno, str(exc)) from None
+        lines.append(lineno)
+    if restarted:
+        order = sorted(
+            (e.time, e.kind is EventKind.START, i)
+            for i, e in enumerate(events)
+            if e.vm_id in restarted
+        )
+        live = set()
+        for _, is_start, i in order:
+            vm_id = events[i].vm_id
+            if not is_start:
+                live.discard(vm_id)
+            elif vm_id in live:
+                raise TraceFormatError(lines[i], f"duplicate start for vm {vm_id!r}")
+            else:
+                live.add(vm_id)
+    events.sort(key=lambda e: e.time)
+    return events

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dsegsim import engine
 from dsegsim.baseline import BuddyAllocator
 from dsegsim.engine import event_order, finish, new_state, run, step
+from dsegsim.report import emit
 from dsegsim.scheduler import (
     NoCandidateError,
     SchedulerConfig,
@@ -616,10 +617,39 @@ def oracle_walk(state, event):
     return sorted(kept, key=lambda m: index_key(state.variant, m))
 
 
-def engine_walk(state, event):
+# a threshold no free segment reaches, so the walk passes every fitting machine
+NO_SEGMENT = 1 << 64
+
+
+def engine_walk(state, event, segment):
+    """The fitting machines ``fitting_machines`` walks for a start, the fit
+    it returns (if any) last."""
     baseline = state.variant is SimVariant.BASELINE
     stop = event.cores if baseline else event.memory_bytes
-    return fitting_machines(state.machines, state.index, event.cores, event.memory_bytes, stop)
+    machine, walked = fitting_machines(
+        state.machines, state.index, event.cores, event.memory_bytes, stop, segment
+    )
+    return walked if machine is None else [*walked, machine]
+
+
+def oracle_prefix(kept, segment):
+    """``kept`` up to and including the first machine whose largest free
+    segment covers ``segment`` (any machine for 0), all of it if none does."""
+    for i, m in enumerate(kept):
+        if not segment or m.free_list.max_segment >= segment:
+            return kept[: i + 1]
+    return kept
+
+
+def assert_walks_match(state, event, kept):
+    """The walk agrees with ``kept``, the oracle's filter in index order,
+    under each threshold the variant can use: 0 on the baseline; on the
+    segment variants the demand, as the engine passes it, and one that no
+    segment reaches, which walks every fitting machine."""
+    baseline = state.variant is SimVariant.BASELINE
+    for segment in (0,) if baseline else (event.memory_bytes, NO_SEGMENT):
+        walked = [m.machine_id for m in engine_walk(state, event, segment)]
+        assert walked == [m.machine_id for m in oracle_prefix(kept, segment)]
 
 
 class TestPlacementIndex:
@@ -657,8 +687,7 @@ class TestPlacementIndex:
         (None: rejected), after checking the index walk against the filter."""
         policy = state.config.current_policy
         kept = oracle_walk(state, event)
-        walked = [m.machine_id for m in engine_walk(state, event)]
-        assert walked == [m.machine_id for m in kept]
+        assert_walks_match(state, event, kept)
         baseline = state.variant is SimVariant.BASELINE
         # a machine the walk passes over on the resource not keying the index
         seen["other_skipped"] += any(
@@ -725,8 +754,7 @@ class TestCoresKeyedWalk:
         """The oracle's machine for a start (None: rejected), after checking
         the engine's walk against the oracle's."""
         kept = oracle_walk(state, event)
-        walked = [m.machine_id for m in engine_walk(state, event)]
-        assert walked == [m.machine_id for m in kept]
+        assert_walks_match(state, event, kept)
         seen["restart"] += event.vm_id in stopped
         cored = [m for m in state.machines if m.cores_free >= event.cores]
         if not kept:
@@ -1299,16 +1327,33 @@ class _GcJumpClock:
     collection moves it on by one second."""
 
     def __init__(self):
-        self.now = 0.0
+        self.now_ns = 0
         self.collections = 0
 
     def thread_time(self):
-        return self.now
+        return self.now_ns / 1e9
+
+    def thread_time_ns(self):
+        return self.now_ns
 
     def on_gc(self, phase, info):
         if phase == "start":
-            self.now += 1.0
+            self.now_ns += 10**9
             self.collections += 1
+
+
+class _SteppingClock:
+    """A nanosecond thread clock that moves on by ``step_ns`` at each
+    reading, from a start far enough from 0 that the same readings in float
+    seconds would lose their last digits."""
+
+    def __init__(self, step_ns):
+        self.now_ns = 10**15 + 7
+        self.step_ns = step_ns
+
+    def thread_time_ns(self):
+        self.now_ns += self.step_ns
+        return self.now_ns
 
 
 class TestAllocLatency:
@@ -1329,6 +1374,21 @@ class TestAllocLatency:
         assert clock.collections > 0
         assert report.placed > 0
         assert all(r.alloc_latency == 0 for r in report.records)
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_latency_is_the_exact_nanosecond_difference(self, variant, monkeypatch, tmp_path):
+        """Each latency is ``(t1 - t0) / 1e9`` of two nanosecond readings,
+        exactly, and report.json writes its short repr."""
+        monkeypatch.setattr(engine, "_time", _SteppingClock(19_385))
+        events = gen_synthetic(40, DEFAULT_FLAVORS, Distribution.exponential(120),
+                               Distribution.exponential(6000), 7)
+        report = run(events, default_fleet_spec(4), variant)
+        assert report.placed > 0
+        assert all(r.alloc_latency == 19_385 / 1e9 for r in report.records)
+        assert repr(report.records[0].alloc_latency) == "1.9385e-05"
+        (path,) = emit(report, "json", tmp_path)
+        records = path.read_text(encoding="utf-8").split('"records": ')[1]
+        assert records.count('"alloc_latency": 1.9385e-05}') == report.placed
 
     def test_grant_leaves_garbage_collection_off_when_it_was_off(self):
         was_on = gc.isenabled()

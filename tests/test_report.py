@@ -1,8 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsegsim.engine import run
 from dsegsim.report import (
@@ -27,7 +32,7 @@ from dsegsim.trace import (
     start_event,
     stop_event,
 )
-from oracle import report_payload
+from oracle import report_json_by_dumps, report_payload
 
 GIB = 1 << 30
 
@@ -326,3 +331,93 @@ class TestReportJson:
         (path,) = emit(hand_built_report(), "json", tmp_path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("}\n") and text.count("\n") == 1
+
+
+# latencies whose text json and repr may write differently: zero, the
+# smallest subnormal, a short and a huge value, NaN and the infinities
+EDGE_LATENCIES = (0.0, 5e-324, 1e-7, 1.5e300, math.nan, math.inf, -math.inf)
+# characters json escapes or writes as \\u escapes: quotes, backslashes,
+# control characters, non-ASCII ones beyond the BMP too
+EDGE_CHARS = '"\\/\x00\x01\x1f\x7f\b\f\n\r\t\u00e9\u2028\U0001f600'
+
+
+def json_outcome(write, report):
+    """The bytes a writer of report.json gives for ``report``, or the type
+    of the error it raises."""
+    try:
+        return write(report)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def emit_json(report):
+    with tempfile.TemporaryDirectory() as out:
+        (path,) = emit(report, "json", out)
+        return path.read_bytes()
+
+
+class TestReportJsonBytes:
+    """emit writes each record by template; the file's bytes must be those
+    of ``json.dumps`` of one dict per record (``oracle.report_json_by_dumps``)
+    for any id and any latency, NaN and the infinities included, which json
+    writes as ``NaN`` and ``Infinity`` where repr writes ``nan`` and
+    ``inf``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.text(st.one_of(st.sampled_from(EDGE_CHARS), st.characters()), max_size=6),
+            st.integers(0, 10**12),
+            st.integers(0, 10**6),
+            st.integers(1, 40),
+            st.sampled_from(["dsn", "fallback"]),
+            st.one_of(st.sampled_from(EDGE_LATENCIES), st.floats(-1.0, 1.0)),
+        ),
+        max_size=6,
+    ))
+    def test_bytes_equal_json_dumps(self, fields):
+        report = dataclasses.replace(
+            hand_built_report(), records=tuple(VmRecord(*f) for f in fields)
+        )
+        expected = json_outcome(lambda r: report_json_by_dumps(r).encode(), report)
+        assert json_outcome(emit_json, report) == expected
+
+    @pytest.mark.parametrize("latency", EDGE_LATENCIES, ids=repr)
+    def test_each_edge_latency(self, latency):
+        # two equal latencies: latency_stats squares each one's deviation,
+        # which overflows for 1.5e300 s beside a small one
+        report = dataclasses.replace(hand_built_report(), records=(
+            VmRecord('say "\u00e9\\\n"', 0, 1, 2, "dsn", latency),
+            VmRecord("vm1", 3, 0, 1, "dsn", latency),
+        ))
+        assert emit_json(report) == report_json_by_dumps(report).encode()
+
+    def test_no_records(self):
+        report = dataclasses.replace(hand_built_report(), records=())
+        text = emit_json(report)
+        assert text == report_json_by_dumps(report).encode()
+        assert b'"records": [], ' in text
+
+
+class TestRecordsCsv:
+    """records.csv quotes a vm_id where CSV needs it, so each row reads
+    back as six fields; plain ids keep their unquoted bytes."""
+
+    def test_ids_that_need_quoting_read_back(self, tmp_path):
+        ids = ["vm,1", 'say "hi"', "two\nlines", "cr\rid", "plain"]
+        report = dataclasses.replace(hand_built_report(), records=tuple(
+            VmRecord(vm_id, i, 0, 1, "dsn", 0.001) for i, vm_id in enumerate(ids)
+        ))
+        emit(report, "csv", tmp_path)
+        with open(tmp_path / "records.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["vm_id", "time", "machine_id", "k", "mode", "alloc_latency_ms"]
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 6 for row in rows)
+
+    def test_plain_ids_are_not_quoted(self, tmp_path):
+        emit(make_report([1, 4], latencies=[0.002, 0.25]), "csv", tmp_path)
+        assert (tmp_path / "records.csv").read_text(encoding="utf-8") == (
+            "vm_id,time,machine_id,k,mode,alloc_latency_ms\n"
+            "vm0,0,0,1,dsn,2.0\nvm1,1,0,4,fallback,250.0\n"
+        )

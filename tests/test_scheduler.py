@@ -8,7 +8,6 @@ from dsegsim.scheduler import (
     MachineView,
     NoCandidateError,
     SchedulerConfig,
-    baseline_pick,
     filter_min_segments,
     fitting_machines,
 )
@@ -114,11 +113,17 @@ def _random_machine(rng, mid):
 
 
 def walk_pick(fleet, cores, memory):
-    """``baseline_pick`` over the walk of a cores-keyed index of ``fleet``,
-    as the engine keeps it for the baseline."""
+    """The baseline's pick: the first fit of the walk, with a threshold of 0,
+    over a cores-keyed index of ``fleet``, as the engine keeps it for the
+    baseline. With no fit the walk has passed no machine, and the engine's
+    ``filter_min_segments`` over that empty list rejects the VM."""
     machines = {m.machine_id: m for m in fleet}
     index = sorted((-m.cores_free, m.machine_id) for m in fleet)
-    return baseline_pick(fitting_machines(machines, index, cores, memory, cores))
+    machine, walked = fitting_machines(machines, index, cores, memory, cores, 0)
+    assert walked == []
+    if machine is None:
+        return filter_min_segments(walked, memory, OPT1)
+    return machine.machine_id
 
 
 class TestBaselinePick:
@@ -148,8 +153,9 @@ class TestBaselinePick:
             assert walk_pick(fleet, 1, GIB) == best.machine_id
 
     def test_no_candidate_raises(self):
+        assert fitting_machines({}, [], 1, GIB, 1, 0) == (None, [])
         with pytest.raises(NoCandidateError):
-            baseline_pick(iter(()))
+            walk_pick([], 1, GIB)
 
 
 def composition_beats_smallest_log():

@@ -240,8 +240,8 @@ def test_every_field_has_a_reader_outside_the_tests():
 
 
 def test_per_event_types_are_slotted():
-    """Instances without a ``__dict__``, built by the plain generated
-    ``__init__``: a frozen dataclass sets each field through
+    """Instances without a ``__dict__``, whose ``__init__`` assigns each
+    field plainly: a frozen dataclass sets each field through
     ``object.__setattr__``, several times the cost per event."""
     segment = SegmentDescriptor(0, 4096)
     allocation = VMAllocation("vm", (segment,))
@@ -266,9 +266,9 @@ PER_EVENT_FUNCTIONS = {
         "step", "_start_vm", "_grant", "_release", "_reindex", "_stop_vm",
         "event_order", "reselect_option", "_outscores",
     ),
-    "scheduler": ("filter_min_segments", "fitting_machines", "segment_pick", "baseline_pick"),
-    "segments": ("_plan", "allocate", "peek_segment_count", "release"),
-    "trace": ("parse_trace", "VmEvent.__post_init__"),
+    "scheduler": ("filter_min_segments", "fitting_machines"),
+    "segments": ("_plan", "allocate", "peek_segment_count", "release", "SegmentDescriptor.__init__"),
+    "trace": ("parse_trace", "VmEvent.__init__"),
 }
 ENUMS = {"EventKind", "SimVariant", "AllocationPolicy", "VmMode"}
 

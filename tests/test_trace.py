@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
@@ -31,6 +34,7 @@ from dsegsim.trace import (
     start_event,
     stop_event,
 )
+from oracle import parse_trace_by_field
 
 GIB = 1 << 30
 
@@ -147,6 +151,37 @@ class TestParseTrace:
         assert serialize_trace(parse_trace(text)) == text
 
 
+# ids that CSV must quote: a comma, a quote, a line feed, a carriage return
+QUOTED_IDS = ("vm,1", 'say "hi"', "two\nlines", "cr\rid", 'a,"\r\nb')
+
+
+class TestQuotedIds:
+    """A vm_id that ``parse_trace`` accepts in quotes is written back in
+    quotes, so the trace parses to the same events; plain ids keep their
+    unquoted bytes."""
+
+    def test_round_trip(self):
+        events = [start_event(vm_id, i, 1, GIB) for i, vm_id in enumerate(QUOTED_IDS)]
+        events += [stop_event(vm_id, 10 + i) for i, vm_id in enumerate(QUOTED_IDS)]
+        text = serialize_trace(events)
+        assert parse_trace(text) == events
+        assert serialize_trace(parse_trace(text)) == text
+
+    @pytest.mark.parametrize("vm_id", QUOTED_IDS)
+    def test_one_quoted_id_among_plain_ones(self, vm_id):
+        events = [start_event("vm0", 0, 1, GIB), start_event(vm_id, 1, 2, 2 * GIB),
+                  stop_event(vm_id, 5), stop_event("vm0", 6)]
+        text = serialize_trace(events)
+        assert parse_trace(text) == events
+        assert [len(row) for row in csv.reader(io.StringIO(text))] == [5] * 5
+
+    def test_plain_ids_are_not_quoted(self):
+        events = [start_event("vm1", 0, 2, 4 * GIB), stop_event("vm1", 100)]
+        assert serialize_trace(events) == (
+            f"vm_id,kind,time,cores,memory_bytes\nvm1,start,0,2,{4 * GIB}\nvm1,stop,100,,\n"
+        )
+
+
 def trace_cases():
     """(trace text, then for a rejected trace the line and the message of its
     TraceFormatError, for an accepted one None twice): one case per way a row
@@ -207,6 +242,79 @@ class TestTraceFormat:
             with pytest.raises(TraceFormatError, match=f"^line {line}: ") as exc:
                 parse_trace(text)
             assert str(exc.value) == f"line {line}: {reason}"
+
+
+# field values near a valid row's: valid and invalid integers, padded and
+# signed ones, kinds in any case, unknown kinds, ids that need quoting or strip
+# to nothing
+NEAR_IDS = ("vm1", "vm2", " vm1 ", "", " ", "a,b", 'q"x')
+NEAR_KINDS = ("start", "stop", "START", " Stop ", "reboot", "")
+NEAR_INTS = (*(str(i) for i in range(-2, 10)), "x", "", " 3 ", "1.5", "+2", "1_0", "\u0663")
+NEAR_WIDTHS = (3, 3, 5, 5, 5, 2, 4, 6)
+
+
+def near_valid_trace(pick, rows):
+    """CSV text of ``rows`` rows, each a valid start or stop of one of a
+    few VMs or a row of two to six fields, mostly three or five, whose
+    values ``pick`` chooses from the lists above."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for _ in range(rows):
+        vm_id, time = pick(("vm1", "vm2", "a,b")), pick(range(10))
+        shape = pick(("start", "stop", "padded stop", "near", "near", "near"))
+        if shape == "start":
+            row = [vm_id, "start", time, pick(range(1, 4)), pick((4096, 8192))]
+        elif shape == "stop":
+            row = [vm_id, "stop", time]
+        elif shape == "padded stop":
+            row = [vm_id, "stop", time, "", ""]
+        else:
+            row = [pick(NEAR_IDS), pick(NEAR_KINDS), *(pick(NEAR_INTS) for _ in range(4))]
+            row = row[: pick(NEAR_WIDTHS)]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@st.composite
+def near_valid_traces(draw):
+    header = ",".join(TRACE_HEADER) + "\n" if draw(st.booleans()) else ""
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    return header + near_valid_trace(pick, draw(st.integers(1, 6)))
+
+
+def parse_outcome(parse, text):
+    """The events parsed, or the TraceFormatError's message."""
+    try:
+        return parse(text)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+class TestParseMatchesTheFieldByFieldParser:
+    """``parse_trace`` builds each row's event in one ``try`` and checks a
+    failed row again field by field; it must return the events, or raise
+    the error text, that converting one field at a time does."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(near_valid_traces())
+    def test_same_events_or_same_error(self, text):
+        assert parse_outcome(parse_trace, text) == parse_outcome(parse_trace_by_field, text)
+
+    def test_near_valid_rows_reach_each_outcome(self):
+        """Rows drawn from the same values reach accepted traces and every
+        kind of error, the time-before-kind precedence among them."""
+        rng = random.Random(5)
+        outcomes = [
+            parse_outcome(parse_trace_by_field, near_valid_trace(rng.choice, rng.randint(1, 6)))
+            for _ in range(3000)
+        ]
+        errors = " ".join(o for o in outcomes if isinstance(o, str))
+        assert sum(isinstance(o, list) and len(o) > 1 for o in outcomes) > 20
+        for reason in ("expected 3 or 5 fields", "empty vm_id", "bad time", "bad cores",
+                       "bad memory_bytes", "start row needs", "stop row must",
+                       "unknown event kind", "must be", "negative time", "duplicate start"):
+            assert reason in errors, reason
+        assert any(o.endswith("'reboot', 'x']") for o in outcomes if isinstance(o, str))
 
 
 def snapshot_row(vm_id="vm1", **values):
