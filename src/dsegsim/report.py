@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .trace import EventKind, FleetSpec, VmEvent, csv_text
+from .trace import EventKind, FleetSpec, VmEvent, csv_field
 
 # One report.json record as json.dumps writes it: VmRecord's fields in
 # declaration order, each string through json's ASCII string encoder.
@@ -213,14 +213,13 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
         written.append(path)
     elif fmt == "csv":
         path = out / "records.csv"
-        path.write_text(
-            csv_text(
-                ("vm_id", "time", "machine_id", "k", "mode", "alloc_latency_ms"),
-                [(r.vm_id, r.time, r.machine_id, r.k, r.mode, r.alloc_latency * 1000.0)
-                 for r in report.records],
-            ),
-            encoding="utf-8",
-        )
+        lines = ["vm_id,time,machine_id,k,mode,alloc_latency_ms"]
+        lines += [
+            f"{csv_field(r.vm_id)},{r.time},{r.machine_id},{r.k},{r.mode},"
+            f"{r.alloc_latency * 1000.0!r}"
+            for r in report.records
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
         hist = segment_histogram(report)
         path = out / "histogram.csv"

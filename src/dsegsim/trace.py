@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .scheduler import MachineView
 from .segments import new_machine
@@ -114,38 +114,12 @@ def _field_int(row: list[str], idx: int, name: str, lineno: int) -> int:
         raise TraceFormatError(lineno, f"bad {name} in {row!r}") from None
 
 
-def _reject_row(row: list[str], kind: EventKind | None, lineno: int) -> NoReturn:
-    """Raise the error of a row that made no event, checking its fields one
-    at a time in the order their errors take precedence: the time, then the
-    kind and its fields, then the event's own checks of its values."""
-    time = _field_int(row, 2, "time", lineno)
-    if kind is _START:
-        if len(row) != 5:
-            raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
-        cores = _field_int(row, 3, "cores", lineno)
-        memory_bytes = _field_int(row, 4, "memory_bytes", lineno)
-    elif kind is _STOP:
-        if len(row) == 5 and (row[3].strip() or row[4].strip()):
-            raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
-        cores = memory_bytes = None
-    else:
-        raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
-    try:
-        VmEvent(row[0].strip(), kind, time, cores, memory_bytes)
-    except ValueError as exc:
-        raise TraceFormatError(lineno, str(exc)) from None
-    raise AssertionError(f"line {lineno}: {row!r} makes an event")
-
-
 def parse_trace(source: TextIO | str) -> list[VmEvent]:
     """Parse a trace, returning events sorted by time (stable for ties).
 
     The header row is optional on input; serialization always writes it. A VM
     may start again after its stop; a start while the VM is live, in replay
     order (by time, stops before starts, then input order), is rejected.
-
-    Each row's event is built in one ``try``; a row that fails it is checked
-    again field by field (``_reject_row``) to name what is wrong.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -164,20 +138,33 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             raise TraceFormatError(lineno, "empty vm_id")
         kind = _KINDS.get(row[1].strip().lower())
         try:
-            if kind is _START:
-                event = VmEvent(vm_id, kind, int(row[2]), int(row[3]), int(row[4]))
-                if vm_id in started:
-                    restarted.add(vm_id)
-                started.add(vm_id)
-            elif kind is _STOP and (fields == 3 or not (row[3].strip() or row[4].strip())):
-                event = VmEvent(vm_id, kind, int(row[2]))
-            else:
-                event = None
-        except (ValueError, IndexError):
-            event = None
-        if event is None:
-            _reject_row(row, kind, lineno)
-        events.append(event)
+            time = int(row[2])
+        except ValueError:
+            raise TraceFormatError(lineno, f"bad time in {row!r}") from None
+        if kind is _START:
+            if fields != 5:
+                raise TraceFormatError(lineno, "start row needs cores and memory_bytes")
+            try:
+                cores = int(row[3])
+            except ValueError:
+                raise TraceFormatError(lineno, f"bad cores in {row!r}") from None
+            try:
+                memory_bytes = int(row[4])
+            except ValueError:
+                raise TraceFormatError(lineno, f"bad memory_bytes in {row!r}") from None
+            if vm_id in started:
+                restarted.add(vm_id)
+            started.add(vm_id)
+        elif kind is _STOP:
+            if fields == 5 and (row[3].strip() or row[4].strip()):
+                raise TraceFormatError(lineno, "stop row must leave cores and memory empty")
+            cores = memory_bytes = None
+        else:
+            raise TraceFormatError(lineno, f"unknown event kind {row[1]!r}")
+        try:
+            events.append(VmEvent(vm_id, kind, time, cores, memory_bytes))
+        except ValueError as exc:  # the event's own checks of its values
+            raise TraceFormatError(lineno, str(exc)) from None
         lines.append(lineno)
     if restarted:  # replay the VMs that start more than once
         order = sorted(
@@ -198,30 +185,25 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
     return events
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """CSV text of a header and rows, LF line endings, that ``csv.reader``
-    reads back field for field. A field is quoted only where it holds a
-    comma, a quote or a line feed; ``csv.writer`` leaves a carriage return
-    unquoted unless the line terminator holds one, so text with one is
-    written again with every field quoted."""
-    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-        writer.writerow(header)
-        writer.writerows(rows)
-        if "\r" not in out.getvalue():
-            break
-    return out.getvalue()
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field that ``csv.reader`` reads back: unchanged
+    unless it holds a comma, a quote or a line break, else quoted with its
+    quotes doubled."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def serialize_trace(events: Iterable[VmEvent]) -> str:
     """Canonical trace text: header, one row per event, LF line endings,
-    a vm_id quoted where CSV needs it (see ``csv_text``)."""
-    return csv_text(TRACE_HEADER, [
-        (e.vm_id, "start", e.time, e.cores, e.memory_bytes) if e.kind is _START
-        else (e.vm_id, "stop", e.time, "", "")
-        for e in events
-    ])
+    a vm_id quoted where CSV needs it."""
+    lines = [",".join(TRACE_HEADER)]
+    for e in events:
+        if e.kind is _START:
+            lines.append(f"{csv_field(e.vm_id)},start,{e.time},{e.cores},{e.memory_bytes}")
+        else:
+            lines.append(f"{csv_field(e.vm_id)},stop,{e.time},,")
+    return "\n".join(lines) + "\n"
 
 
 def load_trace(path: str | Path) -> list[VmEvent]:

@@ -291,9 +291,9 @@ def parse_outcome(parse, text):
 
 
 class TestParseMatchesTheFieldByFieldParser:
-    """``parse_trace`` builds each row's event in one ``try`` and checks a
-    failed row again field by field; it must return the events, or raise
-    the error text, that converting one field at a time does."""
+    """``parse_trace`` converts each field inline and builds the event with
+    one constructor frame; it must return the events, or raise the error
+    text, that converting one field at a time through ``_field_int`` does."""
 
     @settings(max_examples=600, deadline=None)
     @given(near_valid_traces())
