@@ -5,9 +5,10 @@ memory frees before it is wanted. Each start rounds its demand up to whole
 pages, walks the placement index for the machines that fit it, picks one by
 the variant's objective, grants the memory with the variant's allocator,
 then types the VM (register-file translation when k <= n). The engine times
-each allocator call, which is the one non-reproducible output; everything
-else is deterministic. Automatic garbage collection is held off only inside
-that timed call; a replay otherwise leaves the collector as it finds it.
+each allocator call of the replay, which is the one non-reproducible output;
+everything else is deterministic. Automatic garbage collection is held off
+only inside that timed call; a replay otherwise leaves the collector as it
+finds it.
 
 Every machine is a ``MachineView`` that starts with a one-segment free list,
 which holds the same free bytes and free runs as a freshly seeded buddy
@@ -22,13 +23,17 @@ elsewhere, and moves a machine's entry on each grant and release (see
 
 ``step`` is the one code that applies an event. ``run`` drives it over a
 trace, and so does the dynamic variant's periodic policy reselection, which
-scores both composition policies on the logged events without ``run``. The
-current policy's score comes from the dynamic replay's own records when its
-period began on a drained fleet, which equals a fresh one, and from a replay
-otherwise. The policies differ from the first grant that composes, so the
-other policy is replayed only when the current one composed a grant: from a
-copy of the current replay's state just before that grant, or from a fresh
-fleet after the records, and only until the outcome is decided.
+scores both composition policies on the logged events without ``run``. A
+score reads only k, so these scoring replays are untimed: their grants call
+the allocator directly, with no clock reading and no garbage-collector
+switch, and record a latency of 0.0. The current policy's score comes from
+the dynamic replay's own records when its period began on a drained fleet,
+which equals a fresh one, and from a replay otherwise. The policies differ
+from the first grant that composes, so the other policy is replayed only when
+the current one composed a grant, from a copy of the current replay's state
+just before that grant, and only until the outcome is decided. In a period
+begun drained that copy is taken by the dynamic replay itself, at the
+period's first composed grant.
 """
 
 from __future__ import annotations
@@ -96,6 +101,20 @@ class SimulationState:
     next_reselect: float = 0.0
     # index in records where the logged period begins; None if a VM was live then
     period_start: int | None = 0
+    # dynamic only: in a period begun drained, a copy of the state from just
+    # before the period's first composed grant under the other policy, and
+    # that start's index in the log
+    challenger: tuple[SimulationState, int] | None = None
+    # a scoring replay, whose grants are neither timed nor kept from the
+    # garbage collector
+    untimed: bool = False
+
+
+# the policy a scoring replay challenges the current one with
+_CHALLENGER = {
+    AllocationPolicy.SMALLEST_FIRST: SimVariant.PLACEMENT_OPT2,
+    AllocationPolicy.LARGEST_FIRST: SimVariant.PLACEMENT_OPT1,
+}
 
 
 def _variant_policy(variant: SimVariant) -> AllocationPolicy:
@@ -135,13 +154,24 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
             if state.log:
                 since = state.period_start
                 drained = None if since is None else state.records[since:]
-                chosen = reselect_option(state.log, state.fleet_spec, state.config, drained)
+                chosen = reselect_option(
+                    state.log, state.fleet_spec, state.config, drained, state.challenger
+                )
                 state.config.current_policy = chosen
                 state.option_switches.append((int(state.next_reselect), chosen.value))
                 state.period_start = None if state.live else len(state.records)
+                state.challenger = None
             period = state.config.reselect_period
             state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
+        if event.kind is _START and state.period_start is not None and state.challenger is None:
+            record = _start_vm(state, event)
+            if record is not None and record.k > 1:  # the period's first composed grant
+                state.challenger = (
+                    _fork(state, _CHALLENGER[state.config.current_policy], state.period_start),
+                    len(state.log) - 1,
+                )
+            return record
     if event.kind is _STOP:
         _stop_vm(state, event)
         return None
@@ -195,8 +225,11 @@ def _grant(
     nanosecond readings divided once: at microsecond scale, wall time mostly
     measures OS preemption rather than the allocator. Automatic garbage
     collection is held off during the call, so a collection of the whole
-    interpreter's heap is not charged to one grant."""
+    interpreter's heap is not charged to one grant. A scoring replay's grant
+    is not timed, and its latency is 0.0."""
     memory_model = machine.free_list
+    if state.untimed:  # a segment variant's: reselection never scores the baseline
+        return allocate(memory_model, vm_id, demand, policy), 0.0
     if state.variant is _BASELINE and not isinstance(memory_model, BuddyAllocator):
         shape = memory_model.total_bytes, memory_model.reserved_bytes
         if shape not in state.seeds:
@@ -284,6 +317,7 @@ def reselect_option(
     fleet_spec: FleetSpec,
     config: SchedulerConfig,
     drained: list[VmRecord] | None = None,
+    challenger: tuple[SimulationState, int] | None = None,
 ) -> AllocationPolicy:
     """Score both composition policies as replays of the log on a fresh fleet
     and adopt the one yielding more VMs with k <= n; ties prefer fewer total
@@ -297,43 +331,43 @@ def reselect_option(
     replay's records. The policies place and grant alike until a grant
     composes, so the other policy, the challenger, is replayed only when the
     current one composed a grant; otherwise the two tie and the current
-    policy stays. The current policy's replay hands the challenger a copy of
-    its state from just before its first composed grant, the first event at
-    which the two can differ (``_fork``); after ``drained`` records the
-    challenger starts on a fresh fleet. The challenger stops as soon as the
-    outcome is decided (``_outscores``). Both replays drive ``step``
-    directly, without ``finish``, whose release of every live VM no score
-    needs.
+    policy stays. The challenger starts from a copy of the current policy's
+    state from just before its first composed grant, the first event at
+    which the two can differ (``_fork``): the copy that the current policy's
+    replay takes, or after ``drained`` records, ``challenger``, the copy and
+    the log index of that grant that the caller's replay took (``step``).
+    The challenger stops as soon as the outcome is decided (``_outscores``).
+    Every replay here is untimed and drives ``step`` directly, without
+    ``finish``, whose release of every live VM no score needs.
     """
     n = config.n
     current = chosen = config.current_policy
-    (other,) = set(AllocationPolicy) - {current}
-    challenger = SimVariant(other.value)
     events = event_order(log)
     ks: list[int] = []
     fork: tuple[SimulationState, int] | None = None
     if drained is not None and log == events:
         ks = [r.k for r in drained]
-        if any(k > 1 for k in ks):
-            fork = new_state(fleet_spec, challenger, n), 0
+        fork = challenger
     elif any(e.kind is _START for e in events):
         state = new_state(fleet_spec, SimVariant(current.value), n)
+        state.untimed = True
         for i, event in enumerate(events):
             record = step(state, event)
             if fork is None and record is not None and record.k > 1:
-                fork = _fork(state, challenger), i
+                fork = _fork(state, _CHALLENGER[current]), i
         ks = [r.k for r in state.records]
     if fork is not None and _outscores(*fork, events, sum(k <= n for k in ks), sum(ks)):
-        chosen = other
+        (chosen,) = set(AllocationPolicy) - {current}
     log.clear()
     return chosen
 
 
-def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
-    """A copy of a segment replay's state from just before the grant of its
-    last record, under ``variant``'s policy. The copy releases that grant: a
-    free-segment list is fully coalesced, so a release restores the list the
-    grant was taken from, and the VM's cores and index entry with it."""
+def _fork(state: SimulationState, variant: SimVariant, since: int = 0) -> SimulationState:
+    """An untimed copy of a segment replay's state from just before the grant
+    of its last record, under ``variant``'s policy, with the records from
+    index ``since`` and no log. The copy releases that grant: a free-segment
+    list is fully coalesced, so a release restores the list the grant was
+    taken from, and the VM's cores and index entry with it."""
     vm_id = state.records[-1].vm_id
     fork = replace(
         state,
@@ -344,9 +378,10 @@ def _fork(state: SimulationState, variant: SimVariant) -> SimulationState:
         seeds=dict(state.seeds),
         live=dict(state.live),
         rejected=set(state.rejected),
-        log=list(state.log),
-        records=state.records[:-1],
-        option_switches=list(state.option_switches),
+        log=[],
+        records=state.records[since:-1],
+        option_switches=[],
+        untimed=True,
     )
     _release(fork, vm_id, fork.live.pop(vm_id))
     return fork

@@ -105,13 +105,24 @@ def segment_histogram(report: SimulationReport) -> SegmentHistogram:
 
 
 def latency_stats(samples: Sequence[float]) -> tuple[float, float] | None:
-    """Arithmetic mean and population standard deviation, None when empty."""
+    """Arithmetic mean and population standard deviation, None when empty.
+
+    Finite samples give finite results, as exact as two float passes allow.
+    Samples whose largest magnitude is past 2^255 or under 2^-256, where a
+    square could leave float range or lose its digits, are scaled by a power
+    of two to below 1 first, which is exact, and the results scaled back. A
+    NaN or infinite sample makes the deviation NaN."""
     if not samples:
         return None
     n = len(samples)
-    mean = sum(samples) / n
-    var = sum((x - mean) ** 2 for x in samples) / n
-    return mean, math.sqrt(var)
+    exp = math.frexp(max(map(abs, samples)))[1]
+    if -256 < exp < 256:
+        mean = sum(samples) / n
+        return mean, math.sqrt(sum((x - mean) ** 2 for x in samples) / n)
+    scaled = [math.ldexp(x, -exp) for x in samples]
+    mean = sum(scaled) / n
+    stdev = math.sqrt(sum((y - mean) ** 2 for y in scaled) / n)
+    return math.ldexp(mean, exp), math.ldexp(stdev, exp)
 
 
 def alloc_frequency(events: Sequence[VmEvent], fleet: FleetSpec) -> float | None:

@@ -868,23 +868,41 @@ def churning_fleet_and_trace(rng):
     return spec, events
 
 
-def two_full_replays(log, fleet_spec, config, drained=None):
+def bursty_fleet_and_trace(rng):
+    """Bursts of 6-16 VMs of 1-4 half GiB on 1-2 machines of 4-8 GiB, one
+    burst in each 1000 s from its start: most bursts have stopped when the
+    next 1000 s begin, so a dynamic replay with that period begins most
+    periods drained, and some run on past them. Stops leave holes that
+    later VMs of the burst compose."""
+    spec = FleetSpec((Generation("m", rng.randint(4, 8) * GIB, 64, 100.0),), rng.randint(1, 2))
+    events = []
+    for burst in range(rng.randint(2, 6)):
+        for i in range(rng.randint(6, 16)):
+            t = burst * 1000 + rng.randint(0, 600)
+            events.append(start_event(f"b{burst}vm{i}", t, 1, rng.randint(1, 4) * GIB // 2))
+            events.append(stop_event(f"b{burst}vm{i}", t + rng.randint(1, 500)))
+    return spec, events
+
+
+def two_full_replays(log, fleet_spec, config, drained=None, challenger=None):
     """``reselect_by_two_replays`` in ``reselect_option``'s place: it takes
-    the dynamic replay's own records as well, and ignores them."""
+    the dynamic replay's own records and fork as well, and ignores them."""
     return reselect_by_two_replays(log, fleet_spec, config)
 
 
 def count_replays(monkeypatch):
     """Record, per ``reselect_option`` call, the variant of every replay it
     runs: each one starts from exactly one ``engine.new_state`` (a fresh
-    fleet) or ``engine._fork`` made inside that call."""
+    fleet) or ``engine._fork`` made inside that call, or from the fork that
+    the dynamic replay's ``step`` took at its period's first composed grant,
+    which is attributed to the call that steps it (``engine._outscores``)."""
     reselections = []
-    scoring = []
-    real_reselect = engine.reselect_option
+    scoring = []  # per reselect_option call in progress, the states it made
+    real_reselect, real_outscores = engine.reselect_option, engine._outscores
 
     def counting_reselect(*args):
         reselections.append([])
-        scoring.append(True)
+        scoring.append([])
         try:
             return real_reselect(*args)
         finally:
@@ -895,12 +913,19 @@ def count_replays(monkeypatch):
             state = real(*args)
             if scoring:
                 reselections[-1].append(state.variant)
+                scoring[-1].append(state)
             return state
         return start
+
+    def counting_outscores(state, *args):
+        if not any(state is made for made in scoring[-1]):  # a fork step took
+            reselections[-1].append(state.variant)
+        return real_outscores(state, *args)
 
     monkeypatch.setattr(engine, "reselect_option", counting_reselect)
     monkeypatch.setattr(engine, "new_state", counting(engine.new_state))
     monkeypatch.setattr(engine, "_fork", counting(engine._fork))
+    monkeypatch.setattr(engine, "_outscores", counting_outscores)
     return reselections
 
 
@@ -1076,6 +1101,19 @@ def replay_outcomes(events, spec, policy, n):
     return outcomes, state
 
 
+def logged_period(log, spec, policy, n):
+    """What the dynamic replay hands the reselection of a period that began
+    on a drained fleet and logged ``log`` under ``policy``: the records it
+    made, stepping the log in its own order, and the fork its ``step`` took
+    at the period's first composed grant, with that start's log index (None
+    without one)."""
+    state = new_state(spec, SimVariant.DYNAMIC, n, reselect_period=10.0**9)
+    state.config.current_policy = policy
+    for event in log:
+        step(state, event)
+    return state.records, state.challenger
+
+
 def count_steps(monkeypatch):
     """Count ``step`` calls per variant."""
     steps = dict.fromkeys(SimVariant, 0)
@@ -1091,9 +1129,9 @@ def count_steps(monkeypatch):
 
 class TestChallengerScoring:
     """``reselect_option`` replays the challenger, the policy that is not
-    current, from a fork of the current policy's replay, or from a fresh
-    fleet after ``drained`` records, and stops it once the outcome is
-    decided. It must choose what two full replays choose, and step exactly
+    current, from a fork of the current policy's replay, or after
+    ``drained`` records from the fork the dynamic replay took, and stops it
+    once the outcome is decided. It must choose what two full replays choose, and step exactly
     the events that full replays show are needed to decide."""
 
     @staticmethod
@@ -1127,7 +1165,7 @@ class TestChallengerScoring:
         rng = random.Random(47)
         exits = dict.fromkeys(("behind", "no fewer segments", "ahead", "fewer segments"), 0)
         seen = dict.fromkeys(("from records", "out of order", "stops only", "rejected",
-                              "anomaly", "forked"), 0)
+                              "anomaly", "forked", "forked by step"), 0)
         for _ in range(300):
             spec, log = scoring_fleet_and_log(rng)
             i = rng.randrange(len(log))
@@ -1140,15 +1178,15 @@ class TestChallengerScoring:
                 config = SchedulerConfig(n=n, current_policy=current)
                 mine, state = replay_outcomes(events, spec, current, config.n)
                 theirs, _ = replay_outcomes(events, spec, other, config.n)
-                drained = None
+                drained = challenger = None
                 if rng.random() < 0.5:
                     # what the dynamic replay logged, in the log's own order,
-                    # from a drained fleet
-                    drained = replay_outcomes(log, spec, current, config.n)[1].records
+                    # from a drained fleet, and the fork it took
+                    drained, challenger = logged_period(log, spec, current, config.n)
                 expected = reselect_by_two_replays(list(log), spec, config)
                 steps = count_steps(monkeypatch)
                 got_log = list(log)
-                got = engine.reselect_option(got_log, spec, config, drained)
+                got = engine.reselect_option(got_log, spec, config, drained, challenger)
                 monkeypatch.undo()
                 assert got is expected
                 assert got_log == []
@@ -1158,11 +1196,12 @@ class TestChallengerScoring:
                 assert steps[SimVariant(current.value)] == (len(events) if replayed else 0)
                 composed = [i for i, k in enumerate(mine) if k is not None and k > 1]
                 if composed:
-                    fork = 0 if from_records else composed[0]
-                    count, why = self.decided(mine, theirs, fork, config.n)
+                    # both forks are taken just before the first composed grant
+                    count, why = self.decided(mine, theirs, composed[0], config.n)
                     assert steps[SimVariant(other.value)] == count
                     exits[why] += 1
-                    seen["forked"] += fork > 0
+                    seen["forked"] += not from_records
+                    seen["forked by step"] += from_records
                 else:
                     assert steps[SimVariant(other.value)] == 0
                 seen["from records"] += from_records
@@ -1174,33 +1213,42 @@ class TestChallengerScoring:
         assert all(seen.values()), seen
 
     def test_dynamic_replay_forks_in_periods_begun_with_vms_live(self, monkeypatch):
-        """The fork serves the periods whose current policy is replayed,
-        because VMs were live when they began; the report still equals one
-        made with two full replays per reselection."""
+        """Reselection forks the current policy's replay in the periods whose
+        current policy is replayed, because VMs were live when they began;
+        in a period begun drained the dynamic replay hands it a fork exactly
+        when its records composed a grant. The report still equals one made
+        with two full replays per reselection."""
         rng = random.Random(48)
         forked = []
+        handed = dict.fromkeys((True, False), 0)
         real_reselect, real_fork = engine.reselect_option, engine._fork
 
-        def recording_reselect(log, fleet_spec, config, drained=None):
+        def recording_reselect(log, fleet_spec, config, drained=None, challenger=None):
             forked.append([drained is None, False])
-            return real_reselect(log, fleet_spec, config, drained)
+            if drained is not None:
+                assert (challenger is not None) is any(r.k > 1 for r in drained)
+                handed[challenger is not None] += 1
+            return real_reselect(log, fleet_spec, config, drained, challenger)
 
-        def recording_fork(state, variant):
-            forked[-1][1] = True
-            return real_fork(state, variant)
+        def recording_fork(state, variant, *since):
+            if state.variant is not SimVariant.DYNAMIC:  # not the dynamic replay's own
+                forked[-1][1] = True
+            return real_fork(state, variant, *since)
 
-        for _ in range(20):
-            spec, events = churning_fleet_and_trace(rng)
+        traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
+        traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
+        for spec, events, period in traces:
             monkeypatch.setattr(engine, "reselect_option", recording_reselect)
             monkeypatch.setattr(engine, "_fork", recording_fork)
-            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=300.0)
+            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
             monkeypatch.undo()
             monkeypatch.setattr(engine, "reselect_option", two_full_replays)
-            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=300.0)
+            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
             monkeypatch.undo()
             assert got.core() == expected.core()
         assert [True, True] in forked
         assert [False, True] not in forked
+        assert all(handed.values()), handed
 
     def test_losing_challenger_stops_at_the_start_that_decides(self, monkeypatch):
         """On one 8 GiB machine the stops leave holes of 1, 1 and 2 GiB. A
@@ -1285,6 +1333,53 @@ class TestFork:
                 assert self.outcome(fork) == self.outcome(fresh)
                 assert self.machine_state(fork) == self.machine_state(fresh)
         assert forks > 10
+
+    def test_dynamic_replay_forks_as_a_fresh_challenger_at_the_same_log_index(
+        self, monkeypatch
+    ):
+        """In a period begun drained, the fork that the dynamic replay's
+        ``step`` takes equals a fresh-fleet replay of the period's log under
+        the challenger, up to the fork's log index: the same free-list
+        columns, placement index and live VMs, the same records' k, and
+        untimed. That index is the start of the period's first composed
+        grant, and the fork holds no log."""
+        rng = random.Random(50)
+        checked = later = 0
+        real_reselect = engine.reselect_option
+
+        def checking_reselect(log, fleet_spec, config, drained=None, challenger=None):
+            nonlocal checked, later
+            if challenger is not None:
+                fork, i = challenger
+                (other,) = set(AllocationPolicy) - {config.current_policy}
+                fresh = new_state(fleet_spec, SimVariant(other.value), config.n)
+                for event in log[:i]:
+                    step(fresh, event)
+                assert fork.untimed and not fresh.untimed
+                assert fork.variant is fresh.variant
+                assert (fork.config.n, fork.config.current_policy) == (config.n, other)
+                assert [(m.free_list.bases, m.free_list.sizes, m.free_list.free_bytes,
+                         m.free_list.max_segment, m.cores_free) for m in fork.machines] == [
+                    (m.free_list.bases, m.free_list.sizes, m.free_list.free_bytes,
+                     m.free_list.max_segment, m.cores_free) for m in fresh.machines]
+                assert fork.index == fresh.index
+                assert sorted(fork.live) == sorted(fresh.live)
+                assert [r.k for r in fork.records] == [r.k for r in fresh.records]
+                composed = next(j for j, r in enumerate(drained) if r.k > 1)
+                assert [r.k for r in fork.records] == [r.k for r in drained[:composed]]
+                assert log[i].kind is EventKind.START
+                assert log[i].vm_id == drained[composed].vm_id
+                assert fork.log == [] and fork.challenger is None
+                checked += 1
+                later += log[0].time >= config.reselect_period
+            return real_reselect(log, fleet_spec, config, drained, challenger)
+
+        for _ in range(40):
+            spec, events = bursty_fleet_and_trace(rng)
+            monkeypatch.setattr(engine, "reselect_option", checking_reselect)
+            run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+            monkeypatch.undo()
+        assert checked > 10 and later > 5, (checked, later)
 
 
 class TestDrainedFleetIsFresh:
@@ -1399,6 +1494,60 @@ class TestAllocLatency:
         finally:
             if was_on:
                 gc.enable()
+
+
+class _CountingClock:
+    """A nanosecond thread clock that counts its readings."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def thread_time_ns(self):
+        self.reads += 1
+        return self.reads
+
+
+class TestUntimedScoring:
+    def test_scoring_replays_read_no_clock(self, monkeypatch):
+        """Only the dynamic replay's own grants are timed, with two clock
+        readings and one ``gc.disable`` each: its reselections' replays,
+        forked in a period begun drained (period 1, by the dynamic replay)
+        and in one begun with VMs live (period 2, by the current policy's
+        replay), grant untimed, with a latency of 0.0."""
+        events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
+                  + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
+        clock = _CountingClock()
+        disables = grants = 0
+        forks = []
+        real_disable, real_fork, real_allocate = gc.disable, engine._fork, engine.allocate
+
+        def counting_disable():
+            nonlocal disables
+            disables += 1
+            real_disable()
+
+        def recording_fork(state, variant, *since):
+            forks.append(state.variant is SimVariant.DYNAMIC)
+            return real_fork(state, variant, *since)
+
+        def counting_allocate(*args):
+            nonlocal grants
+            grants += 1
+            return real_allocate(*args)
+
+        monkeypatch.setattr(engine, "_time", clock)
+        monkeypatch.setattr(gc, "disable", counting_disable)
+        monkeypatch.setattr(engine, "_fork", recording_fork)
+        monkeypatch.setattr(engine, "allocate", counting_allocate)
+        report = run(events, one_machine_spec(ram_gib=4), SimVariant.DYNAMIC, n=2,
+                     reselect_period=1000.0)
+        monkeypatch.undo()
+        assert len(report.option_switches) == 3
+        assert sorted(set(forks)) == [False, True]
+        assert clock.reads == 2 * len(report.records)
+        assert disables == len(report.records)
+        assert grants > len(report.records)  # the scoring replays granted too
+        assert all(r.alloc_latency == 1e-9 for r in report.records)
 
 
 class TestFrozenFleet:
