@@ -1,5 +1,9 @@
 """Command-line front end.
 
+A run builds the parser of the command it names first, and no other; with
+no command, ``--help`` or an unknown command it builds every command's, so
+usage and errors read the same either way.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 input parse error,
 4 simulation anomaly threshold exceeded.
 """
@@ -63,42 +67,61 @@ def _sim_flags(sub: argparse.ArgumentParser) -> None:
                      help="fail (exit 4) when the replay records more anomalies")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every command, in the order that --help lists them
+COMMANDS = ("replay", "bootstorm", "gen-trace", "translate", "costmodel")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: with every command, or with ``command``'s
+    alone. The one-command parser parses an argv that names ``command``
+    first, and prints its usage, exactly as the full one does; building a
+    command's parser costs about as much as parsing a short argv, so a run
+    builds only the one it needs."""
     parser = argparse.ArgumentParser(
         prog="dsegsim",
         description="Replay datacenter VM traces against segment-based memory "
         "allocation and report segment counts, latencies, and translation costs.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # the one-command parser's usage still names every command
+    subs = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
 
-    replay = subs.add_parser("replay", help="replay a start/stop trace")
-    replay.add_argument("--trace", required=True, help="trace CSV")
-    _sim_flags(replay)
+    if command in (None, "replay"):
+        replay = subs.add_parser("replay", help="replay a start/stop trace")
+        replay.add_argument("--trace", required=True, help="trace CSV")
+        _sim_flags(replay)
 
-    storm = subs.add_parser("bootstorm", help="start all snapshot VMs at once")
-    storm.add_argument("--snapshot", required=True, help="snapshot CSV")
-    storm.add_argument("--horizon-hours", type=float, default=1.0,
-                       help="simulated hours before the bootstormed VMs stop")
-    _sim_flags(storm)
+    if command in (None, "bootstorm"):
+        storm = subs.add_parser("bootstorm", help="start all snapshot VMs at once")
+        storm.add_argument("--snapshot", required=True, help="snapshot CSV")
+        storm.add_argument("--horizon-hours", type=float, default=1.0,
+                           help="simulated hours before the bootstormed VMs stop")
+        _sim_flags(storm)
 
-    gen = subs.add_parser("gen-trace", help="generate a synthetic trace")
-    gen.add_argument("--vms", type=int, required=True)
-    gen.add_argument("--flavors", help="flavor JSON; omit for the built-in catalog")
-    gen.add_argument("--arrival", default="exp:100",
-                     help="inter-arrival gap: fixed:X | uniform:LO:HI | exp:MEAN | "
-                     "lognormal:MEDIAN:SIGMA | pareto:SCALE:ALPHA")
-    gen.add_argument("--lifetime", default="exp:36000",
-                     help="VM lifetime: as --arrival, or `none` for arrival-only")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help="trace CSV to write")
+    if command in (None, "gen-trace"):
+        gen = subs.add_parser("gen-trace", help="generate a synthetic trace")
+        gen.add_argument("--vms", type=int, required=True)
+        gen.add_argument("--flavors", help="flavor JSON; omit for the built-in catalog")
+        gen.add_argument("--arrival", default="exp:100",
+                         help="inter-arrival gap: fixed:X | uniform:LO:HI | exp:MEAN | "
+                         "lognormal:MEDIAN:SIGMA | pareto:SCALE:ALPHA")
+        gen.add_argument("--lifetime", default="exp:36000",
+                         help="VM lifetime: as --arrival, or `none` for arrival-only")
+        gen.add_argument("--seed", type=int, default=0)
+        gen.add_argument("--out", required=True, help="trace CSV to write")
 
-    trans = subs.add_parser("translate", help="translate one guest physical address")
-    trans.add_argument("--registers", required=True, help="register file JSON")
-    trans.add_argument("--gpa", required=True, help="guest physical address (0x.. ok)")
+    if command in (None, "translate"):
+        trans = subs.add_parser("translate", help="translate one guest physical address")
+        trans.add_argument("--registers", required=True, help="register file JSON")
+        trans.add_argument("--gpa", required=True, help="guest physical address (0x.. ok)")
 
-    cost = subs.add_parser("costmodel", help="print the virtualization cost breakdown")
-    cost.add_argument("--counters", required=True, help="workload counter file")
-    cost.add_argument("--mode", choices=[m.value for m in WalkMode], required=True)
+    if command in (None, "costmodel"):
+        cost = subs.add_parser("costmodel", help="print the virtualization cost breakdown")
+        cost.add_argument("--counters", required=True, help="workload counter file")
+        cost.add_argument("--mode", choices=[m.value for m in WalkMode], required=True)
 
     return parser
 
@@ -161,7 +184,11 @@ def _run_and_emit(events, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known command first needs only its own parser; anything else (no
+    # command, --help, a misspelt command) gets the full one's usage
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":

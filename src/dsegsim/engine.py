@@ -67,6 +67,8 @@ _START = EventKind.START
 _STOP = EventKind.STOP
 _BASELINE = SimVariant.BASELINE
 _DYNAMIC = SimVariant.DYNAMIC
+# event_order's sort key, read in C
+_by_time = attrgetter("time")
 
 
 @dataclass(slots=True)
@@ -173,7 +175,15 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
                 )
             return record
     if event.kind is _STOP:
-        _stop_vm(state, event)
+        vm = state.live.pop(event.vm_id, None)
+        if vm is not None:
+            _release(state, event.vm_id, vm)
+        elif event.vm_id in state.rejected:
+            # a stop for a VM we rejected is expected; anything else is a
+            # double stop or a stop for a VM never started
+            state.rejected.discard(event.vm_id)
+        else:
+            state.anomalies += 1
         return None
     return _start_vm(state, event)
 
@@ -203,10 +213,12 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
             state.rejected.add(event.vm_id)
             return None
     machine_id = machine.machine_id
+    index = state.index
     old = state.key(machine)
     alloc, latency = _grant(state, machine, event.vm_id, memory, policy)
     machine.cores_free -= event.cores
-    _reindex(state.index, machine_id, old, state.key(machine))
+    del index[bisect.bisect_left(index, (-old, machine_id))]
+    bisect.insort(index, (-state.key(machine), machine_id))
     state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
     k = len(alloc.segments)
     mode = _DSN if k <= state.config.n else _FALLBACK
@@ -251,42 +263,29 @@ def _grant(
 
 
 def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
-    """Return a VM's memory, from either memory model, and its cores."""
+    """Return a VM's memory, from either memory model, and its cores, and
+    move its machine's placement-index entry; a stop and ``finish`` both
+    release through here."""
     machine = state.machines[vm.machine_id]
+    index = state.index
     old = state.key(machine)
     if isinstance(machine.free_list, BuddyAllocator):
         machine.free_list.release(vm_id)
     else:
         release(machine.free_list, vm.allocation)
     machine.cores_free += vm.cores
-    _reindex(state.index, vm.machine_id, old, state.key(machine))
-
-
-def _reindex(
-    index: list[tuple[int, int]], machine_id: int, old_free: int, new_free: int
-) -> None:
-    """Move a machine's placement-index entry after its key changed."""
-    del index[bisect.bisect_left(index, (-old_free, machine_id))]
-    bisect.insort(index, (-new_free, machine_id))
-
-
-def _stop_vm(state: SimulationState, event: VmEvent) -> None:
-    vm = state.live.pop(event.vm_id, None)
-    if vm is None:
-        # a stop for a VM we rejected is expected; anything else is a
-        # double stop or a stop for a VM never started
-        if event.vm_id in state.rejected:
-            state.rejected.discard(event.vm_id)
-        else:
-            state.anomalies += 1
-        return
-    _release(state, event.vm_id, vm)
+    del index[bisect.bisect_left(index, (-old, vm.machine_id))]
+    bisect.insort(index, (-state.key(machine), vm.machine_id))
 
 
 def event_order(events: list[VmEvent]) -> list[VmEvent]:
-    """Replay order: by time, stops before starts, then input order (the
-    sort is stable)."""
-    return sorted(events, key=lambda e: (e.time, e.kind is _START))
+    """Replay order: by time, stops before starts, then input order. The
+    stops, then the starts, each in input order, are sorted stably by time
+    alone, so the key is read in C rather than built per event."""
+    ordered = [e for e in events if e.kind is _STOP]
+    ordered += [e for e in events if e.kind is _START]
+    ordered.sort(key=_by_time)
+    return ordered
 
 
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
@@ -373,7 +372,7 @@ def _fork(state: SimulationState, variant: SimVariant, since: int = 0) -> Simula
         state,
         variant=variant,
         config=replace(state.config, current_policy=_variant_policy(variant)),
-        machines=[replace(m, free_list=m.free_list.copy()) for m in state.machines],
+        machines=[replace(m, free_list=m.free_list.copy(m.machine_id)) for m in state.machines],
         index=list(state.index),
         seeds=dict(state.seeds),
         live=dict(state.live),

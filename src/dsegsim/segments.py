@@ -16,9 +16,10 @@ grant hands out. The largest segment's size is a stored counter: a grant
 starts from it and rescans the sizes once, after its plan. A placement dry
 run only counts the segments a grant would take, from the sorted sizes,
 without copying the list or planning the grant. A release bisects the bases
-once per released segment, in the unchanged columns, then inserts the
-segments from the highest base down, so that no insertion moves the slot
-found for a segment still to come.
+once per released segment, in the unchanged columns, then edits the
+segments into both columns in place from the highest base down (an insert,
+a grown neighbour, or one delete where it joins two), so that no edit moves
+the slot found for a segment still to come.
 """
 
 from __future__ import annotations
@@ -143,9 +144,13 @@ class FreeSegmentList:
         """The free segments as descriptors, ascending by base."""
         return [SegmentDescriptor(b, b + s) for b, s in zip(self.bases, self.sizes)]
 
-    def copy(self) -> FreeSegmentList:
-        """An equal list that shares neither column with this one."""
-        flist = FreeSegmentList(self.machine_id, self.total_bytes, self.reserved_bytes)
+    def copy(self, machine_id: int) -> FreeSegmentList:
+        """An equal list for machine ``machine_id`` that shares neither column
+        with this one. Its slots are filled directly, without ``__init__``."""
+        flist = FreeSegmentList.__new__(FreeSegmentList)
+        flist.machine_id = machine_id
+        flist.total_bytes = self.total_bytes
+        flist.reserved_bytes = self.reserved_bytes
         flist.bases = self.bases.copy()
         flist.sizes = self.sizes.copy()
         flist.free_bytes = self.free_bytes
@@ -354,11 +359,14 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
     is left unchanged.
 
     Each released segment is bisected once, into its slot in the unchanged
-    bases, and the segments go in from the highest base down. An insertion
-    edits its own slot and the one below it. No insertion before it touched
-    the slot below, and whatever range now fills its own slot starts where
-    the next free memory above it starts, so comparing bases still finds
-    every border.
+    bases, and the segments go in from the highest base down, each edited
+    into the columns in place: inserted at its slot when it abuts no free
+    run, added to the run below it, or moved down to be the start of the run
+    above it; when it joins both, the run below takes it and the run above,
+    and the slot above is deleted. An insertion edits its own slot and the
+    one below it. No insertion before it touched the slot below, and
+    whatever range now fills its own slot starts where the next free memory
+    above it starts, so comparing bases still finds every border.
     """
     bases, sizes = flist.bases, flist.sizes
     segs = allocation.segments
@@ -386,19 +394,31 @@ def release(flist: FreeSegmentList, allocation: VMAllocation) -> FreeSegmentList
             )
         slots.append(i)
     largest = flist.max_segment
-    for seg, lo in zip(reversed(segs), reversed(slots)):
-        base, limit = seg.base, seg.limit
-        flist.free_bytes += limit - base
-        hi = lo
-        if lo > 0 and bases[lo - 1] + sizes[lo - 1] == base:
-            lo -= 1
-            base = bases[lo]
-        if hi < len(bases) and bases[hi] == limit:
-            limit += sizes[hi]
-            hi += 1
-        bases[lo:hi] = (base,)
-        sizes[lo:hi] = (limit - base,)
-        if limit - base > largest:
-            largest = limit - base
+    j = len(segs)
+    while j:
+        j -= 1
+        seg = segs[j]
+        i = slots[j]
+        base = seg.base
+        size = seg.limit - base
+        flist.free_bytes += size
+        below = i > 0 and bases[i - 1] + sizes[i - 1] == base
+        if i < len(bases) and bases[i] == seg.limit:
+            if below:
+                size += sizes[i - 1] + sizes[i]
+                sizes[i - 1] = size
+                del bases[i], sizes[i]
+            else:
+                size += sizes[i]
+                bases[i] = base
+                sizes[i] = size
+        elif below:
+            size += sizes[i - 1]
+            sizes[i - 1] = size
+        else:
+            bases.insert(i, base)
+            sizes.insert(i, size)
+        if size > largest:
+            largest = size
     flist.max_segment = largest
     return flist

@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
@@ -48,6 +49,8 @@ class EventKind(Enum):
 _KINDS = {kind.value: kind for kind in EventKind}
 _START = EventKind.START
 _STOP = EventKind.STOP
+# parse_trace's sort key, read in C rather than through a lambda per event
+_by_time = attrgetter("time")
 
 
 @dataclass(slots=True, init=False)
@@ -136,7 +139,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
         vm_id = row[0].strip()
         if not vm_id:
             raise TraceFormatError(lineno, "empty vm_id")
-        kind = _KINDS.get(row[1].strip().lower())
+        kind = _KINDS.get(row[1]) or _KINDS.get(row[1].strip().lower())
         try:
             time = int(row[2])
         except ValueError:
@@ -181,7 +184,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
                 raise TraceFormatError(lines[i], f"duplicate start for vm {vm_id!r}")
             else:
                 live.add(vm_id)
-    events.sort(key=lambda e: e.time)
+    events.sort(key=_by_time)
     return events
 
 
@@ -487,14 +490,15 @@ def generation_counts(spec: FleetSpec) -> list[int]:
 
 def build_fleet(spec: FleetSpec) -> list[MachineView]:
     """Instantiate the fleet: machine ids count up through the generations in
-    listing order."""
+    listing order. Each generation that gets machines builds one
+    ``new_machine`` and copies it for each of them, so no two machines share
+    a column."""
     machines: list[MachineView] = []
-    machine_id = 0
     for gen, count in zip(spec.generations, generation_counts(spec)):
-        for _ in range(count):
-            flist = new_machine(gen.ram_bytes, spec.reserved_bytes, machine_id)
-            machines.append(MachineView(machine_id, gen.cores, flist))
-            machine_id += 1
+        if count:
+            template = new_machine(gen.ram_bytes, spec.reserved_bytes)
+            for machine_id in range(len(machines), len(machines) + count):
+                machines.append(MachineView(machine_id, gen.cores, template.copy(machine_id)))
     return machines
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import dsegsim
-from dsegsim.cli import EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from dsegsim import cli
+from dsegsim.cli import COMMANDS, EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, build_parser, main
 from dsegsim.trace import default_fleet_spec, load_fleet_spec
 
 GIB = 1 << 30
@@ -529,3 +530,117 @@ class TestUsage:
         for flag in ("--trace", "--fleet", "--variant", "--n", "--seed",
                      "--period-hours", "--out", "--format"):
             assert flag in out
+
+
+# Per command: its required flags only, every flag (one as --flag=value), and
+# abbreviated long options.
+PARSE_TABLE = {
+    "replay": [
+        ["--trace", "t.csv", "--fleet", "f.json"],
+        ["--trace", "t.csv", "--fleet", "f.json", "--variant", "opt2", "--n", "5",
+         "--seed", "7", "--period-hours", "6.5", "--out", "o", "--format=csv",
+         "--max-anomalies", "3"],
+        ["--tr", "t.csv", "--fl", "f.json", "--var", "opt1", "--se", "2", "--p", "1",
+         "--o", "o", "--fo", "plotdata", "--max", "1"],
+    ],
+    "bootstorm": [
+        ["--snapshot", "s.csv", "--fleet", "f.json"],
+        ["--snapshot", "s.csv", "--horizon-hours", "2", "--fleet", "f.json",
+         "--variant", "baseline", "--n", "2", "--seed", "3", "--period-hours", "24",
+         "--out=o", "--format", "json", "--max-anomalies", "0"],
+        ["--sn", "s.csv", "--hor", "3", "--fl", "f.json", "--var", "dynamic", "--ma", "2"],
+    ],
+    "gen-trace": [
+        ["--vms", "10", "--out", "t.csv"],
+        ["--vms", "10", "--flavors", "fl.json", "--arrival", "fixed:5",
+         "--lifetime=none", "--seed", "4", "--out", "t.csv"],
+        ["--vm", "10", "--fla", "fl.json", "--arr", "exp:3", "--life", "exp:9",
+         "--se", "1", "--ou", "t.csv"],
+    ],
+    "translate": [
+        ["--registers", "r.json", "--gpa", "0x10"],
+        ["--registers=r.json", "--gpa", "16"],
+        ["--reg", "r.json", "--gp", "0x20"],
+    ],
+    "costmodel": [
+        ["--counters", "c.txt", "--mode", "dsn"],
+        ["--counters", "c.txt", "--mode=shadow"],
+        ["--count", "c.txt", "--mo", "ept"],
+    ],
+}
+
+
+class _Parsed(Exception):
+    """Raised by the spy in place of running the parsed command."""
+
+
+def parsed_by_main(monkeypatch, argv):
+    """The Namespace that ``main(argv)`` parses, and the command it built its
+    parser for, without running the command."""
+    seen = {}
+    real = cli.build_parser
+
+    def spy(command=None):
+        parser = real(command)
+        parse = parser.parse_args
+
+        def parse_and_stop(args):
+            seen["args"] = parse(args)
+            raise _Parsed
+
+        parser.parse_args = parse_and_stop
+        seen["command"] = command
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with pytest.raises(_Parsed):
+        main(argv)
+    return seen["args"], seen["command"]
+
+
+def printed(capsys, parse, argv):
+    """What a parse of ``argv`` prints and the code it exits with."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, exc.value.code
+
+
+class TestParserForTheInvokedCommand:
+    """``main`` builds only the parser of the command it is given; it parses
+    and prints exactly what the parser of every command does."""
+
+    def test_table_covers_every_command(self):
+        assert set(PARSE_TABLE) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command,flags", [
+        (command, flags) for command, rows in PARSE_TABLE.items() for flags in rows
+    ])
+    def test_namespace_equals_the_full_parsers(self, monkeypatch, command, flags):
+        argv = [command, *flags]
+        expected = build_parser().parse_args(argv)
+        got, built_for = parsed_by_main(monkeypatch, argv)
+        assert built_for == command
+        assert got == expected
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_is_byte_identical(self, capsys, command):
+        full = printed(capsys, build_parser().parse_args, [command, "--help"])
+        assert full[2] == 0 and full[0]
+        assert printed(capsys, main, [command, "--help"]) == full
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], 0),
+        ([], EXIT_USAGE),
+        (["bogus"], EXIT_USAGE),
+        (["-h", "replay"], 0),
+        (["replay"], EXIT_USAGE),
+        (["replay", "--trace", "t.csv", "--fleet", "f.json", "--bogus"], EXIT_USAGE),
+        (["replay", "--trace", "t.csv", "--fleet", "f.json", "--variant", "opt9"], EXIT_USAGE),
+        (["replay", "--f", "x"], EXIT_USAGE),
+        (["costmodel", "--counters", "c.txt", "--mode", "paging"], EXIT_USAGE),
+    ])
+    def test_usage_and_errors_are_unchanged(self, capsys, argv, code):
+        full = printed(capsys, build_parser().parse_args, argv)
+        assert full[2] == code
+        assert printed(capsys, main, argv) == full

@@ -60,6 +60,24 @@ class TestNewMachine:
             new_machine(GIB, -1)
 
 
+class TestCopy:
+    def test_copy_is_equal_valid_and_shares_no_column(self):
+        fl = flist((0, GIB), (2 * GIB, 3 * GIB), (5 * GIB, 8 * GIB), reserved=0)
+        twin = fl.copy(9)
+        twin.check_invariants()
+        assert twin.machine_id == 9
+        assert (twin.total_bytes, twin.reserved_bytes, twin.free_bytes, twin.max_segment) == (
+            fl.total_bytes, fl.reserved_bytes, fl.free_bytes, fl.max_segment)
+        assert (twin.bases, twin.sizes) == (fl.bases, fl.sizes)
+        assert twin.bases is not fl.bases and twin.sizes is not fl.sizes
+        before = spans(fl)
+        granted = allocate(twin, "vm", 4 * GIB, OPT1)
+        assert spans(fl) == before
+        release(twin, granted)
+        twin.check_invariants()
+        assert spans(twin) == before
+
+
 class TestAllocate:
     def test_exact_fit_takes_whole_segment(self):
         fl = flist((0, 4 * GIB))
@@ -400,7 +418,8 @@ class TestReleaseMatchesTheTwoPassRelease:
     the lowest base up leaves, and the bitmap's free runs."""
 
     CASES = ("two in one gap", "abutting released", "abuts both neighbours",
-             "into an empty list")
+             "into an empty list", "merges with nothing", "merges below",
+             "merges above", "merges both")
 
     def test_multi_segment_release(self):
         seen = dict.fromkeys(self.CASES, 0)
@@ -419,6 +438,14 @@ class TestReleaseMatchesTheTwoPassRelease:
                 s.base in limits and s.limit in bases for s in segs
             )
             seen["into an empty list"] += not free and bool(segs)
+            # how each segment joins the runs it meets, inserted from the
+            # highest base down: the free run below, or the free run or the
+            # segment inserted just before it above
+            for j, s in enumerate(segs):
+                below = s.base in limits
+                above = s.limit in bases or j + 1 < len(segs) and segs[j + 1].base == s.limit
+                seen[("merges with nothing", "merges below", "merges above",
+                      "merges both")[below + 2 * above]] += 1
             expected = release_two_pass(fl, released)
             oracle = BitmapOracle(fl.total_bytes, fl.reserved_bytes)
             oracle.mark_allocated(released + held)

@@ -263,7 +263,7 @@ def test_per_event_types_are_slotted():
 # is named ``Class.method``.
 PER_EVENT_FUNCTIONS = {
     "engine": (
-        "step", "_start_vm", "_grant", "_release", "_reindex", "_stop_vm",
+        "step", "_start_vm", "_grant", "_release",
         "event_order", "reselect_option", "_outscores",
     ),
     "scheduler": ("filter_min_segments", "fitting_machines"),

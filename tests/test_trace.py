@@ -34,6 +34,8 @@ from dsegsim.trace import (
     start_event,
     stop_event,
 )
+from dsegsim.scheduler import MachineView
+from dsegsim.segments import AllocationPolicy, allocate, new_machine, release
 from oracle import parse_trace_by_field
 
 GIB = 1 << 30
@@ -570,6 +572,55 @@ class TestFleet:
         for ram in (MAX_RAM_BYTES + 1, MAX_RAM_BYTES + 4096, 2**100):
             with pytest.raises(ValueError, match="ram_bytes exceeds 2\\*\\*46"):
                 Generation("big", ram, 8, 100.0)
+
+    @staticmethod
+    def fleet_machine_by_machine(spec):
+        """The fleet as one ``new_machine`` per machine builds it."""
+        machines = []
+        for gen, count in zip(spec.generations, generation_counts(spec)):
+            for _ in range(count):
+                flist = new_machine(gen.ram_bytes, spec.reserved_bytes, len(machines))
+                machines.append(MachineView(len(machines), gen.cores, flist))
+        return machines
+
+    @pytest.mark.parametrize("spec", [
+        default_fleet_spec(23),
+        default_fleet_spec(40, reserved_bytes=GIB),
+        # rounding gives "b" and "c" no machine; "b" alone could not be built,
+        # since its 4 KiB leave no whole page above the 5000-byte reservation
+        FleetSpec((Generation("a", 2 * GIB, 4, 90.0), Generation("b", 4096, 1, 5.0),
+                   Generation("c", GIB, 2, 5.0)), 3, reserved_bytes=5000),
+        # a reservation that is not page-aligned
+        FleetSpec((Generation("a", GIB + 6000, 2, 50.0), Generation("b", 3 * GIB, 8, 50.0)),
+                  7, reserved_bytes=12345),
+    ])
+    def test_template_copies_equal_a_machine_by_machine_build(self, spec):
+        got, expected = build_fleet(spec), self.fleet_machine_by_machine(spec)
+        assert [
+            (m.machine_id, m.cores_free, m.free_list.machine_id, m.free_list.total_bytes,
+             m.free_list.reserved_bytes, m.free_list.bases, m.free_list.sizes,
+             m.free_list.free_bytes, m.free_list.max_segment)
+            for m in got
+        ] == [
+            (m.machine_id, m.cores_free, m.free_list.machine_id, m.free_list.total_bytes,
+             m.free_list.reserved_bytes, m.free_list.bases, m.free_list.sizes,
+             m.free_list.free_bytes, m.free_list.max_segment)
+            for m in expected
+        ]
+        assert got == expected
+        for m in got:
+            m.free_list.check_invariants()
+
+    def test_no_two_machines_share_a_column(self):
+        machines = build_fleet(default_fleet_spec(10, reserved_bytes=5000))
+        before = [(m.free_list.bases.copy(), m.free_list.sizes.copy()) for m in machines]
+        flist = machines[3].free_list  # copied from the template machine 2 was copied from
+        granted = allocate(flist, "vm", GIB + 4096, AllocationPolicy.SMALLEST_FIRST)
+        after = [(m.free_list.bases, m.free_list.sizes) for m in machines]
+        assert after[3] != before[3]
+        assert after[:3] + after[4:] == before[:3] + before[4:]
+        release(flist, granted)
+        assert [(m.free_list.bases, m.free_list.sizes) for m in machines] == before
 
     def test_machine_ids_are_dense_and_ordered(self):
         machines = build_fleet(default_fleet_spec(23))
