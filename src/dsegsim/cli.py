@@ -1,8 +1,9 @@
 """Command-line front end.
 
-A run builds the parser of the command it names first, and no other; with
-no command, ``--help`` or an unknown command it builds every command's, so
-usage and errors read the same either way.
+A run builds the parser of the command it names first, and no other, since
+each costs about as much as parsing a short argv; with no command, ``--help``
+or an unknown command it builds every command's. Usage and errors read the
+same either way.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 input parse error,
 4 simulation anomaly threshold exceeded.
@@ -72,11 +73,9 @@ COMMANDS = ("replay", "bootstorm", "gen-trace", "translate", "costmodel")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser: with every command, or with ``command``'s
-    alone. The one-command parser parses an argv that names ``command``
-    first, and prints its usage, exactly as the full one does; building a
-    command's parser costs about as much as parsing a short argv, so a run
-    builds only the one it needs."""
+    """The command-line parser, with every command or with ``command``'s
+    alone; both parse and print the same for an argv that names ``command``
+    first."""
     parser = argparse.ArgumentParser(
         prog="dsegsim",
         description="Replay datacenter VM traces against segment-based memory "
@@ -186,8 +185,6 @@ def _run_and_emit(events, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a known command first needs only its own parser; anything else (no
-    # command, --help, a misspelt command) gets the full one's usage
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
