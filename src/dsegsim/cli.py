@@ -5,8 +5,9 @@ each costs about as much as parsing a short argv; with no command, ``--help``
 or an unknown command it builds every command's. Usage and errors read the
 same either way.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 input parse error,
-4 simulation anomaly threshold exceeded.
+Exit codes: 0 success, 2 usage or configuration error, 3 input parse error
+or an input that cannot be read or output that cannot be written, 4
+simulation anomaly threshold exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 
 from . import engine, report
 from .mmu import (
-    CounterFormatError,
     DsnRegisterFile,
     DsnViolation,
     WalkMode,
@@ -163,7 +163,10 @@ def _run_and_emit(events, args) -> int:
         seed=args.seed,
         reselect_period=args.period_hours * 3600.0,
     )
-    files = report.emit(result, args.format, args.out)
+    try:
+        files = report.emit(result, args.format, args.out)
+    except OSError as exc:
+        return _unwritable(exc)
     hist = report.segment_histogram(result)
     print(
         f"placed {result.placed}/{result.start_count} VMs "
@@ -180,6 +183,11 @@ def _run_and_emit(events, args) -> int:
         )
         return EXIT_ANOMALIES
     return EXIT_OK
+
+
+def _unwritable(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,7 +217,10 @@ def main(argv: list[str] | None = None) -> int:
                 lifetime,
                 args.seed,
             )
-            write_trace(events, args.out)
+            try:
+                write_trace(events, args.out)
+            except OSError as exc:
+                return _unwritable(exc)
             print(f"wrote {args.out} ({len(events)} events)")
             return EXIT_OK
         if args.command == "translate":
@@ -221,12 +232,11 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             print(f"hpa {hpa:#x}")
             return EXIT_OK
-        if args.command == "costmodel":
-            counters = load_counters(args.counters)
-            breakdown = virtualization_cost(WalkMode(args.mode), counters)
-            print(json.dumps(breakdown.as_dict(), indent=2))
-            return EXIT_OK
-    except (TraceFormatError, CounterFormatError) as exc:
+        counters = load_counters(args.counters)  # costmodel, the one command left
+        breakdown = virtualization_cost(WalkMode(args.mode), counters)
+        print(json.dumps(breakdown.as_dict(), indent=2))
+        return EXIT_OK
+    except TraceFormatError as exc:  # a counter file's CounterFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
@@ -235,8 +245,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

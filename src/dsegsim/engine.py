@@ -1,14 +1,15 @@
 """Discrete-event replay of a VM trace against a simulated fleet.
 
-Events are processed in time order, stops before starts at equal times so
-memory frees before it is wanted. Each start rounds its demand up to whole
-pages, walks the placement index for the machines that fit it, picks one by
-the variant's objective, grants the memory with the variant's allocator,
-then types the VM (register-file translation when k <= n). The engine times
-each allocator call of the replay, which is the one non-reproducible output;
-everything else is deterministic. Automatic garbage collection is held off
-only inside that timed call; a replay otherwise leaves the collector as it
-finds it.
+Events are processed in ``event_order``, by time with stops before starts at
+equal times so memory frees before it is wanted; ``step`` refuses an event
+that sorts before the last one it applied. Each start rounds its demand up
+to whole pages, walks the placement index for the machines that fit it,
+picks one by the variant's objective, grants the memory with the variant's
+allocator, then types the VM (register-file translation when k <= n). The
+engine times each allocator call of the replay, which is the one
+non-reproducible output; everything else is deterministic. Automatic garbage
+collection is held off only inside that timed call; a replay otherwise
+leaves the collector as it finds it.
 
 Every machine is a ``MachineView`` that starts with a one-segment free list,
 which holds the same free bytes and free runs as a freshly seeded buddy
@@ -22,18 +23,11 @@ elsewhere, and moves a machine's entry on each grant and release (see
 ``scheduler``).
 
 ``step`` is the one code that applies an event. ``run`` drives it over a
-trace, and so does the dynamic variant's periodic policy reselection, which
-scores both composition policies on the logged events without ``run``. A
-score reads only k, so these scoring replays are untimed: their grants call
-the allocator directly, with no clock reading and no garbage-collector
-switch, and record a latency of 0.0. The current policy's score comes from
-the dynamic replay's own records when its period began on a drained fleet,
-which equals a fresh one, and from a replay otherwise. The policies differ
-from the first grant that composes, so the other policy is replayed only when
-the current one composed a grant, from a copy of the current replay's state
-just before that grant, and only until the outcome is decided. In a period
-begun drained that copy is taken by the dynamic replay itself, at the
-period's first composed grant.
+trace, and so does the dynamic variant's periodic policy reselection
+(``reselect_option``), which scores both composition policies on the logged
+events without ``run``. A score reads only k, so these scoring replays are
+untimed: their grants call the allocator directly, with no clock reading
+and no garbage-collector switch, and record a latency of 0.0.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from .scheduler import (
     fitting_machines,
 )
 from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
-from .trace import EventKind, FleetSpec, VmEvent, build_fleet
+from .trace import EventKind, FleetSpec, VmEvent, build_fleet, event_order
 
 # VmRecord.mode's strings and the Enum members tested per event, read once
 # rather than through their classes per event
@@ -67,8 +61,6 @@ _START = EventKind.START
 _STOP = EventKind.STOP
 _BASELINE = SimVariant.BASELINE
 _DYNAMIC = SimVariant.DYNAMIC
-# event_order's sort key, read in C
-_by_time = attrgetter("time")
 
 
 @dataclass(slots=True)
@@ -110,6 +102,10 @@ class SimulationState:
     # a scoring replay, whose grants are neither timed nor kept from the
     # garbage collector
     untimed: bool = False
+    # the (time, is start) key of the last event applied, before which
+    # step takes no event: its time, and whether it was a start
+    last_time: int = 0
+    last_start: bool = False
 
 
 # the policy a scoring replay challenges the current one with
@@ -145,10 +141,20 @@ def new_state(
 
 
 def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
-    """Apply one event, in whatever order the caller gives them (``run``
-    sorts them with ``event_order``), and return the record of the VM it
-    placed; None for a stop or a start that placed none. Unknown stops and
-    duplicate starts are recorded as anomalies and change nothing."""
+    """Apply one event and return the record of the VM it placed; None for a
+    stop or a start that placed none. Events come in ``event_order``: one
+    that sorts before the last event applied raises ``ValueError`` and
+    changes nothing, while events of equal time and kind may come in any
+    order. Unknown stops and duplicate starts are recorded as anomalies and
+    change nothing."""
+    time = event.time
+    if time <= state.last_time and (
+        time < state.last_time or state.last_start and event.kind is _STOP
+    ):
+        raise ValueError(f"the {event.kind.value} of vm {event.vm_id!r} at time {time} "
+                         "sorts before the last event applied, out of event order")
+    state.last_time = time
+    state.last_start = event.kind is _START
     if state.variant is _DYNAMIC:
         if event.time >= state.next_reselect:
             # one reselection over the logged events, none for the empty
@@ -278,16 +284,6 @@ def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
     bisect.insort(index, (-state.key(machine), vm.machine_id))
 
 
-def event_order(events: list[VmEvent]) -> list[VmEvent]:
-    """Replay order: by time, stops before starts, then input order. The
-    stops, then the starts, each in input order, are sorted stably by time
-    alone, so the key is read in C rather than built per event."""
-    ordered = [e for e in events if e.kind is _STOP]
-    ordered += [e for e in events if e.kind is _START]
-    ordered.sort(key=_by_time)
-    return ordered
-
-
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
     """Release still-running VMs (implicit stop at trace end) and build the
     report."""
@@ -323,39 +319,38 @@ def reselect_option(
     segments, then the current policy. The log is reset afterwards.
 
     The current policy is scored first, without a replay when the log holds
-    no start (a replay places nothing) or when ``drained`` is given and the
-    log is in ``event_order``. ``drained`` holds the records that the
-    caller's replay made under the current policy since the log began, when
-    no VM was live then: a drained fleet equals a fresh one, so they are the
-    replay's records. The policies place and grant alike until a grant
-    composes, so the other policy, the challenger, is replayed only when the
-    current one composed a grant; otherwise the two tie and the current
-    policy stays. The challenger starts from a copy of the current policy's
-    state from just before its first composed grant, the first event at
-    which the two can differ (``_fork``): the copy that the current policy's
-    replay takes, or after ``drained`` records, ``challenger``, the copy and
-    the log index of that grant that the caller's replay took (``step``).
-    The challenger stops as soon as the outcome is decided (``_outscores``).
-    Every replay here is untimed and drives ``step`` directly, without
-    ``finish``, whose release of every live VM no score needs.
+    no start (a replay places nothing) or when ``drained`` is given.
+    ``drained`` holds the records that the caller's replay made under the
+    current policy since the log began, when no VM was live then: a drained
+    fleet equals a fresh one, so they are the replay's records. The policies
+    place and grant alike until a grant composes, so the other policy, the
+    challenger, is replayed only when the current one composed a grant;
+    otherwise the two tie and the current policy stays. The challenger
+    starts from a copy of the current policy's state from just before its
+    first composed grant, the first event at which the two can differ
+    (``_fork``): the copy that the current policy's replay takes, or after
+    ``drained`` records, ``challenger``, the copy and the log index of that
+    grant that the caller's replay took (``step``). The challenger stops as
+    soon as the outcome is decided (``_outscores``). Every replay here is
+    untimed and drives ``step`` directly, without ``finish``, whose release
+    of every live VM no score needs.
     """
     n = config.n
     current = chosen = config.current_policy
-    events = event_order(log)
     ks: list[int] = []
     fork: tuple[SimulationState, int] | None = None
-    if drained is not None and log == events:
+    if drained is not None:
         ks = [r.k for r in drained]
         fork = challenger
-    elif any(e.kind is _START for e in events):
+    elif any(e.kind is _START for e in log):
         state = new_state(fleet_spec, SimVariant(current.value), n)
         state.untimed = True
-        for i, event in enumerate(events):
+        for i, event in enumerate(log):
             record = step(state, event)
             if fork is None and record is not None and record.k > 1:
                 fork = _fork(state, _CHALLENGER[current]), i
         ks = [r.k for r in state.records]
-    if fork is not None and _outscores(*fork, events, sum(k <= n for k in ks), sum(ks)):
+    if fork is not None and _outscores(*fork, log, sum(k <= n for k in ks), sum(ks)):
         (chosen,) = set(AllocationPolicy) - {current}
     log.clear()
     return chosen
@@ -366,7 +361,8 @@ def _fork(state: SimulationState, variant: SimVariant, since: int = 0) -> Simula
     of its last record, under ``variant``'s policy, with the records from
     index ``since`` and no log. The copy releases that grant: a free-segment
     list is fully coalesced, so a release restores the list the grant was
-    taken from, and the VM's cores and index entry with it."""
+    taken from, and the VM's cores and index entry with it. It keeps the
+    last event's key, so it steps that start again."""
     vm_id = state.records[-1].vm_id
     fork = replace(
         state,

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 from .segments import VMAllocation
+from .trace import TraceFormatError, read_utf8
 
 
 class DsnViolation(Exception):
@@ -26,11 +27,8 @@ class InconsistentAllocationError(ValueError):
     """Granted segment sizes do not add up to the VM's memory size."""
 
 
-class CounterFormatError(ValueError):
+class CounterFormatError(TraceFormatError):
     """A workload-counter file line cannot be parsed."""
-
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(f"line {lineno}: {reason}")
 
 
 class WalkMode(Enum):
@@ -217,7 +215,7 @@ def parse_counters(text: str) -> WorkloadCounters:
 
 
 def load_counters(path: str | Path) -> WorkloadCounters:
-    return parse_counters(Path(path).read_text(encoding="utf-8"))
+    return read_utf8(path, lambda fh: parse_counters(fh.read()), CounterFormatError)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
+from .segments import VmMode
 from .trace import EventKind, FleetSpec, VmEvent, csv_field
 
-# One report.json record as json.dumps writes it: VmRecord's fields in
-# declaration order, each string through json's ASCII string encoder.
-_RECORD_JSON = (
-    '{"vm_id": %s, "time": %d, "machine_id": %d, "k": %d, "mode": %s, "alloc_latency": %s}'
-)
+# One report.json record as json.dumps writes it, but for the latency and its
+# closing brace: VmRecord's fields in declaration order, each string through
+# json's ASCII string encoder; a mode is one of VmMode's values, encoded once.
+_RECORD_JSON = '{"vm_id": %s, "time": %d, "machine_id": %d, "k": %d, "mode": %s, "alloc_latency": '
+_MODE_JSON = {mode.value: encode_basestring_ascii(mode.value) for mode in VmMode}
 
 
 @dataclass(slots=True)
@@ -197,72 +198,54 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if fmt == "json":
         # json.dumps of the summary, then of the records and final_free
         # under their keys, written into the summary's object
         summary = summary_dict(report)
         stats = summary["alloc_latency_ms"]
-        # repr writes a float as json does unless it is NaN or infinite, and
+        # %r writes a float as json does unless it is NaN or infinite, and
         # the latencies' mean is finite only when every latency is
-        float_text = repr if stats is None or math.isfinite(stats["mean"]) else json.dumps
-        encode = encode_basestring_ascii
+        finite = stats is None or math.isfinite(stats["mean"])
+        template = _RECORD_JSON + ("%r}" if finite else "%s}")
+        encode, modes = encode_basestring_ascii, _MODE_JSON
         records = ", ".join([
-            _RECORD_JSON % (
-                encode(r.vm_id), r.time, r.machine_id, r.k, encode(r.mode),
-                float_text(r.alloc_latency),
+            template % (
+                encode(r.vm_id), r.time, r.machine_id, r.k, modes[r.mode],
+                r.alloc_latency if finite else json.dumps(r.alloc_latency),
             )
             for r in report.records
         ])
         final_free = {str(m): spans for m, spans in sorted(report.final_free.items())}
-        path = out / "report.json"
-        path.write_text(
-            f'{json.dumps(summary)[:-1]}, "records": [{records}], '
-            f'"final_free": {json.dumps(final_free)}}}\n',
-            encoding="utf-8",
-        )
-        written.append(path)
+        files = {"report.json": f'{json.dumps(summary)[:-1]}, "records": [{records}], '
+                                f'"final_free": {json.dumps(final_free)}}}\n'}
     elif fmt == "csv":
-        path = out / "records.csv"
         lines = ["vm_id,time,machine_id,k,mode,alloc_latency_ms"]
         lines += [
             f"{csv_field(r.vm_id)},{r.time},{r.machine_id},{r.k},{r.mode},"
             f"{r.alloc_latency * 1000.0!r}"
             for r in report.records
         ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
         hist = segment_histogram(report)
-        path = out / "histogram.csv"
-        path.write_text(
-            "pct_1,pct_2,pct_3,pct_gt3\n"
-            + ",".join(format_pct(v) for v in hist.as_tuple())
-            + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
-        path = out / "summary.csv"
         stats = latency_stats(report.latencies_ms())
         mean, stdev = stats if stats is not None else (float("nan"), float("nan"))
-        path.write_text(
-            "variant,n,seed,start_count,placed,rejections,anomalies,"
+        files = {
+            "records.csv": "\n".join(lines) + "\n",
+            "histogram.csv": "pct_1,pct_2,pct_3,pct_gt3\n"
+            + ",".join(format_pct(v) for v in hist.as_tuple()) + "\n",
+            "summary.csv": "variant,n,seed,start_count,placed,rejections,anomalies,"
             "latency_mean_ms,latency_stdev_ms\n"
             f"{report.variant},{report.n},{report.seed},{report.start_count},"
             f"{report.placed},{report.rejections},{report.anomalies},"
             f"{mean!r},{stdev!r}\n",
-            encoding="utf-8",
-        )
-        written.append(path)
+        }
     elif fmt == "plotdata":
         hist = segment_histogram(report)
-        path = out / "histogram.dat"
         lines = ["# segments percent_of_placed_vms (bucket 4 aggregates k > 3)"]
-        lines += [
-            f"{i + 1} {format_pct(v)}" for i, v in enumerate(hist.as_tuple())
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+        lines += [f"{i + 1} {format_pct(v)}" for i, v in enumerate(hist.as_tuple())]
+        files = {"histogram.dat": "\n".join(lines) + "\n"}
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    written = [out / name for name in files]
+    for path, text in zip(written, files.values()):
+        path.write_text(text, encoding="utf-8")
     return written
-

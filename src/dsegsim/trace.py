@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
@@ -32,10 +33,13 @@ GIB = 1 << 30
 
 
 class TraceFormatError(ValueError):
-    """A trace or snapshot line violates the schema."""
+    """A line of a trace, snapshot or counter file violates its format; the
+    message names the file too when ``path`` is given."""
 
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(f"line {lineno}: {reason}")
+    def __init__(self, lineno: int, reason: str, path: str | Path | None = None):
+        self.lineno, self.reason = lineno, reason
+        super().__init__(f"line {lineno}: {reason}" if path is None else
+                         f"{path}: line {lineno}: {reason}")
 
 
 class EventKind(Enum):
@@ -49,21 +53,25 @@ class EventKind(Enum):
 _KINDS = {kind.value: kind for kind in EventKind}
 _START = EventKind.START
 _STOP = EventKind.STOP
-# parse_trace's sort key, read in C rather than through a lambda per event
+# event_order's sort key, read in C rather than through a lambda per event
 _by_time = attrgetter("time")
+# The latest event time: below 2**53 every integer is exact as a float, so
+# with a whole-second period the dynamic variant's reselection schedule lets
+# no event reach a boundary early (one past 2**53 - 1 rounds to 2**53 or more).
+MAX_TIME = (1 << 53) - 1
 
 
 @dataclass(slots=True, init=False)
 class VmEvent:
-    """One trace event, held to the rules of a trace row: an integer time of
-    at least 0; on a start, an integer count of at least one core and a
-    positive integer memory demand; on a stop, neither.
+    """One trace event, held to the rules of a trace row: an integer time
+    from 0 to ``MAX_TIME``; on a start, an integer count of at least one core
+    and a positive integer memory demand; on a stop, neither.
 
     Slotted, so mutable and unhashable, but nothing mutates an instance: the
-    caller's list, ``engine.event_order``'s sorted copy and the dynamic
-    variant's log share them. The constructor is written out, checks first,
-    so that building an event runs one Python frame rather than the
-    generated ``__init__`` and a ``__post_init__``."""
+    caller's list, ``event_order``'s sorted copy and the dynamic variant's
+    log share them. The constructor is written out, checks first, so that
+    building an event runs one Python frame rather than the generated
+    ``__init__`` and a ``__post_init__``."""
 
     vm_id: str
     kind: EventKind
@@ -81,8 +89,8 @@ class VmEvent:
     ) -> None:
         if type(time) is not int:
             raise ValueError(f"time must be an integer, got {time!r}")
-        if time < 0:
-            raise ValueError(f"negative time {time}")
+        if time < 0 or time > MAX_TIME:
+            raise ValueError(f"negative time {time}" if time < 0 else "time must be below 2**53")
         if kind is _START:
             if type(cores) is not int or type(memory_bytes) is not int:
                 raise ValueError(
@@ -100,6 +108,16 @@ class VmEvent:
         self.time = time
         self.cores = cores
         self.memory_bytes = memory_bytes
+
+
+def event_order(events: list[VmEvent]) -> list[VmEvent]:
+    """Replay order: by time, stops before starts, then input order. The
+    stops, then the starts, each in input order, are sorted stably by time
+    alone, so the key is read in C rather than built per event."""
+    ordered = [e for e in events if e.kind is _STOP]
+    ordered += [e for e in events if e.kind is _START]
+    ordered.sort(key=_by_time)
+    return ordered
 
 
 def start_event(vm_id: str, time: int, cores: int, memory_bytes: int) -> VmEvent:
@@ -170,20 +188,15 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
             raise TraceFormatError(lineno, str(exc)) from None
         lines.append(lineno)
     if restarted:  # replay the VMs that start more than once
-        order = sorted(
-            (e.time, e.kind is _START, i)
-            for i, e in enumerate(events)
-            if e.vm_id in restarted
-        )
         live: set[str] = set()
-        for _, is_start, i in order:
-            vm_id = events[i].vm_id
-            if not is_start:
-                live.discard(vm_id)
-            elif vm_id in live:
-                raise TraceFormatError(lines[i], f"duplicate start for vm {vm_id!r}")
+        for event in event_order([e for e in events if e.vm_id in restarted]):
+            if event.kind is _STOP:
+                live.discard(event.vm_id)
+            elif event.vm_id in live:
+                lineno = lines[next(i for i, e in enumerate(events) if e is event)]
+                raise TraceFormatError(lineno, f"duplicate start for vm {event.vm_id!r}")
             else:
-                live.add(vm_id)
+                live.add(event.vm_id)
     events.sort(key=_by_time)
     return events
 
@@ -209,9 +222,27 @@ def serialize_trace(events: Iterable[VmEvent]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_utf8(
+    path: str | Path, parse: Callable[[TextIO], Any], error: type[TraceFormatError]
+) -> Any:
+    """``parse`` a UTF-8 text file as it streams in. Its ``error``, or a byte
+    that is not UTF-8, raises ``error`` with the file's path in the message."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh)
+    except error as exc:
+        raise error(exc.lineno, exc.reason, path) from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # the stream's error places the byte in a chunk
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}", path) from None
+        raise
+
+
 def load_trace(path: str | Path) -> list[VmEvent]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return parse_trace(fh)
+    return read_utf8(path, parse_trace, TraceFormatError)
 
 
 def write_trace(events: Iterable[VmEvent], path: str | Path) -> None:
@@ -253,8 +284,7 @@ def parse_snapshot(source: TextIO | str) -> list[SnapshotRecord]:
 
 
 def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return parse_snapshot(fh)
+    return read_utf8(path, parse_snapshot, TraceFormatError)
 
 
 def derive_bootstorm(snapshot: Sequence[SnapshotRecord], horizon: int) -> list[VmEvent]:
@@ -301,33 +331,38 @@ DEFAULT_FLAVORS = (
 )
 
 
+# Each distribution kind: its parameter count, the test its parameters must
+# pass, what the error says they need, and one draw given them and an rng.
+_DISTRIBUTIONS = {
+    "fixed": (1, lambda x: x >= 0, "one value >= 0", lambda x, rng: x),
+    "uniform": (2, lambda lo, hi: 0 <= lo <= hi, "0 <= lo <= hi",
+                lambda lo, hi, rng: rng.uniform(lo, hi)),
+    "exponential": (1, lambda mean: mean > 0, "mean > 0",
+                    lambda mean, rng: rng.expovariate(1.0 / mean)),
+    "lognormal": (2, lambda median, sigma: median > 0 and sigma >= 0,
+                  "median > 0 and sigma >= 0",
+                  lambda median, sigma, rng: rng.lognormvariate(math.log(median), sigma)),
+    "pareto": (2, lambda scale, alpha: scale > 0 and alpha > 0, "scale > 0 and alpha > 0",
+               lambda scale, alpha, rng: scale * rng.paretovariate(alpha)),
+}
+
+
 class Distribution:
-    """Sampling distribution for inter-arrival gaps and lifetimes (seconds)."""
+    """Sampling distribution for inter-arrival gaps and lifetimes (seconds).
+    ``sample(rng)`` draws one value: the kind's draw with the parameters
+    bound, so that a draw runs one Python frame."""
 
     def __init__(self, kind: str, *params: float):
         self.kind = kind
         self.params = params
         if not all(math.isfinite(p) for p in params):
             raise ValueError(f"{kind} distribution needs finite parameters: {params}")
-        if kind == "fixed":
-            if len(params) != 1 or params[0] < 0:
-                raise ValueError(f"fixed distribution needs one value >= 0: {params}")
-        elif kind == "uniform":
-            if len(params) != 2 or not 0 <= params[0] <= params[1]:
-                raise ValueError(f"uniform distribution needs 0 <= lo <= hi: {params}")
-        elif kind == "exponential":
-            if len(params) != 1 or params[0] <= 0:
-                raise ValueError(f"exponential distribution needs mean > 0: {params}")
-        elif kind == "lognormal":
-            if len(params) != 2 or params[0] <= 0 or params[1] < 0:
-                raise ValueError(
-                    f"lognormal distribution needs median > 0 and sigma >= 0: {params}"
-                )
-        elif kind == "pareto":
-            if len(params) != 2 or params[0] <= 0 or params[1] <= 0:
-                raise ValueError(f"pareto distribution needs scale > 0 and alpha > 0: {params}")
-        else:
+        if kind not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution kind {kind!r}")
+        count, valid, needs, draw = _DISTRIBUTIONS[kind]
+        if len(params) != count or not valid(*params):
+            raise ValueError(f"{kind} distribution needs {needs}: {params}")
+        self.sample = partial(draw, *self.params)
 
     @classmethod
     def exponential(cls, mean: float) -> "Distribution":
@@ -346,16 +381,10 @@ class Distribution:
             raise ValueError(f"unknown distribution spec {spec!r}")
         return cls(kinds[parts[0]], *(float(p) for p in parts[1:]))
 
-    def sample(self, rng: random.Random) -> float:
-        if self.kind == "fixed":
-            return self.params[0]
-        if self.kind == "uniform":
-            return rng.uniform(*self.params)
-        if self.kind == "lognormal":
-            return rng.lognormvariate(math.log(self.params[0]), self.params[1])
-        if self.kind == "pareto":
-            return self.params[0] * rng.paretovariate(self.params[1])
-        return rng.expovariate(1.0 / self.params[0])
+
+# The most VMs a synthetic trace may hold, so that its memory stays bounded: a
+# VM's two events take about 0.3 KB (3 GB at 10**7), and a replay 0.9 KB per VM.
+MAX_VMS = 10**7
 
 
 def gen_synthetic(
@@ -371,8 +400,8 @@ def gen_synthetic(
     vm_count >= len(flavors), every flavor appears at least once so the trace
     exhibits exactly len(flavors) distinct demand sizes.
     """
-    if vm_count < 0:
-        raise ValueError("vm_count must be non-negative")
+    if not 0 <= vm_count <= MAX_VMS:
+        raise ValueError("vm_count must be between 0 and 10**7")
     if not flavors:
         raise ValueError("flavor set is empty")
     if sum(f.weight for f in flavors) <= 0:
@@ -387,14 +416,17 @@ def gen_synthetic(
         for i, pick in enumerate(picks):
             arrival += interarrival.sample(rng)
             start = int(round(arrival))
+            stop = start if lifetime is None else start + max(1, int(round(lifetime.sample(rng))))
+            if stop > MAX_TIME:
+                raise OverflowError("time must be below 2**53")
             flavor = flavors[pick]
             vm_id = f"vm{i:0{width}d}"
             events.append(start_event(vm_id, start, flavor.cores, flavor.memory_bytes))
             if lifetime is not None:
-                stop = start + max(1, int(round(lifetime.sample(rng))))
                 events.append(stop_event(vm_id, stop))
     except OverflowError as exc:
-        # a heavy tail or a huge parameter drew a time beyond any float
+        # a heavy tail or a huge parameter drew a time past MAX_TIME or
+        # beyond any float
         raise ValueError(f"sampled time overflows: {exc}") from exc
     events.sort(key=lambda e: e.time)  # stable: ties keep generation order
     return events
@@ -518,14 +550,13 @@ def _json_number(key: str, value: object) -> float:
 
 
 def load_json_file(kind: str, path: str | Path, build: Callable[[Any], Any]) -> Any:
-    """Parse a JSON input file and ``build`` a value from it. Malformed JSON,
-    a missing key, a value of the wrong type or too large for a float raise
-    ``ValueError("bad <kind> <path>: ...")``; a file that cannot be read
-    raises ``OSError``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a JSON input file and ``build`` a value from it. A byte that is
+    not UTF-8, malformed JSON, a missing key, a value of the wrong type or
+    too large for a float raise ``ValueError("bad <kind> <path>: ...")``; a
+    file that cannot be read raises ``OSError``."""
     try:
-        return build(json.loads(text))
-    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, OverflowError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad {kind} {path}: {exc}") from exc
 
 

@@ -419,6 +419,91 @@ class TestJsonInputs:
         assert not (tmp_path / "out").exists()
 
 
+def bootstorm_argv(path, tmp):
+    return ["bootstorm", "--snapshot", str(path), "--fleet", str(tmp / "fleet.json"),
+            "--out", str(tmp / "out")]
+
+
+# Each input file: the argv that reads it, with the other inputs valid; its
+# text with a byte that is not UTF-8 on line 2; the exit code and the start
+# of the error.
+NON_UTF8_INPUTS = {
+    "trace": (
+        lambda path, tmp: ["replay", "--trace", str(path), "--fleet", str(tmp / "fleet.json"),
+                           "--out", str(tmp / "out")],
+        b"vm1,start,0,1,4096\nvm\xff,stop,1,,\n", EXIT_PARSE, "{path}: line 2: not UTF-8: ",
+    ),
+    "snapshot": (
+        bootstorm_argv, b"vm1,1,4096,h,8192,2\nvm\xff,1,4096,h,8192,2\n", EXIT_PARSE,
+        "{path}: line 2: not UTF-8: ",
+    ),
+    "counters": (
+        lambda path, tmp: ["costmodel", "--counters", str(path), "--mode", "dsn"],
+        b"c_1d = 100\n# \xff\n", EXIT_PARSE, "{path}: line 2: not UTF-8: ",
+    ),
+    **{
+        kind: (argv, b'{"n": 1,\n"\xff": 0}', EXIT_USAGE, f"bad {kind} {{path}}: 'utf-8' codec")
+        for kind, argv in JSON_INPUTS.items()
+    },
+}
+
+
+class TestBadBytesAndPaths:
+    """A byte that is not UTF-8 in any input file, an output path that cannot
+    be written and a number past its bound each exit 2 or 3 with an error
+    that names the file or the bound; none ends in a traceback."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, fleet_file):
+        (tmp_path / "t.csv").write_text("vm1,start,0,1,4096\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("kind", NON_UTF8_INPUTS)
+    def test_input_that_is_not_utf8_names_the_file(self, inputs, capsys, kind):
+        argv, data, exit_code, error = NON_UTF8_INPUTS[kind]
+        path = inputs / "input"
+        path.write_bytes(data)
+        code = main(argv(path, inputs))
+        captured = capsys.readouterr()
+        assert code == exit_code and captured.out == ""
+        assert captured.err.startswith("error: " + error.format(path=path))
+        assert not (inputs / "out").exists()
+
+    @pytest.mark.parametrize("command", ["replay", "bootstorm", "gen-trace"])
+    def test_output_that_cannot_be_written_is_named_as_output(self, inputs, capsys, command):
+        blocker = inputs / "file"
+        blocker.write_text("")
+        (inputs / "snap.csv").write_text("vm1,1,4096,h,8192,2\n")
+        argv = {
+            "replay": ["replay", "--trace", str(inputs / "t.csv"), "--fleet",
+                       str(inputs / "fleet.json"), "--out", str(blocker)],
+            "bootstorm": bootstorm_argv(inputs / "snap.csv", inputs)[:-1] + [str(blocker / "x")],
+            "gen-trace": ["gen-trace", "--vms", "3", "--out", str(inputs)],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(blocker if command != "gen-trace" else inputs) in captured.err
+
+    def test_time_past_2_pow_53_is_a_parse_error_on_every_variant(self, inputs, capsys):
+        (inputs / "t.csv").write_text(f"vm1,start,0,1,4096\nvm1,stop,{10**400},,\n")
+        for variant in ("baseline", "dynamic"):
+            code = main(["replay", "--trace", str(inputs / "t.csv"), "--fleet",
+                         str(inputs / "fleet.json"), "--variant", variant,
+                         "--out", str(inputs / "out")])
+            assert code == EXIT_PARSE
+            assert capsys.readouterr().err == (
+                f"error: {inputs / 't.csv'}: line 2: time must be below 2**53\n"
+            )
+
+    def test_vm_count_past_the_bound_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["gen-trace", "--vms", str(10**20), "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: vm_count must be between 0 and 10**7\n"
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestTranslate:
     @pytest.fixture
     def registers_file(self, tmp_path):

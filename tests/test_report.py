@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsegsim.engine import run
 from dsegsim.report import (
@@ -115,14 +115,15 @@ class TestLatencyStats:
     def assert_exact(samples, mean, stdev):
         """``mean`` and ``stdev`` within 1e-12 of the largest magnitude of the
         exact mean and population standard deviation, computed in fractions:
-        as close as float subtraction of the mean can come."""
+        as close as float subtraction of the mean can come. Below the
+        subnormal spacing, within 2^-1075, half the smallest subnormal: the
+        correctly rounded result of an exact value of 2^-1075 is 0.0."""
         scale = Fraction(max(map(abs, samples))) or Fraction(1)
+        tolerance = max(scale / 10**12, Fraction(1, 2**1075))
         exact = sum(map(Fraction, samples)) / len(samples)
         var = sum((Fraction(x) - exact) ** 2 for x in samples) / len(samples)
-        assert abs(Fraction(mean) - exact) / scale <= Fraction(1, 10**12)
-        assert abs(Fraction(stdev) / scale - Fraction(math.sqrt(var / scale**2))) <= Fraction(
-            1, 10**12
-        )
+        assert abs(Fraction(mean) - exact) <= tolerance
+        assert abs(Fraction(stdev) - Fraction(math.sqrt(var / scale**2)) * scale) <= tolerance
 
     def test_huge_deviation_is_finite(self, tmp_path):
         """1.5e300 s beside 1e-5 s: each deviation's square is past float
@@ -142,6 +143,7 @@ class TestLatencyStats:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @example([0.0, 5e-324])
     def test_finite_samples_give_exact_finite_stats(self, samples):
         """Anywhere in float range, the sum of the samples included."""
         mean, stdev = latency_stats(samples)

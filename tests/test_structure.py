@@ -263,12 +263,11 @@ def test_per_event_types_are_slotted():
 # is named ``Class.method``.
 PER_EVENT_FUNCTIONS = {
     "engine": (
-        "step", "_start_vm", "_grant", "_release",
-        "event_order", "reselect_option", "_outscores",
+        "step", "_start_vm", "_grant", "_release", "reselect_option", "_outscores",
     ),
     "scheduler": ("filter_min_segments", "fitting_machines"),
     "segments": ("_plan", "allocate", "peek_segment_count", "release", "SegmentDescriptor.__init__"),
-    "trace": ("parse_trace", "VmEvent.__init__"),
+    "trace": ("event_order", "parse_trace", "VmEvent.__init__"),
 }
 ENUMS = {"EventKind", "SimVariant", "AllocationPolicy", "VmMode"}
 

@@ -13,6 +13,8 @@ from dsegsim.trace import (
     DEFAULT_FLAVORS,
     MAX_MACHINES,
     MAX_RAM_BYTES,
+    MAX_TIME,
+    MAX_VMS,
     Distribution,
     EventKind,
     FleetSpec,
@@ -76,6 +78,15 @@ class TestParseTrace:
             parse_trace("vm1,start,0,1,4096\nvm1,stop,10\nvm1,start,5,1,4096\n")
         assert str(exc.value).startswith("line 3: ")
         assert "duplicate" in str(exc.value)
+
+    def test_a_time_past_the_bound_reports_its_line(self):
+        """Times stop below 2**53, where every integer is exact as a float."""
+        assert parse_trace(f"vm1,start,0,1,4096\nvm1,stop,{MAX_TIME}\n")[1].time == 2**53 - 1
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(f"vm1,start,0,1,4096\nvm1,stop,{MAX_TIME + 1}\n")
+        assert str(exc.value) == "line 2: time must be below 2**53"
+        with pytest.raises(ValueError, match=r"^time must be below 2\*\*53$"):
+            start_event("vm1", MAX_TIME + 1, 1, 4096)
 
     def test_stop_replays_before_a_start_at_the_same_time(self):
         text = "vm1,start,0,1,4096\nvm1,start,10,1,4096\nvm1,stop,10\n"
@@ -500,6 +511,7 @@ class TestHeavyTailedDistributions:
 
     @pytest.mark.parametrize("arrival,lifetime", [
         ("exp:1e308", None), ("fixed:1e308", None), ("exp:10", "lognormal:20000:800"),
+        ("fixed:4503599627370496", None), ("fixed:1", f"fixed:{2**53 - 2}"),
     ])
     def test_a_time_beyond_any_float_is_a_value_error(self, arrival, lifetime):
         with pytest.raises(ValueError, match="sampled time overflows"):
@@ -507,6 +519,17 @@ class TestHeavyTailedDistributions:
                 50, DEFAULT_FLAVORS, Distribution.parse(arrival),
                 lifetime and Distribution.parse(lifetime), seed=1,
             )
+
+
+class TestVmCountBound:
+    def test_a_count_past_the_bound_raises_before_anything_is_drawn(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a value")
+
+        monkeypatch.setattr(random.Random, "choices", draw)
+        for count in (MAX_VMS + 1, 10**20, -1):
+            with pytest.raises(ValueError, match=r"vm_count must be between 0 and 10\*\*7"):
+                gen_synthetic(count, DEFAULT_FLAVORS, Distribution.exponential(1), None, seed=1)
 
 
 class TestFleet:
