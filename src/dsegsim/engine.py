@@ -5,11 +5,11 @@ equal times so memory frees before it is wanted; ``step`` refuses an event
 that sorts before the last one it applied. Each start rounds its demand up
 to whole pages, walks the placement index for the machines that fit it,
 picks one by the variant's objective, grants the memory with the variant's
-allocator, then types the VM (register-file translation when k <= n). The
-engine times each allocator call of the replay, which is the one
-non-reproducible output; everything else is deterministic. Automatic garbage
-collection is held off only inside that timed call; a replay otherwise
-leaves the collector as it finds it.
+allocator, then types the VM (register-file translation when k <= n), all
+in ``_start_vm``'s one frame. The engine times each allocator call of the
+replay, which is the one non-reproducible output; everything else is
+deterministic. Automatic garbage collection is held off only inside that
+timed call; a replay otherwise leaves the collector as it finds it.
 
 Every machine is a ``MachineView`` that starts with a one-segment free list,
 which holds the same free bytes and free runs as a freshly seeded buddy
@@ -19,15 +19,19 @@ at the first grant to any machine of that shape, so only shapes that are
 granted are seeded and no seed is ever granted from. Every variant
 keeps the placement index, ``(-free, machine_id)`` for every machine in
 ascending order, keyed by free cores on the baseline and by free bytes
-elsewhere, and moves a machine's entry on each grant and release (see
-``scheduler``).
+elsewhere (see ``scheduler``). No key function is stored: each grant and
+release branches on the variant and moves the machine's entry by the
+resource it has just changed.
 
 ``step`` is the one code that applies an event. ``run`` drives it over a
 trace, and so does the dynamic variant's periodic policy reselection
 (``reselect_option``), which scores both composition policies on the logged
 events without ``run``. A score reads only k, so these scoring replays are
 untimed: their grants call the allocator directly, with no clock reading
-and no garbage-collector switch, and record a latency of 0.0.
+and no garbage-collector switch, and record a latency of 0.0. A period
+whose log cannot compose a grant on a fresh fleet, because it holds no more
+starts than machines that could each host its largest start, is scored
+without a replay.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import bisect
 import gc
 import time as _time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import Callable
 
 from .baseline import BuddyAllocator
 from .report import SimulationReport, VmRecord
@@ -50,8 +52,16 @@ from .scheduler import (
     filter_min_segments,
     fitting_machines,
 )
-from .segments import PAGE_SIZE, AllocationPolicy, VMAllocation, VmMode, allocate, release
-from .trace import EventKind, FleetSpec, VmEvent, build_fleet, event_order
+from .segments import (
+    PAGE_SIZE,
+    AllocationPolicy,
+    VMAllocation,
+    VmMode,
+    allocate,
+    new_machine,
+    release,
+)
+from .trace import EventKind, FleetSpec, VmEvent, build_fleet, event_order, generation_counts
 
 # VmRecord.mode's strings and the Enum members tested per event, read once
 # rather than through their classes per event
@@ -79,9 +89,8 @@ class SimulationState:
     config: SchedulerConfig
     fleet_spec: FleetSpec
     machines: list[MachineView]
-    # a machine's free cores on the baseline, its free bytes elsewhere
-    key: Callable[[MachineView], int]
-    # (-key(m), machine_id) per machine, ascending
+    # (-free, machine_id) per machine, ascending, where free is the
+    # machine's free cores on the baseline and its free bytes elsewhere
     index: list[tuple[int, int]]
     live: dict[str, LiveVm] = field(default_factory=dict)
     rejected: set[str] = field(default_factory=set)
@@ -133,10 +142,12 @@ def new_state(
         reselect_period=reselect_period,
     )
     machines = build_fleet(fleet_spec)
-    key = attrgetter("cores_free" if variant is SimVariant.BASELINE else "free_list.free_bytes")
-    index = sorted((-key(m), m.machine_id) for m in machines)
+    if variant is SimVariant.BASELINE:
+        index = sorted((-m.cores_free, m.machine_id) for m in machines)
+    else:
+        index = sorted((-m.free_list.free_bytes, m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, key, index, next_reselect=reselect_period
+        variant, config, fleet_spec, machines, index, next_reselect=reselect_period
     )
 
 
@@ -195,6 +206,14 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
 
 
 def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
+    """Place and grant a start in one frame. At its first grant, a baseline
+    machine first gets its own copy of its shape's seed, outside the timed
+    call. The latency is the allocator call's thread CPU time in seconds, the
+    exact difference of two nanosecond readings divided once: at microsecond
+    scale, wall time mostly measures OS preemption rather than the allocator.
+    Automatic garbage collection is held off during the call, so a
+    collection of the whole interpreter's heap is not charged to one grant.
+    A scoring replay's grant is not timed, and its latency is 0.0."""
     if event.vm_id in state.live:
         state.anomalies += 1
         return None
@@ -202,7 +221,8 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
     if memory % PAGE_SIZE:  # whole pages, as both memory models grant them
         memory += PAGE_SIZE - memory % PAGE_SIZE
     policy = state.config.current_policy
-    if state.variant is _BASELINE:
+    baseline = state.variant is _BASELINE
+    if baseline:
         stop, segment = event.cores, 0
     else:
         stop = segment = memory
@@ -219,69 +239,70 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
             state.rejected.add(event.vm_id)
             return None
     machine_id = machine.machine_id
+    vm_id = event.vm_id
+    memory_model = machine.free_list
+    if state.untimed:  # a segment variant's: reselection never scores the baseline
+        alloc = allocate(memory_model, vm_id, memory, policy)
+        latency = 0.0
+    else:
+        if baseline and not isinstance(memory_model, BuddyAllocator):
+            # the machine's first grant: its own copy of its shape's seed
+            shape = memory_model.total_bytes, memory_model.reserved_bytes
+            if shape not in state.seeds:
+                state.seeds[shape] = BuddyAllocator(*shape)
+            machine.free_list = memory_model = state.seeds[shape].copy(machine_id)
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            if baseline:
+                t0 = _time.thread_time_ns()
+                alloc = memory_model.allocate(vm_id, memory)
+            else:
+                t0 = _time.thread_time_ns()
+                alloc = allocate(memory_model, vm_id, memory, policy)
+            latency = (_time.thread_time_ns() - t0) / 1e9
+        finally:
+            if gc_was_on:
+                gc.enable()
+    # move the machine's index entry, keyed by the resource just taken
     index = state.index
-    old = state.key(machine)
-    alloc, latency = _grant(state, machine, event.vm_id, memory, policy)
-    machine.cores_free -= event.cores
+    if baseline:
+        old = machine.cores_free
+        machine.cores_free = new = old - event.cores
+    else:
+        machine.cores_free -= event.cores
+        new = memory_model.free_bytes
+        old = new + memory
     del index[bisect.bisect_left(index, (-old, machine_id))]
-    bisect.insort(index, (-state.key(machine), machine_id))
-    state.live[event.vm_id] = LiveVm(machine_id, alloc, event.cores)
+    bisect.insort(index, (-new, machine_id))
+    state.live[vm_id] = LiveVm(machine_id, alloc, event.cores)
     k = len(alloc.segments)
     mode = _DSN if k <= state.config.n else _FALLBACK
-    record = VmRecord(event.vm_id, event.time, machine_id, k, mode, latency)
+    record = VmRecord(vm_id, event.time, machine_id, k, mode, latency)
     state.records.append(record)
     return record
 
 
-def _grant(
-    state: SimulationState, machine: MachineView, vm_id: str, demand: int, policy: AllocationPolicy
-) -> tuple[VMAllocation, float]:
-    """Grant a starting VM ``demand`` bytes from the machine's memory model;
-    at its first grant, a baseline machine first gets its own copy of its
-    shape's seed, outside the timed call. Returns the grant and the
-    allocator call's thread CPU time in seconds, the exact difference of two
-    nanosecond readings divided once: at microsecond scale, wall time mostly
-    measures OS preemption rather than the allocator. Automatic garbage
-    collection is held off during the call, so a collection of the whole
-    interpreter's heap is not charged to one grant. A scoring replay's grant
-    is not timed, and its latency is 0.0."""
-    memory_model = machine.free_list
-    if state.untimed:  # a segment variant's: reselection never scores the baseline
-        return allocate(memory_model, vm_id, demand, policy), 0.0
-    if state.variant is _BASELINE and not isinstance(memory_model, BuddyAllocator):
-        shape = memory_model.total_bytes, memory_model.reserved_bytes
-        if shape not in state.seeds:
-            state.seeds[shape] = BuddyAllocator(*shape)
-        machine.free_list = memory_model = state.seeds[shape].copy(machine.machine_id)
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        if isinstance(memory_model, BuddyAllocator):
-            t0 = _time.thread_time_ns()
-            alloc = memory_model.allocate(vm_id, demand)
-        else:
-            t0 = _time.thread_time_ns()
-            alloc = allocate(memory_model, vm_id, demand, policy)
-        return alloc, (_time.thread_time_ns() - t0) / 1e9
-    finally:
-        if gc_was_on:
-            gc.enable()
-
-
 def _release(state: SimulationState, vm_id: str, vm: LiveVm) -> None:
-    """Return a VM's memory, from either memory model, and its cores, and
-    move its machine's placement-index entry; a stop and ``finish`` both
-    release through here."""
-    machine = state.machines[vm.machine_id]
+    """Return a VM's memory, to either memory model, and its cores, and move
+    its machine's placement-index entry; a stop and ``finish`` both release
+    through here. A baseline VM's machine was granted from, so its memory
+    model is a buddy allocator."""
+    machine_id = vm.machine_id
+    machine = state.machines[machine_id]
     index = state.index
-    old = state.key(machine)
-    if isinstance(machine.free_list, BuddyAllocator):
+    if state.variant is _BASELINE:
         machine.free_list.release(vm_id)
+        old = machine.cores_free
+        machine.cores_free = new = old + vm.cores
     else:
-        release(machine.free_list, vm.allocation)
-    machine.cores_free += vm.cores
-    del index[bisect.bisect_left(index, (-old, vm.machine_id))]
-    bisect.insort(index, (-state.key(machine), vm.machine_id))
+        memory_model = machine.free_list
+        old = memory_model.free_bytes
+        release(memory_model, vm.allocation)
+        new = memory_model.free_bytes
+        machine.cores_free += vm.cores
+    del index[bisect.bisect_left(index, (-old, machine_id))]
+    bisect.insort(index, (-new, machine_id))
 
 
 def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
@@ -318,22 +339,29 @@ def reselect_option(
     and adopt the one yielding more VMs with k <= n; ties prefer fewer total
     segments, then the current policy. The log is reset afterwards.
 
-    The current policy is scored first, without a replay when the log holds
-    no start (a replay places nothing) or when ``drained`` is given.
-    ``drained`` holds the records that the caller's replay made under the
-    current policy since the log began, when no VM was live then: a drained
-    fleet equals a fresh one, so they are the replay's records. The policies
-    place and grant alike until a grant composes, so the other policy, the
-    challenger, is replayed only when the current one composed a grant;
-    otherwise the two tie and the current policy stays. The challenger
-    starts from a copy of the current policy's state from just before its
-    first composed grant, the first event at which the two can differ
-    (``_fork``): the copy that the current policy's replay takes, or after
-    ``drained`` records, ``challenger``, the copy and the log index of that
-    grant that the caller's replay took (``step``). The challenger stops as
-    soon as the outcome is decided (``_outscores``). Every replay here is
-    untimed and drives ``step`` directly, without ``finish``, whose release
-    of every live VM no score needs.
+    The current policy is scored first, without a replay when ``drained`` is
+    given or when the log holds no more starts than H (``_may_compose``), the
+    machines that could each host the log's largest start on an empty
+    machine. ``drained`` holds the records that the caller's replay made
+    under the current policy since the log began, when no VM was live then: a
+    drained fleet equals a fresh one, so they are the replay's records. With
+    at most H starts the replay composes no grant: at its i-th start (i <
+    starts <= H) at most i machines have been granted to, so one of the H
+    hosts is untouched and fits the start, and the walk returns the first
+    fit whose largest free segment covers the demand, so every grant takes
+    k = 1. A log of no start is the case of 0 starts.
+
+    The policies place and grant alike until a grant composes, so the other
+    policy, the challenger, is replayed only when the current one composed a
+    grant; otherwise, as with no replay at all, the two tie and the current
+    policy stays. The challenger starts from a copy of the current policy's
+    state from just before its first composed grant, the first event at
+    which the two can differ (``_fork``): the copy that the current policy's
+    replay takes, or after ``drained`` records, ``challenger``, the copy and
+    the log index of that grant that the caller's replay took (``step``). The
+    challenger stops as soon as the outcome is decided (``_outscores``).
+    Every replay here is untimed and drives ``step`` directly, without
+    ``finish``, whose release of every live VM no score needs.
     """
     n = config.n
     current = chosen = config.current_policy
@@ -342,7 +370,7 @@ def reselect_option(
     if drained is not None:
         ks = [r.k for r in drained]
         fork = challenger
-    elif any(e.kind is _START for e in log):
+    elif _may_compose(log, fleet_spec):
         state = new_state(fleet_spec, SimVariant(current.value), n)
         state.untimed = True
         for i, event in enumerate(log):
@@ -354,6 +382,33 @@ def reselect_option(
         (chosen,) = set(AllocationPolicy) - {current}
     log.clear()
     return chosen
+
+
+def _may_compose(log: list[VmEvent], fleet_spec: FleetSpec) -> bool:
+    """Whether the log holds more starts than H, the machines of a fresh
+    ``fleet_spec`` fleet with at least the most cores of any start and a user
+    region covering the most memory of any; only then can its replay compose
+    a grant (``reselect_option``). The scan stops once the starts counted
+    exceed H for the largest start so far, which a larger one only lowers."""
+    shapes = [
+        (g.cores, new_machine(g.ram_bytes, fleet_spec.reserved_bytes).max_segment, count)
+        for g, count in zip(fleet_spec.generations, generation_counts(fleet_spec))
+        if count
+    ]
+    starts = cores = memory = hosts = 0
+    for event in log:
+        if event.kind is _START:
+            starts += 1
+            if event.cores > cores or event.memory_bytes > memory:
+                cores = max(cores, event.cores)
+                memory = max(memory, event.memory_bytes)
+                # a region of whole pages covers the bytes if it covers them
+                # rounded up to whole pages
+                hosts = sum(count for machine_cores, region, count in shapes
+                            if machine_cores >= cores and region >= memory)
+            if starts > hosts:
+                return True
+    return False
 
 
 def _fork(state: SimulationState, variant: SimVariant, since: int = 0) -> SimulationState:

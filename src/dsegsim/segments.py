@@ -315,7 +315,7 @@ def allocate(
     grants = _plan(flist.bases, sizes, demand, policy, flist.max_segment)
     flist.free_bytes -= demand
     flist.max_segment = max(sizes) if sizes else 0
-    return VMAllocation(vm_id=vm_id, segments=tuple(grants))
+    return VMAllocation(vm_id, tuple(grants))
 
 
 def peek_segment_count(

@@ -148,8 +148,14 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
     lines: list[int] = []  # input line of each event
     started: set[str] = set()
     restarted: set[str] = set()
-    for lineno, row in enumerate(csv.reader(source), start=1):
+    # a record is numbered by the file line it begins on, one past the line
+    # the previous record ended on: a quoted line break in a record moves the
+    # next one's line past its count of records
+    reader = csv.reader(source)
+    lineno = 1
+    for row in reader:
         if not row or (lineno == 1 and tuple(row) == TRACE_HEADER):
+            lineno = reader.line_num + 1
             continue
         fields = len(row)
         if fields not in (3, 5):
@@ -187,6 +193,7 @@ def parse_trace(source: TextIO | str) -> list[VmEvent]:
         except ValueError as exc:  # the event's own checks of its values
             raise TraceFormatError(lineno, str(exc)) from None
         lines.append(lineno)
+        lineno = reader.line_num + 1
     if restarted:  # replay the VMs that start more than once
         live: set[str] = set()
         for event in event_order([e for e in events if e.vm_id in restarted]):

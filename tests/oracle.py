@@ -216,6 +216,12 @@ def _field_int(row, idx, name, lineno):
         raise TraceFormatError(lineno, f"bad {name} in {row!r}") from None
 
 
+def row_lines(row):
+    """The file lines a CSV record spans: one, plus one per line break that
+    its quoted fields hold."""
+    return 1 + sum(field.count("\n") for field in row)
+
+
 def parse_trace_by_field(text):
     """``parse_trace`` as it was before each row's event was built in one
     ``try``: every field converted by its own call, in the order the errors
@@ -226,7 +232,9 @@ def parse_trace_by_field(text):
     lines = []
     started = set()
     restarted = set()
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        lineno = reader.line_num - row_lines(row) + 1  # the line the record begins on
         if not row or (lineno == 1 and tuple(row) == TRACE_HEADER):
             continue
         fields = len(row)

@@ -1159,6 +1159,19 @@ def logged_period(log, spec, policy, n):
     return state.records, state.challenger
 
 
+def hosts(log, spec):
+    """H: the machines of a fresh ``spec`` fleet with as many free cores as
+    the log's most cores of a start and a free segment covering its most
+    memory in whole pages, 0 for a log of no start."""
+    starts = [e for e in log if e.kind is EventKind.START]
+    if not starts:
+        return 0
+    cores = max(e.cores for e in starts)
+    memory = -(-max(e.memory_bytes for e in starts) // PAGE_SIZE) * PAGE_SIZE
+    return sum(m.cores_free >= cores and m.free_list.max_segment >= memory
+               for m in build_fleet(spec))
+
+
 def count_steps(monkeypatch):
     """Count ``step`` calls per variant."""
     steps = dict.fromkeys(SimVariant, 0)
@@ -1233,7 +1246,9 @@ class TestChallengerScoring:
                 assert got_log == []
 
                 from_records = drained is not None
-                replayed = not from_records and any(k is not None for k in mine)
+                # the current policy is replayed exactly when the log holds
+                # more starts than machines that could host its largest one
+                replayed = not from_records and sum(k is not None for k in mine) > hosts(log, spec)
                 assert steps[SimVariant(current.value)] == (len(log) if replayed else 0)
                 composed = [i for i, k in enumerate(mine) if k is not None and k > 1]
                 if composed:
@@ -1312,6 +1327,119 @@ class TestChallengerScoring:
         fork = log.index(start_event("x", 11, 1, 3 * GIB))
         assert steps[OPT2] == len(log)
         assert steps[OPT1] == 1 < len(log) - fork
+
+
+def tiered_fleet_and_trace(rng, vms, span):
+    """VMs on a fleet of three generations, of which only one can host every
+    start: 1-2 host machines of 3-5 GiB plus an odd byte count with 16
+    cores, 0-6 narrow ones of 64 GiB with 1 core and 0-6 short ones of 1 GiB
+    with 64 cores. ``vms`` VMs of 1-3 cores start within ``span`` s and ask
+    for 1-4 half GiB plus an odd byte count; they live 1-60 s, one in five
+    100-500 s, so the stops leave holes that later starts on a host compose,
+    and periods begin with VMs live."""
+    counts = (rng.randint(1, 2), rng.randint(0, 6), rng.randint(0, 6))
+    shapes = ((rng.randint(3, 5) * GIB + rng.randint(1, 3 * PAGE_SIZE), 16), (64 * GIB, 1),
+              (GIB, 64))
+    machines = sum(counts)
+    spec = FleetSpec(tuple(Generation(name, ram, cores, 100.0 * count / machines)
+                           for name, (ram, cores), count
+                           in zip(("host", "narrow", "short"), shapes, counts)), machines)
+    events = []
+    for i in range(vms):
+        t = rng.randint(0, span)
+        demand = rng.randint(1, 4) * GIB // 2 + rng.randint(0, 3 * PAGE_SIZE)
+        events.append(start_event(f"vm{i}", t, rng.randint(1, 3), demand))
+        life = rng.randint(100, 500) if rng.random() < 0.2 else rng.randint(1, 60)
+        events.append(stop_event(f"vm{i}", t + life))
+    return spec, events
+
+
+class TestReplayFreeScore:
+    """A reselection of a period begun with VMs live replays the current
+    policy only when the log holds more starts than H, the machines that
+    could each host its largest start on an empty machine: with no more,
+    every grant of that replay takes one segment. It must still choose what
+    two full replays choose, on fleets where some generations are too small
+    in cores or memory for some starts."""
+
+    @staticmethod
+    def log_counts(log, spec):
+        """The log's starts; H; and the H that three wrong counts would give:
+        every machine, the machines fitting the smallest start, and those with
+        the cores of the largest whatever their memory."""
+        starts = [e for e in log if e.kind is EventKind.START]
+        fleet = build_fleet(spec)
+        smallest = min(e.cores for e in starts), min(e.memory_bytes for e in starts)
+        cores = max(e.cores for e in starts)
+        return (len(starts), hosts(log, spec), len(fleet),
+                sum(m.cores_free >= smallest[0] and m.free_bytes >= smallest[1] for m in fleet),
+                sum(m.cores_free >= cores for m in fleet))
+
+    def test_a_period_scored_without_a_replay_composes_no_grant(self, monkeypatch):
+        """Where the current policy is not replayed, its full replay on a
+        fresh fleet grants every start one segment, so no challenger can
+        differ. The logs include ones that compose although they hold no
+        more starts than each wrong count of H, so a skip on any of those
+        counts fails here."""
+        rng = random.Random(53)
+        seen = dict.fromkeys(("scored without a replay", "replayed and composed",
+                              "composes within every machine", "composes within the smallest's",
+                              "composes within the cores-only"), 0)
+        for _ in range(1000):
+            spec, events = tiered_fleet_and_trace(rng, rng.randint(4, 20), 200)
+            ordered = event_order(events)
+            lo = rng.randint(0, len(ordered) // 3)
+            log = ordered[lo:rng.randint(lo + 1, min(len(ordered), lo + 40))]
+            if not any(e.kind is EventKind.START for e in log):
+                continue
+            starts, h, machines, smallest, cores_only = self.log_counts(log, spec)
+            for current in AllocationPolicy:
+                config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
+                mine, _ = replay_outcomes(log, spec, current, config.n)
+                composed = any(k is not None and k > 1 for k in mine)
+                expected = reselect_by_two_replays(list(log), spec, config)
+                steps = count_steps(monkeypatch)
+                got = engine.reselect_option(list(log), spec, config)
+                monkeypatch.undo()
+                assert got is expected
+                replayed = steps[SimVariant(current.value)] > 0
+                assert replayed is (starts > h)
+                if not replayed:
+                    assert not composed
+                    seen["scored without a replay"] += 1
+                seen["replayed and composed"] += replayed and composed
+                seen["composes within every machine"] += composed and starts <= machines
+                seen["composes within the smallest's"] += composed and starts <= smallest
+                seen["composes within the cores-only"] += composed and starts <= cores_only
+        assert all(seen.values()), seen
+
+    def test_dynamic_replay_matches_two_full_replays(self, monkeypatch):
+        """Whole dynamic replays with 100 s periods, many begun with VMs
+        live, equal those with two full replays per reselection."""
+        rng = random.Random(54)
+        seen = dict.fromkeys(("scored without a replay", "replayed and composed"), 0)
+        for _ in range(60):
+            spec, events = tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500)
+            reselections = count_replays(monkeypatch)
+            counting = engine.reselect_option
+            periods = []
+
+            def recording(log, fleet_spec, config, drained=None, challenger=None):
+                periods.append((drained is None, any(e.kind is EventKind.START for e in log)))
+                return counting(log, fleet_spec, config, drained, challenger)
+
+            monkeypatch.setattr(engine, "reselect_option", recording)
+            n = rng.randint(1, 2)
+            got = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
+            monkeypatch.undo()
+            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
+            expected = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
+            monkeypatch.undo()
+            assert got.core() == expected.core()
+            for (live, started), replays in zip(periods, reselections, strict=True):
+                seen["scored without a replay"] += live and started and not replays
+                seen["replayed and composed"] += live and len(replays) == 2
+        assert all(seen.values()), seen
 
 
 class TestFork:

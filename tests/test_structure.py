@@ -8,8 +8,9 @@ definition has a caller outside the tests, so no library code exists only
 for them, and every field has a reader outside the tests, so no value is
 stored that nothing reads. The types built once or more per replayed event
 are slotted and not frozen, and the functions run per event read no Enum
-member off its class and pass no keyword to ``min`` or ``max``. A free list
-builds no segment descriptor, and neither does a release.
+member off its class, pass no keyword to ``min`` or ``max`` and build no
+record with keywords. A free list builds no segment descriptor, and neither
+does a release.
 """
 
 import ast
@@ -263,7 +264,7 @@ def test_per_event_types_are_slotted():
 # is named ``Class.method``.
 PER_EVENT_FUNCTIONS = {
     "engine": (
-        "step", "_start_vm", "_grant", "_release", "reselect_option", "_outscores",
+        "step", "_start_vm", "_release", "reselect_option", "_may_compose", "_outscores",
     ),
     "scheduler": ("filter_min_segments", "fitting_machines"),
     "segments": ("_plan", "allocate", "peek_segment_count", "release", "SegmentDescriptor.__init__"),
@@ -316,6 +317,25 @@ def test_per_event_functions_pass_no_keyword_to_min_or_max():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name) and node.func.id in ("min", "max")
+        for kw in node.keywords
+    ]
+    assert offenders == []
+
+
+# The slotted types that the per-event functions build.
+PER_EVENT_RECORDS = {"VMAllocation", "VmRecord", "LiveVm", "SegmentDescriptor", "VmEvent"}
+
+
+def test_per_event_functions_build_no_record_by_keyword():
+    """``VMAllocation(vm_id=..., segments=...)`` costs about 0.29 us against
+    0.15 us positionally on CPython 3.11, for the keywords alone; the
+    per-event functions build their records positionally."""
+    offenders = [
+        f"{module}.py:{node.lineno} {name} builds {node.func.id}(..., {kw.arg}=...)"
+        for module, name, fn in per_event_functions()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id in PER_EVENT_RECORDS
         for kw in node.keywords
     ]
     assert offenders == []

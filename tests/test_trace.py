@@ -242,6 +242,16 @@ def trace_cases():
         f"{good}\nvm2,reboot,x\n", 2, f"bad time in {['vm2', 'reboot', 'x']!r}",
         id="unknown-kind-time=x",
     )
+    # a row is numbered by the file line it begins on, past an earlier row's
+    # quoted line break, in the errors of a row and of a duplicate start alike
+    yield pytest.param(
+        '"a\nb",start,0,1,4096\nvm2,start,x,1,4096\n', 3,
+        f"bad time in {['vm2', 'start', 'x', '1', '4096']!r}", id="after-a-quoted-line-break",
+    )
+    yield pytest.param(
+        '"a\nb",start,0,1,4096\nvm2,start,0,1,4096\n"c\n\nd",stop,1\nvm2,start,1,1,4096\n',
+        7, "duplicate start for vm 'vm2'", id="duplicate-start-after-quoted-line-breaks",
+    )
 
 
 class TestTraceFormat:
@@ -258,9 +268,10 @@ class TestTraceFormat:
 
 
 # field values near a valid row's: valid and invalid integers, padded and
-# signed ones, kinds in any case, unknown kinds, ids that need quoting or strip
-# to nothing
-NEAR_IDS = ("vm1", "vm2", " vm1 ", "", " ", "a,b", 'q"x')
+# signed ones, kinds in any case, unknown kinds, ids that need quoting (one
+# holding a line break, which moves later rows' line numbers) or strip to
+# nothing
+NEAR_IDS = ("vm1", "vm2", " vm1 ", "", " ", "a,b", 'q"x', "l\nb")
 NEAR_KINDS = ("start", "stop", "START", " Stop ", "reboot", "")
 NEAR_INTS = (*(str(i) for i in range(-2, 10)), "x", "", " 3 ", "1.5", "+2", "1_0", "\u0663")
 NEAR_WIDTHS = (3, 3, 5, 5, 5, 2, 4, 6)
