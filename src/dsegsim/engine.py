@@ -26,18 +26,21 @@ resource it has just changed.
 ``step`` is the one code that applies an event. ``run`` drives it over a
 trace, and so does the dynamic variant's periodic policy reselection
 (``reselect_option``), which scores both composition policies on the logged
-events without ``run``. A score reads only k, so these scoring replays are
-untimed: their grants call the allocator directly, with no clock reading
-and no garbage-collector switch, and record a latency of 0.0. A period
-whose log cannot compose a grant on a fresh fleet, because it holds no more
-starts than machines that could each host its largest start, is scored
-without a replay.
+events without ``run``. The policies differ only from a period's first
+composed grant on, so ``_start_vm`` forks the other policy's replay just
+before that grant, and the scores count only from there. A score reads
+only k, so these scoring replays are untimed: their grants call the
+allocator directly, with no clock reading and no garbage-collector switch,
+and record a latency of 0.0. A period whose log cannot compose a grant on a
+fresh fleet, because it holds no more starts than machines that could each
+host its largest start, is scored without a replay.
 """
 
 from __future__ import annotations
 
 import bisect
 import gc
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +49,6 @@ from .report import SimulationReport, VmRecord
 from .scheduler import (
     WEEK_SECONDS,
     MachineView,
-    NoCandidateError,
     SchedulerConfig,
     SimVariant,
     filter_min_segments,
@@ -102,12 +104,12 @@ class SimulationState:
     anomalies: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     next_reselect: float = 0.0
-    # index in records where the logged period begins; None if a VM was live then
-    period_start: int | None = 0
-    # dynamic only: in a period begun drained, a copy of the state from just
-    # before the period's first composed grant under the other policy, and
-    # that start's index in the log
-    challenger: tuple[SimulationState, int] | None = None
+    # dynamic only: whether no VM was live when the logged period began
+    drained: bool = False
+    # in a period begun drained, a copy of the state from just before the
+    # period's first composed grant under the other policy, that start's
+    # index in the log and the grant's index in records
+    challenger: tuple[SimulationState, int, int] | None = None
     # a scoring replay, whose grants are neither timed nor kept from the
     # garbage collector
     untimed: bool = False
@@ -118,9 +120,9 @@ class SimulationState:
 
 
 # the policy a scoring replay challenges the current one with
-_CHALLENGER = {
-    AllocationPolicy.SMALLEST_FIRST: SimVariant.PLACEMENT_OPT2,
-    AllocationPolicy.LARGEST_FIRST: SimVariant.PLACEMENT_OPT1,
+_OTHER = {
+    AllocationPolicy.SMALLEST_FIRST: AllocationPolicy.LARGEST_FIRST,
+    AllocationPolicy.LARGEST_FIRST: AllocationPolicy.SMALLEST_FIRST,
 }
 
 
@@ -147,7 +149,8 @@ def new_state(
     else:
         index = sorted((-m.free_list.free_bytes, m.machine_id) for m in machines)
     return SimulationState(
-        variant, config, fleet_spec, machines, index, next_reselect=reselect_period
+        variant, config, fleet_spec, machines, index, next_reselect=reselect_period,
+        drained=variant is SimVariant.DYNAMIC,
     )
 
 
@@ -171,26 +174,17 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
             # one reselection over the logged events, none for the empty
             # periods after it
             if state.log:
-                since = state.period_start
-                drained = None if since is None else state.records[since:]
                 chosen = reselect_option(
-                    state.log, state.fleet_spec, state.config, drained, state.challenger
+                    state.log, state.fleet_spec, state.config,
+                    state.records if state.drained else None, state.challenger,
                 )
                 state.config.current_policy = chosen
                 state.option_switches.append((int(state.next_reselect), chosen.value))
-                state.period_start = None if state.live else len(state.records)
+                state.drained = not state.live
                 state.challenger = None
             period = state.config.reselect_period
             state.next_reselect += ((event.time - state.next_reselect) // period + 1) * period
         state.log.append(event)
-        if event.kind is _START and state.period_start is not None and state.challenger is None:
-            record = _start_vm(state, event)
-            if record is not None and record.k > 1:  # the period's first composed grant
-                state.challenger = (
-                    _fork(state, _CHALLENGER[state.config.current_policy], state.period_start),
-                    len(state.log) - 1,
-                )
-            return record
     if event.kind is _STOP:
         vm = state.live.pop(event.vm_id, None)
         if vm is not None:
@@ -230,14 +224,15 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
         state.machines, state.index, event.cores, memory, stop, segment
     )
     if machine is None:
-        # On the baseline, whose threshold of 0 takes the first fit, no
-        # machine fits and none was walked past, so the chain rejects.
-        try:
-            machine = state.machines[filter_min_segments(walked, memory, policy)]
-        except NoCandidateError:
+        if not walked:  # no machine fits: the start is rejected
             state.rejections += 1
             state.rejected.add(event.vm_id)
             return None
+        # Machines fit, but none in one segment: the grant composes, and the
+        # policies can differ from here on, so fork the challenger first.
+        if state.drained and state.challenger is None:
+            state.challenger = _fork(state, _OTHER[policy]), len(state.log) - 1, len(state.records)
+        machine = state.machines[filter_min_segments(walked, memory, policy)]
     machine_id = machine.machine_id
     vm_id = event.vm_id
     memory_model = machine.free_list
@@ -332,54 +327,49 @@ def reselect_option(
     log: list[VmEvent],
     fleet_spec: FleetSpec,
     config: SchedulerConfig,
-    drained: list[VmRecord] | None = None,
-    challenger: tuple[SimulationState, int] | None = None,
+    records: list[VmRecord] | None = None,
+    challenger: tuple[SimulationState, int, int] | None = None,
 ) -> AllocationPolicy:
     """Score both composition policies as replays of the log on a fresh fleet
     and adopt the one yielding more VMs with k <= n; ties prefer fewer total
     segments, then the current policy. The log is reset afterwards.
 
-    The current policy is scored first, without a replay when ``drained`` is
-    given or when the log holds no more starts than H (``_may_compose``), the
-    machines that could each host the log's largest start on an empty
-    machine. ``drained`` holds the records that the caller's replay made
-    under the current policy since the log began, when no VM was live then: a
-    drained fleet equals a fresh one, so they are the replay's records. With
-    at most H starts the replay composes no grant: at its i-th start (i <
-    starts <= H) at most i machines have been granted to, so one of the H
-    hosts is untouched and fits the start, and the walk returns the first
-    fit whose largest free segment covers the demand, so every grant takes
-    k = 1. A log of no start is the case of 0 starts.
+    The policies place and grant alike, all at k = 1, until a grant
+    composes, so both scores count only the starts from the current
+    policy's first composed grant on; without one the two tie and the
+    current policy stays. ``challenger`` is the copy of the current
+    policy's replay that ``_start_vm`` took just before that grant, under
+    the other policy (``_fork``), with the grant's index in the log and in
+    ``records``. It is replayed until the outcome is decided
+    (``_outscores``).
 
-    The policies place and grant alike until a grant composes, so the other
-    policy, the challenger, is replayed only when the current one composed a
-    grant; otherwise, as with no replay at all, the two tie and the current
-    policy stays. The challenger starts from a copy of the current policy's
-    state from just before its first composed grant, the first event at
-    which the two can differ (``_fork``): the copy that the current policy's
-    replay takes, or after ``drained`` records, ``challenger``, the copy and
-    the log index of that grant that the caller's replay took (``step``). The
-    challenger stops as soon as the outcome is decided (``_outscores``).
-    Every replay here is untimed and drives ``step`` directly, without
-    ``finish``, whose release of every live VM no score needs.
+    ``records`` and ``challenger`` come from the caller's dynamic replay of
+    a period begun drained: a drained fleet equals a fresh one. Otherwise
+    the current policy is replayed on a fresh fleet, as a dynamic replay
+    that begins drained and never reselects, unless the log holds no more
+    starts than H (``_may_compose``), the machines that could each host its
+    largest start on an empty machine. With at most H starts no grant
+    composes: at the i-th start (i < starts <= H) at most i machines have
+    been granted to, so one of the H hosts is untouched and fits the start,
+    and the walk returns the first fit whose largest free segment covers
+    the demand. A log of no start is the case of 0 starts. Every replay here
+    is untimed and drives ``step`` directly, without ``finish``, whose
+    release of every live VM no score needs.
     """
-    n = config.n
     current = chosen = config.current_policy
-    ks: list[int] = []
-    fork: tuple[SimulationState, int] | None = None
-    if drained is not None:
-        ks = [r.k for r in drained]
-        fork = challenger
-    elif _may_compose(log, fleet_spec):
-        state = new_state(fleet_spec, SimVariant(current.value), n)
+    if records is None and _may_compose(log, fleet_spec):
+        state = new_state(fleet_spec, _DYNAMIC, config.n)
+        state.config.current_policy = current
+        state.next_reselect = math.inf
         state.untimed = True
-        for i, event in enumerate(log):
-            record = step(state, event)
-            if fork is None and record is not None and record.k > 1:
-                fork = _fork(state, _CHALLENGER[current]), i
-        ks = [r.k for r in state.records]
-    if fork is not None and _outscores(*fork, log, sum(k <= n for k in ks), sum(ks)):
-        (chosen,) = set(AllocationPolicy) - {current}
+        for event in log:
+            step(state, event)
+        records, challenger = state.records, state.challenger
+    if challenger is not None:
+        fork, at, first = challenger
+        ks = [r.k for r in records[first:]]
+        if _outscores(fork, log[at:], sum(k <= config.n for k in ks), sum(ks)):
+            chosen = _OTHER[current]
     log.clear()
     return chosen
 
@@ -411,44 +401,36 @@ def _may_compose(log: list[VmEvent], fleet_spec: FleetSpec) -> bool:
     return False
 
 
-def _fork(state: SimulationState, variant: SimVariant, since: int = 0) -> SimulationState:
-    """An untimed copy of a segment replay's state from just before the grant
-    of its last record, under ``variant``'s policy, with the records from
-    index ``since`` and no log. The copy releases that grant: a free-segment
-    list is fully coalesced, so a release restores the list the grant was
-    taken from, and the VM's cores and index entry with it. It keeps the
-    last event's key, so it steps that start again."""
-    vm_id = state.records[-1].vm_id
-    fork = replace(
+def _fork(state: SimulationState, policy: AllocationPolicy) -> SimulationState:
+    """An untimed copy of a segment replay's state under ``policy``, which
+    shares no container with it and holds no log and no records. It keeps
+    the last event's key, so it steps that event again, and never forks
+    itself."""
+    return replace(
         state,
-        variant=variant,
-        config=replace(state.config, current_policy=_variant_policy(variant)),
+        variant=SimVariant(policy.value),
+        config=replace(state.config, current_policy=policy),
         machines=[replace(m, free_list=m.free_list.copy(m.machine_id)) for m in state.machines],
         index=list(state.index),
         seeds=dict(state.seeds),
         live=dict(state.live),
         rejected=set(state.rejected),
         log=[],
-        records=state.records[since:-1],
+        records=[],
         option_switches=[],
+        drained=False,
         untimed=True,
     )
-    _release(fork, vm_id, fork.live.pop(vm_id))
-    return fork
 
 
-def _outscores(
-    state: SimulationState, start: int, events: list[VmEvent], dsn: int, total: int
-) -> bool:
-    """Whether the challenger, replayed from ``state`` at ``events[start]``,
-    ends with more VMs at k <= n than ``dsn``, or as many in fewer than
-    ``total`` segments. Its replay stops at the first start after which that
-    is decided: each start still to come adds at most one VM at k <= n, and
+def _outscores(state: SimulationState, events: list[VmEvent], dsn: int, total: int) -> bool:
+    """Whether the challenger, replayed from ``state`` over ``events``, ends
+    with more VMs at k <= n than ``dsn``, or as many in fewer than ``total``
+    segments. Its replay stops at the first start after which that is
+    decided: each start still to come adds at most one VM at k <= n, and
     each VM placed adds at least one segment."""
     n = state.config.n
-    mine = sum(r.k <= n for r in state.records)
-    segments = sum(r.k for r in state.records)
-    events = events[start:]
+    mine = segments = 0
     left = sum(e.kind is _START for e in events)
     for event in events:
         record = step(state, event)

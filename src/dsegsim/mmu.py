@@ -10,10 +10,12 @@ memory references of a radix-4 nested walk.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 from .segments import VMAllocation
 from .trace import TraceFormatError, read_utf8
@@ -188,10 +190,14 @@ def _check_counter(name: str, value: float) -> None:
         raise ValueError(f"counter {name} must be finite and non-negative, got {value}")
 
 
-def parse_counters(text: str) -> WorkloadCounters:
-    """Parse `name = number` lines; '#' starts a comment, blank lines ignored."""
+def parse_counters(source: TextIO | str) -> WorkloadCounters:
+    """Parse `name = number` lines; '#' starts a comment, blank lines ignored.
+    Lines break only at LF, CR or CRLF, so a form feed or a Unicode line
+    separator in a comment stays in it."""
+    if isinstance(source, str):
+        source = io.StringIO(source, newline="")
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -215,7 +221,7 @@ def parse_counters(text: str) -> WorkloadCounters:
 
 
 def load_counters(path: str | Path) -> WorkloadCounters:
-    return read_utf8(path, lambda fh: parse_counters(fh.read()), CounterFormatError)
+    return read_utf8(path, parse_counters, CounterFormatError)
 
 
 @dataclass(frozen=True)

@@ -272,21 +272,24 @@ def parse_snapshot(source: TextIO | str) -> list[SnapshotRecord]:
         source = io.StringIO(source)
     records = []
     seen: set[str] = set()
-    for lineno, row in enumerate(csv.reader(source), start=1):
-        if not row or (lineno == 1 and tuple(row) == SNAPSHOT_HEADER):
-            continue
-        if len(row) != 6:
-            raise TraceFormatError(lineno, f"expected 6 fields, got {len(row)}")
-        vm_id = row[0].strip()
-        if not vm_id:
-            raise TraceFormatError(lineno, "empty vm_id")
-        if vm_id in seen:
-            raise TraceFormatError(lineno, f"duplicate vm_id {vm_id!r}")
-        seen.add(vm_id)
-        sizes = [_field_int(row, i, SNAPSHOT_HEADER[i], lineno) for i in (1, 2, 4, 5)]
-        if min(sizes) <= 0:
-            raise TraceFormatError(lineno, "sizes must be positive")
-        records.append(SnapshotRecord(vm_id, sizes[0], sizes[1]))
+    # a record is numbered by the file line it begins on, as in parse_trace
+    reader = csv.reader(source)
+    lineno = 1
+    for row in reader:
+        if row and (lineno > 1 or tuple(row) != SNAPSHOT_HEADER):
+            if len(row) != 6:
+                raise TraceFormatError(lineno, f"expected 6 fields, got {len(row)}")
+            vm_id = row[0].strip()
+            if not vm_id:
+                raise TraceFormatError(lineno, "empty vm_id")
+            if vm_id in seen:
+                raise TraceFormatError(lineno, f"duplicate vm_id {vm_id!r}")
+            seen.add(vm_id)
+            sizes = [_field_int(row, i, SNAPSHOT_HEADER[i], lineno) for i in (1, 2, 4, 5)]
+            if min(sizes) <= 0:
+                raise TraceFormatError(lineno, "sizes must be positive")
+            records.append(SnapshotRecord(vm_id, sizes[0], sizes[1]))
+        lineno = reader.line_num + 1
     return records
 
 
@@ -435,7 +438,7 @@ def gen_synthetic(
         # a heavy tail or a huge parameter drew a time past MAX_TIME or
         # beyond any float
         raise ValueError(f"sampled time overflows: {exc}") from exc
-    events.sort(key=lambda e: e.time)  # stable: ties keep generation order
+    events.sort(key=_by_time)  # stable: ties keep generation order
     return events
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -925,18 +926,20 @@ def bursty_fleet_and_trace(rng):
     return spec, events
 
 
-def two_full_replays(log, fleet_spec, config, drained=None, challenger=None):
+def two_full_replays(log, fleet_spec, config, records=None, challenger=None):
     """``reselect_by_two_replays`` in ``reselect_option``'s place: it takes
     the dynamic replay's own records and fork as well, and ignores them."""
     return reselect_by_two_replays(log, fleet_spec, config)
 
 
 def count_replays(monkeypatch):
-    """Record, per ``reselect_option`` call, the variant of every replay it
-    runs: each one starts from exactly one ``engine.new_state`` (a fresh
-    fleet) or ``engine._fork`` made inside that call, or from the fork that
-    the dynamic replay's ``step`` took at its period's first composed grant,
-    which is attributed to the call that steps it (``engine._outscores``)."""
+    """Record, per ``reselect_option`` call, the state every replay it runs
+    starts from, whose ``config.current_policy`` is the policy it runs
+    under: exactly one ``engine.new_state`` (a fresh fleet) or
+    ``engine._fork`` made inside that call, or the fork that the dynamic
+    replay's ``_start_vm`` took just before its period's first composed
+    grant, which is attributed to the call that steps it
+    (``engine._outscores``)."""
     reselections = []
     scoring = []  # per reselect_option call in progress, the states it made
     real_reselect, real_outscores = engine.reselect_option, engine._outscores
@@ -953,14 +956,14 @@ def count_replays(monkeypatch):
         def start(*args):
             state = real(*args)
             if scoring:
-                reselections[-1].append(state.variant)
+                reselections[-1].append(state)
                 scoring[-1].append(state)
             return state
         return start
 
     def counting_outscores(state, *args):
-        if not any(state is made for made in scoring[-1]):  # a fork step took
-            reselections[-1].append(state.variant)
+        if not any(state is made for made in scoring[-1]):  # the dynamic replay's fork
+            reselections[-1].append(state)
         return real_outscores(state, *args)
 
     monkeypatch.setattr(engine, "reselect_option", counting_reselect)
@@ -1018,7 +1021,7 @@ class TestReselectionSkip:
         assert all(seen.values()), seen
 
 
-OPT1, OPT2 = SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2
+SMALLEST, LARGEST = AllocationPolicy.SMALLEST_FIRST, AllocationPolicy.LARGEST_FIRST
 
 
 def composing_period(t, tag):
@@ -1046,8 +1049,8 @@ class TestReselectionFromRecords:
     def checked(self, monkeypatch, events, policy=AllocationPolicy.SMALLEST_FIRST):
         """Feed events to ``step`` in the given order from a dynamic state
         under ``policy``, then again with two full replays per reselection;
-        both reports' ``core()`` must agree. Returns each reselection's
-        replays."""
+        both reports' ``core()`` must agree. Returns the policies of each
+        reselection's replays."""
         def replay():
             state = new_state(self.SPEC, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
             state.config.current_policy = policy
@@ -1063,11 +1066,9 @@ class TestReselectionFromRecords:
         monkeypatch.undo()
         assert got.core() == expected.core()
         assert got.option_switches
-        return reselections
+        return [[state.config.current_policy for state in replays] for replays in reselections]
 
-    @pytest.mark.parametrize("policy, other", [
-        (AllocationPolicy.SMALLEST_FIRST, OPT2), (AllocationPolicy.LARGEST_FIRST, OPT1),
-    ])
+    @pytest.mark.parametrize("policy, other", [(SMALLEST, LARGEST), (LARGEST, SMALLEST)])
     def test_first_period_replays_only_the_other_policy(self, monkeypatch, policy, other):
         events = composing_period(0, "p") + stops(1000, "p")
         assert self.checked(monkeypatch, events, policy) == [[other]]
@@ -1077,7 +1078,7 @@ class TestReselectionFromRecords:
         replayed; they all stop inside it, so period 3 begins drained."""
         events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
                   + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
-        assert self.checked(monkeypatch, events) == [[OPT2], [OPT1, OPT2], [OPT2]]
+        assert self.checked(monkeypatch, events) == [[LARGEST], [SMALLEST, LARGEST], [LARGEST]]
 
     def test_stop_only_log_runs_no_replay(self, monkeypatch):
         """Period 2 begins with a VM live and logs only its stop."""
@@ -1149,9 +1150,9 @@ def replay_outcomes(events, spec, policy, n):
 def logged_period(log, spec, policy, n):
     """What the dynamic replay hands the reselection of a period that began
     on a drained fleet and logged ``log`` under ``policy``: the records it
-    made, stepping the log in its own order, and the fork its ``step`` took
-    at the period's first composed grant, with that start's log index (None
-    without one)."""
+    made, stepping the log in its own order, and the fork its ``_start_vm``
+    took just before the period's first composed grant, with that start's
+    log index and that grant's record index (None without one)."""
     state = new_state(spec, SimVariant.DYNAMIC, n, reselect_period=10.0**9)
     state.config.current_policy = policy
     for event in log:
@@ -1173,12 +1174,14 @@ def hosts(log, spec):
 
 
 def count_steps(monkeypatch):
-    """Count ``step`` calls per variant."""
-    steps = dict.fromkeys(SimVariant, 0)
+    """Count the ``step`` calls of scoring replays, which are untimed, per
+    policy they run under."""
+    steps = dict.fromkeys(AllocationPolicy, 0)
     real_step = engine.step
 
     def counting_step(state, event):
-        steps[state.variant] += 1
+        if state.untimed:
+            steps[state.config.current_policy] += 1
         return real_step(state, event)
 
     monkeypatch.setattr(engine, "step", counting_step)
@@ -1187,10 +1190,10 @@ def count_steps(monkeypatch):
 
 class TestChallengerScoring:
     """``reselect_option`` replays the challenger, the policy that is not
-    current, from a fork of the current policy's replay, or after
-    ``drained`` records from the fork the dynamic replay took, and stops it
-    once the outcome is decided. It must choose what two full replays choose, and step exactly
-    the events that full replays show are needed to decide."""
+    current, from the fork that the current policy's replay took, its fresh
+    replay's or with its records the dynamic replay's, and stops it once the
+    outcome is decided. It must choose what two full replays choose, and
+    step exactly the events that full replays show are needed to decide."""
 
     @staticmethod
     def decided(mine, theirs, fork, n):
@@ -1232,34 +1235,34 @@ class TestChallengerScoring:
                 config = SchedulerConfig(n=n, current_policy=current)
                 mine, state = replay_outcomes(log, spec, current, config.n)
                 theirs, _ = replay_outcomes(log, spec, other, config.n)
-                drained = challenger = None
+                records = challenger = None
                 if rng.random() < 0.5:
                     # what the dynamic replay logged from a drained fleet,
                     # and the fork it took
-                    drained, challenger = logged_period(log, spec, current, config.n)
+                    records, challenger = logged_period(log, spec, current, config.n)
                 expected = reselect_by_two_replays(list(log), spec, config)
                 steps = count_steps(monkeypatch)
                 got_log = list(log)
-                got = engine.reselect_option(got_log, spec, config, drained, challenger)
+                got = engine.reselect_option(got_log, spec, config, records, challenger)
                 monkeypatch.undo()
                 assert got is expected
                 assert got_log == []
 
-                from_records = drained is not None
+                from_records = records is not None
                 # the current policy is replayed exactly when the log holds
                 # more starts than machines that could host its largest one
                 replayed = not from_records and sum(k is not None for k in mine) > hosts(log, spec)
-                assert steps[SimVariant(current.value)] == (len(log) if replayed else 0)
+                assert steps[current] == (len(log) if replayed else 0)
                 composed = [i for i, k in enumerate(mine) if k is not None and k > 1]
                 if composed:
                     # both forks are taken just before the first composed grant
                     count, why = self.decided(mine, theirs, composed[0], config.n)
-                    assert steps[SimVariant(other.value)] == count
+                    assert steps[other] == count
                     exits[why] += 1
                     seen["forked"] += not from_records
                     seen["forked by step"] += from_records
                 else:
-                    assert steps[SimVariant(other.value)] == 0
+                    assert steps[other] == 0
                 seen["from records"] += from_records
                 seen["stops only"] += all(k is None for k in mine)
                 seen["rejected"] += state.rejections > 0
@@ -1278,17 +1281,18 @@ class TestChallengerScoring:
         handed = dict.fromkeys((True, False), 0)
         real_reselect, real_fork = engine.reselect_option, engine._fork
 
-        def recording_reselect(log, fleet_spec, config, drained=None, challenger=None):
-            forked.append([drained is None, False])
-            if drained is not None:
-                assert (challenger is not None) is any(r.k > 1 for r in drained)
+        def recording_reselect(log, fleet_spec, config, records=None, challenger=None):
+            forked.append([records is None, False])
+            if records is not None:
+                period = [r for r in records if r.time >= log[0].time]
+                assert (challenger is not None) is any(r.k > 1 for r in period)
                 handed[challenger is not None] += 1
-            return real_reselect(log, fleet_spec, config, drained, challenger)
+            return real_reselect(log, fleet_spec, config, records, challenger)
 
-        def recording_fork(state, variant, *since):
-            if state.variant is not SimVariant.DYNAMIC:  # not the dynamic replay's own
+        def recording_fork(state, policy):
+            if state.untimed:  # a fresh replay's, not the dynamic replay's own
                 forked[-1][1] = True
-            return real_fork(state, variant, *since)
+            return real_fork(state, policy)
 
         traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
         traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
@@ -1325,8 +1329,8 @@ class TestChallengerScoring:
         assert got is AllocationPolicy.LARGEST_FIRST
         assert got is reselect_by_two_replays(list(log), spec, config)
         fork = log.index(start_event("x", 11, 1, 3 * GIB))
-        assert steps[OPT2] == len(log)
-        assert steps[OPT1] == 1 < len(log) - fork
+        assert steps[LARGEST] == len(log)
+        assert steps[SMALLEST] == 1 < len(log) - fork
 
 
 def tiered_fleet_and_trace(rng, vms, span):
@@ -1402,7 +1406,7 @@ class TestReplayFreeScore:
                 got = engine.reselect_option(list(log), spec, config)
                 monkeypatch.undo()
                 assert got is expected
-                replayed = steps[SimVariant(current.value)] > 0
+                replayed = steps[current] > 0
                 assert replayed is (starts > h)
                 if not replayed:
                     assert not composed
@@ -1424,9 +1428,9 @@ class TestReplayFreeScore:
             counting = engine.reselect_option
             periods = []
 
-            def recording(log, fleet_spec, config, drained=None, challenger=None):
-                periods.append((drained is None, any(e.kind is EventKind.START for e in log)))
-                return counting(log, fleet_spec, config, drained, challenger)
+            def recording(log, fleet_spec, config, records=None, challenger=None):
+                periods.append((records is None, any(e.kind is EventKind.START for e in log)))
+                return counting(log, fleet_spec, config, records, challenger)
 
             monkeypatch.setattr(engine, "reselect_option", recording)
             n = rng.randint(1, 2)
@@ -1444,7 +1448,7 @@ class TestReplayFreeScore:
 
 class TestFork:
     """``_fork`` hands the challenger the current policy's replay state from
-    just before its first composed grant."""
+    just before its first composed grant; ``_start_vm`` takes it there."""
 
     @staticmethod
     def machine_state(state):
@@ -1452,8 +1456,8 @@ class TestFork:
                  m.free_list.max_segment) for m in state.machines]
 
     @staticmethod
-    def outcome(state):
-        return ([(r.vm_id, r.time, r.machine_id, r.k, r.mode) for r in state.records],
+    def outcome(state, since=0):
+        return ([(r.vm_id, r.time, r.machine_id, r.k, r.mode) for r in state.records[since:]],
                 sorted(state.live), state.rejected, state.rejections, state.anomalies)
 
     def test_fork_replays_as_a_fresh_replay_from_the_composed_start(self):
@@ -1465,15 +1469,20 @@ class TestFork:
             for current in AllocationPolicy:
                 (other,) = set(AllocationPolicy) - {current}
                 challenger = SimVariant(other.value)
-                state = new_state(spec, SimVariant(current.value), n=2)
+                state = new_state(spec, SimVariant.DYNAMIC, n=2)
+                state.config.current_policy = current
+                state.next_reselect = math.inf
                 for i, event in enumerate(events):
-                    record = step(state, event)
-                    if record is not None and record.k > 1:
+                    step(state, event)
+                    if state.challenger is not None:
                         break
                 else:
                     continue
                 forks += 1
-                fork = engine._fork(state, challenger)
+                fork, at, first = state.challenger
+                # taken at this start, whose grant is the state's last record
+                assert at == i and first == len(state.records) - 1
+                assert state.records[first].vm_id == event.vm_id and state.records[first].k > 1
                 for field in dataclasses.fields(fork):
                     value = getattr(fork, field.name)
                     if isinstance(value, (list, dict, set, SchedulerConfig)):
@@ -1485,40 +1494,79 @@ class TestFork:
                     assert mine.free_list.sizes is not theirs.free_list.sizes
                 assert fork.variant is challenger
                 assert fork.config.current_policy is other
+                assert fork.untimed and not fork.drained
 
                 fresh = new_state(spec, challenger, n=2)
                 for event in events[:i]:
                     step(fresh, event)
                 assert self.machine_state(fork) == self.machine_state(fresh)
                 assert fork.index == fresh.index
-                assert self.outcome(fork) == self.outcome(fresh)
+                # the fork holds no records: the fresh replay's are all k = 1
+                assert fork.records == [] and len(fresh.records) == first
+                assert all(r.k == 1 for r in fresh.records)
+                assert self.outcome(fork) == self.outcome(fresh, first)
                 # the current policy's replay goes on first, as in reselection
                 for event in events[i + 1:]:
                     step(state, event)
                 for event in events[i:]:
                     step(fork, event)
                     step(fresh, event)
-                assert self.outcome(fork) == self.outcome(fresh)
+                assert self.outcome(fork) == self.outcome(fresh, first)
                 assert self.machine_state(fork) == self.machine_state(fresh)
         assert forks > 10
+
+    def test_fork_releases_nothing_and_leaves_its_origin_unchanged(self, monkeypatch):
+        """``_fork`` copies a state as it stands, VMs live: it releases no
+        VM, changes nothing of the state it copies (free-list columns,
+        placement index, live VMs, records), and the copy holds no records
+        and no drained period, so it never forks itself."""
+        rng = random.Random(52)
+        checked = 0
+
+        def snapshot(state):
+            return ([(list(m.free_list.bases), list(m.free_list.sizes), m.free_list.free_bytes,
+                      m.free_list.max_segment, m.cores_free) for m in state.machines],
+                    list(state.index), dict(state.live), list(state.records))
+
+        for _ in range(30):
+            spec, log = scoring_fleet_and_log(rng)
+            state = new_state(spec, SimVariant.DYNAMIC, n=2)
+            for event in log:
+                step(state, event)
+            if not state.live:
+                continue
+            before = snapshot(state)
+            releases = []
+            monkeypatch.setattr(engine, "release", lambda *args: releases.append(args))
+            monkeypatch.setattr(engine, "_release", lambda *args: releases.append(args))
+            fork = engine._fork(state, AllocationPolicy.LARGEST_FIRST)
+            monkeypatch.undo()
+            assert releases == []
+            assert snapshot(state) == before
+            assert fork.records == [] and fork.drained is False
+            assert sorted(fork.live) == sorted(state.live)
+            checked += 1
+        assert checked > 10, checked
 
     def test_dynamic_replay_forks_as_a_fresh_challenger_at_the_same_log_index(
         self, monkeypatch
     ):
         """In a period begun drained, the fork that the dynamic replay's
-        ``step`` takes equals a fresh-fleet replay of the period's log under
-        the challenger, up to the fork's log index: the same free-list
-        columns, placement index and live VMs, the same records' k, and
-        untimed. That index is the start of the period's first composed
-        grant, and the fork holds no log."""
+        ``_start_vm`` takes equals a fresh-fleet replay of the period's log
+        under the challenger, up to the fork's log index: the same free-list
+        columns, placement index and live VMs, and untimed. That index is
+        the start of the period's first composed grant: the record at the
+        fork's record index has k > 1, every record of the period before it
+        has k = 1, as the fresh replay's, and the fork holds no log and no
+        records."""
         rng = random.Random(50)
         checked = later = 0
         real_reselect = engine.reselect_option
 
-        def checking_reselect(log, fleet_spec, config, drained=None, challenger=None):
+        def checking_reselect(log, fleet_spec, config, records=None, challenger=None):
             nonlocal checked, later
             if challenger is not None:
-                fork, i = challenger
+                fork, i, first = challenger
                 (other,) = set(AllocationPolicy) - {config.current_policy}
                 fresh = new_state(fleet_spec, SimVariant(other.value), config.n)
                 for event in log[:i]:
@@ -1532,15 +1580,15 @@ class TestFork:
                      m.free_list.max_segment, m.cores_free) for m in fresh.machines]
                 assert fork.index == fresh.index
                 assert sorted(fork.live) == sorted(fresh.live)
-                assert [r.k for r in fork.records] == [r.k for r in fresh.records]
-                composed = next(j for j, r in enumerate(drained) if r.k > 1)
-                assert [r.k for r in fork.records] == [r.k for r in drained[:composed]]
+                period = [r for r in records[:first] if r.time >= log[0].time]
+                assert [r.k for r in period] == [r.k for r in fresh.records]
+                assert all(r.k == 1 for r in period) and records[first].k > 1
                 assert log[i].kind is EventKind.START
-                assert log[i].vm_id == drained[composed].vm_id
-                assert fork.log == [] and fork.challenger is None
+                assert log[i].vm_id == records[first].vm_id
+                assert fork.log == [] and fork.records == [] and fork.challenger is None
                 checked += 1
                 later += log[0].time >= config.reselect_period
-            return real_reselect(log, fleet_spec, config, drained, challenger)
+            return real_reselect(log, fleet_spec, config, records, challenger)
 
         for _ in range(40):
             spec, events = bursty_fleet_and_trace(rng)
@@ -1681,7 +1729,7 @@ class TestUntimedScoring:
         readings and one ``gc.disable`` each: its reselections' replays,
         forked in a period begun drained (period 1, by the dynamic replay)
         and in one begun with VMs live (period 2, by the current policy's
-        replay), grant untimed, with a latency of 0.0."""
+        fresh replay, itself untimed), grant untimed, with a latency of 0.0."""
         events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
                   + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
         clock = _CountingClock()
@@ -1694,9 +1742,9 @@ class TestUntimedScoring:
             disables += 1
             real_disable()
 
-        def recording_fork(state, variant, *since):
-            forks.append(state.variant is SimVariant.DYNAMIC)
-            return real_fork(state, variant, *since)
+        def recording_fork(state, policy):
+            forks.append(state.untimed)
+            return real_fork(state, policy)
 
         def counting_allocate(*args):
             nonlocal grants

@@ -273,6 +273,18 @@ class TestCounterFile:
         with pytest.raises(CounterFormatError):
             parse_counters("c_1d = -5\n")
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"], ids=["form-feed", "nel", "ls"])
+    def test_a_line_break_that_is_not_lf_or_cr_stays_in_its_comment(self, brk, tmp_path):
+        """Lines break at LF, CR and CRLF only, as a text file's lines do."""
+        text = f"# page{brk}break\nc_1d = 5\r\nc_2d = 6 # {brk} = 7\rn_tlb = 1{brk}\n"
+        path = tmp_path / "counters.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        for counters in (parse_counters(text), load_counters(path)):
+            assert (counters.c_1d, counters.c_2d, counters.n_tlb) == (5, 6, 1)
+        with pytest.raises(CounterFormatError) as exc:
+            parse_counters(f"# {brk}\nc_1d = 1\r\nbogus{brk} = 2\n")
+        assert str(exc.value).startswith("line 3: unknown counter")
+
     @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "1e400"])
     def test_negative_or_non_finite_reported_with_its_line(self, value):
         with pytest.raises(CounterFormatError) as exc:

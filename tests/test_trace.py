@@ -361,6 +361,9 @@ def snapshot_cases():
             yield pytest.param(f"{header}\n{good}\n{row}\n", 3, id=f"{name}={value}")
     yield pytest.param(f"{good}\n{snapshot_row(' ')}\n", 2, id="empty-vm_id")
     yield pytest.param(f"{good}\n{good}\n", 2, id="repeated-vm_id")
+    # a record is numbered by the file line it begins on
+    yield pytest.param(f'{header}\n"a\nb",1,4096,h,8192,2\n{snapshot_row("vm2", cores="x")}\n',
+                       4, id="after-a-quoted-line-break")
 
 
 class TestParseSnapshot:
