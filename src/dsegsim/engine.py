@@ -45,7 +45,7 @@ import time as _time
 from dataclasses import dataclass, field, replace
 
 from .baseline import BuddyAllocator
-from .report import SimulationReport, VmRecord
+from .report import Reselection, SimulationReport, VmRecord
 from .scheduler import (
     WEEK_SECONDS,
     MachineView,
@@ -103,6 +103,7 @@ class SimulationState:
     rejections: int = 0
     anomalies: int = 0
     option_switches: list[tuple[int, str]] = field(default_factory=list)
+    reselections: list[Reselection] = field(default_factory=list)  # one per option switch
     next_reselect: float = 0.0
     # dynamic only: whether no VM was live when the logged period began
     drained: bool = False
@@ -177,6 +178,7 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
                 chosen = reselect_option(
                     state.log, state.fleet_spec, state.config,
                     state.records if state.drained else None, state.challenger,
+                    state.reselections,
                 )
                 state.config.current_policy = chosen
                 state.option_switches.append((int(state.next_reselect), chosen.value))
@@ -320,6 +322,7 @@ def finish(state: SimulationState, seed: int = 0) -> SimulationReport:
         implicit_stops=implicit,
         option_switches=tuple(state.option_switches),
         final_free=final_free,
+        reselections=tuple(state.reselections),
     )
 
 
@@ -329,6 +332,7 @@ def reselect_option(
     config: SchedulerConfig,
     records: list[VmRecord] | None = None,
     challenger: tuple[SimulationState, int, int] | None = None,
+    reselections: list[Reselection] | None = None,
 ) -> AllocationPolicy:
     """Score both composition policies as replays of the log on a fresh fleet
     and adopt the one yielding more VMs with k <= n; ties prefer fewer total
@@ -354,9 +358,11 @@ def reselect_option(
     and the walk returns the first fit whose largest free segment covers
     the demand. A log of no start is the case of 0 starts. Every replay here
     is untimed and drives ``step`` directly, without ``finish``, whose
-    release of every live VM no score needs.
+    release of every live VM no score needs. How the period was scored is
+    appended to ``reselections``.
     """
-    current = chosen = config.current_policy
+    current = config.current_policy
+    record = Reselection("none" if records is None else "records", current.value)
     if records is None and _may_compose(log, fleet_spec):
         state = new_state(fleet_spec, _DYNAMIC, config.n)
         state.config.current_policy = current
@@ -365,13 +371,17 @@ def reselect_option(
         for event in log:
             step(state, event)
         records, challenger = state.records, state.challenger
+        record.origin, record.replay_steps = "replay", len(log)
     if challenger is not None:
-        fork, at, first = challenger
+        forked, record.fork, first = challenger
         ks = [r.k for r in records[first:]]
-        if _outscores(fork, log[at:], sum(k <= config.n for k in ks), sum(ks)):
-            chosen = _OTHER[current]
+        record.score = sum(k <= config.n for k in ks), sum(ks)
+        if _outscores(forked, log[record.fork:], record):
+            record.chosen = _OTHER[current].value
+    if reselections is not None:
+        reselections.append(record)
     log.clear()
-    return chosen
+    return AllocationPolicy(record.chosen)
 
 
 def _may_compose(log: list[VmEvent], fleet_spec: FleetSpec) -> bool:
@@ -418,34 +428,35 @@ def _fork(state: SimulationState, policy: AllocationPolicy) -> SimulationState:
         log=[],
         records=[],
         option_switches=[],
+        reselections=[],
         drained=False,
         untimed=True,
     )
 
 
-def _outscores(state: SimulationState, events: list[VmEvent], dsn: int, total: int) -> bool:
-    """Whether the challenger, replayed from ``state`` over ``events``, ends
-    with more VMs at k <= n than ``dsn``, or as many in fewer than ``total``
-    segments. Its replay stops at the first start after which that is
-    decided: each start still to come adds at most one VM at k <= n, and
-    each VM placed adds at least one segment."""
+def _outscores(state: SimulationState, events: list[VmEvent], record: Reselection) -> bool:
+    """Whether the challenger, replayed from ``state`` over ``events`` (the
+    first a start), ends with more VMs at k <= n than ``record.score``, or as
+    many in fewer segments. Each start to come adds at most one VM at k <= n
+    and each VM a segment, so it stops once that is decided, and its score
+    there, recorded with the events it stepped, decides as its final one."""
     n = state.config.n
+    dsn, total = record.score
     mine = segments = 0
     left = sum(e.kind is _START for e in events)
-    for event in events:
-        record = step(state, event)
+    for stepped, event in enumerate(events, 1):
+        placed = step(state, event)
         if event.kind is _STOP:
             continue
         left -= 1
-        if record is not None:
-            mine += record.k <= n
-            segments += record.k
+        if placed is not None:
+            mine += placed.k <= n
+            segments += placed.k
         reach = mine + left  # the most VMs at k <= n it can end with
-        if reach < dsn or reach == dsn and segments + left >= total:
-            return False
-        if mine > dsn or not left:  # not behind with no start left: fewer segments
+        if mine > dsn or reach < dsn or not left or reach == dsn and segments + left >= total:
             break
-    return True
+    record.challenger_steps, record.challenger_score = stepped, (mine, segments)
+    return mine > dsn or mine == dsn and segments < total
 
 
 def run(

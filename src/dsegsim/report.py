@@ -40,6 +40,21 @@ class VmRecord:
     alloc_latency: float  # seconds, thread CPU time of the allocator call
 
 
+@dataclass
+class Reselection:
+    """How one reselection of the dynamic variant scored its period. A score is
+    (VMs at k <= n, segments) from the fork on; the challenger's, where its
+    replay stopped, wins if higher, or equal in fewer segments."""
+
+    origin: str  # of the current policy's score: "records", "replay" or "none"
+    chosen: str  # the policy chosen, "opt1" or "opt2"
+    fork: int | None = None  # log index of the period's first composed start
+    replay_steps: int = 0  # events the current policy's fresh replay stepped
+    challenger_steps: int = 0  # events the challenger's replay stepped
+    score: tuple[int, int] | None = None
+    challenger_score: tuple[int, int] | None = None
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     variant: str
@@ -53,6 +68,7 @@ class SimulationReport:
     implicit_stops: int
     option_switches: tuple[tuple[int, str], ...]
     final_free: dict[int, tuple[tuple[int, int], ...]]
+    reselections: tuple[Reselection, ...] = ()  # one per option switch
 
     @property
     def placed(self) -> int:
@@ -62,7 +78,8 @@ class SimulationReport:
         return [r.alloc_latency * 1000.0 for r in self.records]
 
     def core(self) -> dict:
-        """Deterministic projection: everything except measured latencies."""
+        """The answers: all but the measured latencies and ``reselections``,
+        how each choice was scored, so that scoring alone moves no digest."""
         return {
             "variant": self.variant,
             "n": self.n,
@@ -199,8 +216,8 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        # json.dumps of the summary, then of the records and final_free
-        # under their keys, written into the summary's object
+        # json.dumps of the summary, then of the records, final_free and
+        # reselections under their keys, written into the summary's object
         summary = summary_dict(report)
         stats = summary["alloc_latency_ms"]
         # %r writes a float as json does unless it is NaN or infinite, and
@@ -216,8 +233,13 @@ def emit(report: SimulationReport, fmt: str, out_dir: str | Path) -> list[Path]:
             for r in report.records
         ])
         final_free = {str(m): spans for m, spans in sorted(report.final_free.items())}
+        reselections = [{"origin": r.origin, "chosen": r.chosen, "fork": r.fork,
+                         "replay_steps": r.replay_steps, "challenger_steps": r.challenger_steps,
+                         "score": r.score, "challenger_score": r.challenger_score}
+                        for r in report.reselections]
         files = {"report.json": f'{json.dumps(summary)[:-1]}, "records": [{records}], '
-                                f'"final_free": {json.dumps(final_free)}}}\n'}
+                                f'"final_free": {json.dumps(final_free)}, '
+                                f'"reselections": {json.dumps(reselections)}}}\n'}
     elif fmt == "csv":
         lines = ["vm_id,time,machine_id,k,mode,alloc_latency_ms"]
         lines += [

@@ -183,20 +183,23 @@ def reselect_by_two_replays(log, fleet_spec, config):
 
 def report_payload(report) -> dict:
     """report.json's object as first specified: the summary, each record
-    deep-copied by ``asdict``, and every free span copied into a list."""
+    deep-copied by ``asdict``, every free span copied into a list, and each
+    reselection's record by ``asdict``."""
     payload = summary_dict(report)
     payload["records"] = [asdict(r) for r in report.records]
     payload["final_free"] = {
         str(m): [list(span) for span in spans]
         for m, spans in sorted(report.final_free.items())
     }
+    payload["reselections"] = [asdict(r) for r in report.reselections]
     return payload
 
 
 def report_json_by_dumps(report) -> str:
     """report.json's text as ``emit`` wrote it before records were written
     by template: the summary dict, one dict per record in ``VmRecord``'s
-    field order, and the sorted free spans, through one ``json.dumps``."""
+    field order, the sorted free spans, and one dict per reselection in
+    ``Reselection``'s field order, through one ``json.dumps``."""
     payload = summary_dict(report)
     payload["records"] = [
         {"vm_id": r.vm_id, "time": r.time, "machine_id": r.machine_id, "k": r.k,
@@ -206,6 +209,12 @@ def report_json_by_dumps(report) -> str:
     payload["final_free"] = {
         str(m): spans for m, spans in sorted(report.final_free.items())
     }
+    payload["reselections"] = [
+        {"origin": r.origin, "chosen": r.chosen, "fork": r.fork,
+         "replay_steps": r.replay_steps, "challenger_steps": r.challenger_steps,
+         "score": r.score, "challenger_score": r.challenger_score}
+        for r in report.reselections
+    ]
     return json.dumps(payload) + "\n"
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -926,51 +927,38 @@ def bursty_fleet_and_trace(rng):
     return spec, events
 
 
-def two_full_replays(log, fleet_spec, config, records=None, challenger=None):
-    """``reselect_by_two_replays`` in ``reselect_option``'s place: it takes
-    the dynamic replay's own records and fork as well, and ignores them."""
-    return reselect_by_two_replays(log, fleet_spec, config)
+def with_two_full_replays(monkeypatch, replay):
+    """``replay()`` with every reselection made by ``reselect_by_two_replays``
+    in ``reselect_option``'s place, which ignores what the dynamic replay
+    hands it besides the log."""
+    monkeypatch.setattr(engine, "reselect_option", lambda log, fleet_spec, config, *handed:
+                        reselect_by_two_replays(log, fleet_spec, config))
+    try:
+        return replay()
+    finally:
+        monkeypatch.undo()
 
 
-def count_replays(monkeypatch):
-    """Record, per ``reselect_option`` call, the state every replay it runs
-    starts from, whose ``config.current_policy`` is the policy it runs
-    under: exactly one ``engine.new_state`` (a fresh fleet) or
-    ``engine._fork`` made inside that call, or the fork that the dynamic
-    replay's ``_start_vm`` took just before its period's first composed
-    grant, which is attributed to the call that steps it
-    (``engine._outscores``)."""
+def reselect(log, spec, config, records=None, challenger=None):
+    """``reselect_option`` on the log, and the record of how it scored."""
     reselections = []
-    scoring = []  # per reselect_option call in progress, the states it made
-    real_reselect, real_outscores = engine.reselect_option, engine._outscores
+    chosen = engine.reselect_option(log, spec, config, records, challenger, reselections)
+    (record,) = reselections
+    assert chosen.value == record.chosen
+    return chosen, record
 
-    def counting_reselect(*args):
-        reselections.append([])
-        scoring.append([])
-        try:
-            return real_reselect(*args)
-        finally:
-            scoring.pop()
 
-    def counting(real):
-        def start(*args):
-            state = real(*args)
-            if scoring:
-                reselections[-1].append(state)
-                scoring[-1].append(state)
-            return state
-        return start
+def replays(record):
+    """The replays a reselection ran: the current policy's on a fresh fleet,
+    and the challenger's from its fork."""
+    return (record.origin == "replay") + (record.fork is not None)
 
-    def counting_outscores(state, *args):
-        if not any(state is made for made in scoring[-1]):  # the dynamic replay's fork
-            reselections[-1].append(state)
-        return real_outscores(state, *args)
 
-    monkeypatch.setattr(engine, "reselect_option", counting_reselect)
-    monkeypatch.setattr(engine, "new_state", counting(engine.new_state))
-    monkeypatch.setattr(engine, "_fork", counting(engine._fork))
-    monkeypatch.setattr(engine, "_outscores", counting_outscores)
-    return reselections
+def scored_periods(report):
+    """Each reselection's record with the period [lo, hi) it scored: from
+    the previous reselection's boundary, or 0, to its own."""
+    bounds = [0, *(t for t, _ in report.option_switches)]
+    return zip(report.reselections, bounds[:-1], bounds[1:], strict=True)
 
 
 class TestReselectionSkip:
@@ -979,12 +967,12 @@ class TestReselectionSkip:
     choose."""
 
     @staticmethod
-    def tally(reselections, seen):
-        for replays in reselections:
-            seen["skipped"] += len(replays) < 2
-            seen["full"] += len(replays) == 2
+    def tally(records, seen):
+        for record in records:
+            seen["skipped"] += replays(record) < 2
+            seen["full"] += replays(record) == 2
 
-    def test_matches_two_full_replays(self, monkeypatch):
+    def test_matches_two_full_replays(self):
         rng = random.Random(43)
         seen = dict.fromkeys(("skipped", "full", "changed"), 0)
         for _ in range(40):
@@ -994,13 +982,11 @@ class TestReselectionSkip:
             for current in AllocationPolicy:
                 config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
                 expected = reselect_by_two_replays(list(log), spec, config)
-                replays = count_replays(monkeypatch)
                 got_log = list(log)
-                got = engine.reselect_option(got_log, spec, config)
-                monkeypatch.undo()
+                got, record = reselect(got_log, spec, config)
                 assert got is expected
                 assert got_log == []
-                self.tally(replays, seen)
+                self.tally([record], seen)
                 seen["changed"] += got is not current
         assert all(seen.values()), seen
 
@@ -1009,15 +995,14 @@ class TestReselectionSkip:
         seen = dict.fromkeys(("skipped", "full", "switched"), 0)
         for _ in range(40):
             spec, events = churning_fleet_and_trace(rng)
-            replays = count_replays(monkeypatch)
-            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
-            monkeypatch.undo()
-            self.tally(replays, seen)
+
+            def replay():
+                return run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+
+            got = replay()
+            self.tally(got.reselections, seen)
             seen["switched"] += len({p for _, p in got.option_switches}) > 1
-            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
-            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
-            monkeypatch.undo()
-            assert got.core() == expected.core()
+            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
         assert all(seen.values()), seen
 
 
@@ -1042,15 +1027,16 @@ class TestReselectionFromRecords:
     """The current policy's score comes from the dynamic replay's own records
     when its period began on a drained fleet, and from no replay at all when
     the log holds no start; each path must choose what two full replays
-    choose. The replays each reselection runs show which path it took."""
+    choose. Each reselection's record shows which path it took."""
 
     SPEC = one_machine_spec(ram_gib=4)
 
     def checked(self, monkeypatch, events, policy=AllocationPolicy.SMALLEST_FIRST):
         """Feed events to ``step`` in the given order from a dynamic state
         under ``policy``, then again with two full replays per reselection;
-        both reports' ``core()`` must agree. Returns the policies of each
-        reselection's replays."""
+        both reports' ``core()`` must agree. Returns, per reselection, the
+        policies its replays ran under: the current policy's on a fresh
+        fleet, then the challenger's."""
         def replay():
             state = new_state(self.SPEC, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
             state.config.current_policy = policy
@@ -1058,15 +1044,16 @@ class TestReselectionFromRecords:
                 step(state, event)
             return finish(state)
 
-        reselections = count_replays(monkeypatch)
         got = replay()
-        monkeypatch.undo()
-        monkeypatch.setattr(engine, "reselect_option", two_full_replays)
-        expected = replay()
-        monkeypatch.undo()
-        assert got.core() == expected.core()
+        assert got.core() == with_two_full_replays(monkeypatch, replay).core()
         assert got.option_switches
-        return [[state.config.current_policy for state in replays] for replays in reselections]
+        policies = []
+        for record in got.reselections:
+            (other,) = set(AllocationPolicy) - {policy}
+            policies.append([policy] * (record.origin == "replay")
+                            + [other] * (record.fork is not None))
+            policy = AllocationPolicy(record.chosen)
+        return policies
 
     @pytest.mark.parametrize("policy, other", [(SMALLEST, LARGEST), (LARGEST, SMALLEST)])
     def test_first_period_replays_only_the_other_policy(self, monkeypatch, policy, other):
@@ -1173,21 +1160,6 @@ def hosts(log, spec):
                for m in build_fleet(spec))
 
 
-def count_steps(monkeypatch):
-    """Count the ``step`` calls of scoring replays, which are untimed, per
-    policy they run under."""
-    steps = dict.fromkeys(AllocationPolicy, 0)
-    real_step = engine.step
-
-    def counting_step(state, event):
-        if state.untimed:
-            steps[state.config.current_policy] += 1
-        return real_step(state, event)
-
-    monkeypatch.setattr(engine, "step", counting_step)
-    return steps
-
-
 class TestChallengerScoring:
     """``reselect_option`` replays the challenger, the policy that is not
     current, from the fork that the current policy's replay took, its fresh
@@ -1222,7 +1194,7 @@ class TestChallengerScoring:
                 return i + 1 - fork, "fewer segments"
         raise AssertionError("no start from the fork on")
 
-    def test_matches_two_full_replays_and_stops_once_decided(self, monkeypatch):
+    def test_matches_two_full_replays_and_stops_once_decided(self):
         rng = random.Random(47)
         exits = dict.fromkeys(("behind", "no fewer segments", "ahead", "fewer segments"), 0)
         seen = dict.fromkeys(("from records", "stops only", "rejected",
@@ -1241,10 +1213,8 @@ class TestChallengerScoring:
                     # and the fork it took
                     records, challenger = logged_period(log, spec, current, config.n)
                 expected = reselect_by_two_replays(list(log), spec, config)
-                steps = count_steps(monkeypatch)
                 got_log = list(log)
-                got = engine.reselect_option(got_log, spec, config, records, challenger)
-                monkeypatch.undo()
+                got, record = reselect(got_log, spec, config, records, challenger)
                 assert got is expected
                 assert got_log == []
 
@@ -1252,17 +1222,22 @@ class TestChallengerScoring:
                 # the current policy is replayed exactly when the log holds
                 # more starts than machines that could host its largest one
                 replayed = not from_records and sum(k is not None for k in mine) > hosts(log, spec)
-                assert steps[current] == (len(log) if replayed else 0)
+                assert record.origin == ("records" if from_records else
+                                         "replay" if replayed else "none")
+                assert record.replay_steps == (len(log) if replayed else 0)
                 composed = [i for i, k in enumerate(mine) if k is not None and k > 1]
                 if composed:
                     # both forks are taken just before the first composed grant
                     count, why = self.decided(mine, theirs, composed[0], config.n)
-                    assert steps[other] == count
+                    assert record.fork == composed[0]
+                    assert record.challenger_steps == count
+                    ks = [k for k in mine[composed[0]:] if k is not None]
+                    assert record.score == (sum(0 < k <= n for k in ks), sum(ks))
                     exits[why] += 1
                     seen["forked"] += not from_records
                     seen["forked by step"] += from_records
                 else:
-                    assert steps[other] == 0
+                    assert record.fork is None and record.challenger_steps == 0
                 seen["from records"] += from_records
                 seen["stops only"] += all(k is None for k in mine)
                 seen["rejected"] += state.rejections > 0
@@ -1274,42 +1249,32 @@ class TestChallengerScoring:
         """Reselection forks the current policy's replay in the periods whose
         current policy is replayed, because VMs were live when they began;
         in a period begun drained the dynamic replay hands it a fork exactly
-        when its records composed a grant. The report still equals one made
-        with two full replays per reselection."""
+        when its records composed a grant, and no fresh replay runs. The
+        report still equals one made with two full replays per
+        reselection."""
         rng = random.Random(48)
-        forked = []
+        forked_by_a_fresh_replay = 0
         handed = dict.fromkeys((True, False), 0)
-        real_reselect, real_fork = engine.reselect_option, engine._fork
-
-        def recording_reselect(log, fleet_spec, config, records=None, challenger=None):
-            forked.append([records is None, False])
-            if records is not None:
-                period = [r for r in records if r.time >= log[0].time]
-                assert (challenger is not None) is any(r.k > 1 for r in period)
-                handed[challenger is not None] += 1
-            return real_reselect(log, fleet_spec, config, records, challenger)
-
-        def recording_fork(state, policy):
-            if state.untimed:  # a fresh replay's, not the dynamic replay's own
-                forked[-1][1] = True
-            return real_fork(state, policy)
-
         traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
         traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
         for spec, events, period in traces:
-            monkeypatch.setattr(engine, "reselect_option", recording_reselect)
-            monkeypatch.setattr(engine, "_fork", recording_fork)
-            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
-            monkeypatch.undo()
-            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
-            expected = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
-            monkeypatch.undo()
-            assert got.core() == expected.core()
-        assert [True, True] in forked
-        assert [False, True] not in forked
+
+            def replay():
+                return run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
+
+            got = replay()
+            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
+            for record, lo, hi in scored_periods(got):
+                forked_by_a_fresh_replay += record.origin == "replay" and record.fork is not None
+                if record.origin == "records":
+                    period_records = [r for r in got.records if lo <= r.time < hi]
+                    assert (record.fork is not None) is any(r.k > 1 for r in period_records)
+                    assert record.replay_steps == 0
+                    handed[record.fork is not None] += 1
+        assert forked_by_a_fresh_replay
         assert all(handed.values()), handed
 
-    def test_losing_challenger_stops_at_the_start_that_decides(self, monkeypatch):
+    def test_losing_challenger_stops_at_the_start_that_decides(self):
         """On one 8 GiB machine the stops leave holes of 1, 1 and 2 GiB. A
         3 GiB start takes two segments largest-first and three smallest-first,
         one more than n = 2, so once the largest-first replay has placed every
@@ -1323,14 +1288,16 @@ class TestChallengerScoring:
         log += [stop_event(f"s{i}", 30) for i in range(8)]
         config = SchedulerConfig(n=2, current_policy=AllocationPolicy.LARGEST_FIRST)
         spec = one_machine_spec(ram_gib=8, cores=64)
-        steps = count_steps(monkeypatch)
-        got = engine.reselect_option(list(log), spec, config)
-        monkeypatch.undo()
+        got, record = reselect(list(log), spec, config)
         assert got is AllocationPolicy.LARGEST_FIRST
         assert got is reselect_by_two_replays(list(log), spec, config)
         fork = log.index(start_event("x", 11, 1, 3 * GIB))
-        assert steps[LARGEST] == len(log)
-        assert steps[SMALLEST] == 1 < len(log) - fork
+        assert record.origin == "replay" and record.replay_steps == len(log)
+        assert record.fork == fork
+        assert record.challenger_steps == 1 < len(log) - fork
+        # x in two segments and the eight small VMs in one each, against x
+        # in three, after which eight starts cannot reach nine VMs at k <= 2
+        assert record.score == (9, 10) and record.challenger_score == (0, 3)
 
 
 def tiered_fleet_and_trace(rng, vms, span):
@@ -1379,7 +1346,7 @@ class TestReplayFreeScore:
                 sum(m.cores_free >= smallest[0] and m.free_bytes >= smallest[1] for m in fleet),
                 sum(m.cores_free >= cores for m in fleet))
 
-    def test_a_period_scored_without_a_replay_composes_no_grant(self, monkeypatch):
+    def test_a_period_scored_without_a_replay_composes_no_grant(self):
         """Where the current policy is not replayed, its full replay on a
         fresh fleet grants every start one segment, so no challenger can
         differ. The logs include ones that compose although they hold no
@@ -1402,12 +1369,11 @@ class TestReplayFreeScore:
                 mine, _ = replay_outcomes(log, spec, current, config.n)
                 composed = any(k is not None and k > 1 for k in mine)
                 expected = reselect_by_two_replays(list(log), spec, config)
-                steps = count_steps(monkeypatch)
-                got = engine.reselect_option(list(log), spec, config)
-                monkeypatch.undo()
+                got, record = reselect(list(log), spec, config)
                 assert got is expected
-                replayed = steps[current] > 0
+                replayed = record.replay_steps > 0
                 assert replayed is (starts > h)
+                assert record.origin == ("replay" if replayed else "none")
                 if not replayed:
                     assert not composed
                     seen["scored without a replay"] += 1
@@ -1424,26 +1390,154 @@ class TestReplayFreeScore:
         seen = dict.fromkeys(("scored without a replay", "replayed and composed"), 0)
         for _ in range(60):
             spec, events = tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500)
-            reselections = count_replays(monkeypatch)
-            counting = engine.reselect_option
-            periods = []
-
-            def recording(log, fleet_spec, config, records=None, challenger=None):
-                periods.append((records is None, any(e.kind is EventKind.START for e in log)))
-                return counting(log, fleet_spec, config, records, challenger)
-
-            monkeypatch.setattr(engine, "reselect_option", recording)
             n = rng.randint(1, 2)
-            got = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
-            monkeypatch.undo()
-            monkeypatch.setattr(engine, "reselect_option", two_full_replays)
-            expected = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
-            monkeypatch.undo()
-            assert got.core() == expected.core()
-            for (live, started), replays in zip(periods, reselections, strict=True):
-                seen["scored without a replay"] += live and started and not replays
-                seen["replayed and composed"] += live and len(replays) == 2
+
+            def replay():
+                return run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
+
+            got = replay()
+            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
+            for record, lo, hi in scored_periods(got):
+                started = any(e.kind is EventKind.START and lo <= e.time < hi for e in events)
+                seen["scored without a replay"] += record.origin == "none" and started
+                seen["replayed and composed"] += replays(record) == 2
         assert all(seen.values()), seen
+
+
+class TestReselectionRecord:
+    """Each reselection's record agrees with the real calls behind it, which
+    ``count_calls`` counts by wrapping ``engine.step``, ``engine.new_state``
+    and ``engine._fork``: a fresh fleet built exactly for the origin
+    ``replay``, the events that untimed replays step under the current
+    policy and under the challenger, and the log index at which a fresh
+    replay, or the dynamic replay in a period scored from its records, took
+    the fork. The other reselection tests read the record alone."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Per reselection, the fresh fleets built, the events that untimed
+        replays stepped by policy and the forks taken (``len(log) - 1`` of
+        the state forked). Counting begins with the first entry, which a
+        direct ``reselect_option`` call fills; in a whole dynamic replay,
+        each step of the timed dynamic state that reaches its boundary with
+        events logged begins the next entry, which takes over the forks that
+        state took in the period it logged."""
+        calls = []
+        dynamic_forks = []
+        real_step, real_new_state, real_fork = engine.step, engine.new_state, engine._fork
+
+        def begin():
+            calls.append({"fresh": 0, "steps": dict.fromkeys(AllocationPolicy, 0),
+                          "forks": dynamic_forks[:]})
+            dynamic_forks.clear()
+
+        def step_counted(state, event):
+            if state.untimed:
+                calls[-1]["steps"][state.config.current_policy] += 1
+            elif state.log and state.variant is SimVariant.DYNAMIC and (
+                    event.time >= state.next_reselect):
+                begin()
+            return real_step(state, event)
+
+        def new_state_counted(*args):
+            calls[-1]["fresh"] += 1
+            return real_new_state(*args)
+
+        def fork_counted(state, policy):
+            (calls[-1]["forks"] if state.untimed else dynamic_forks).append(len(state.log) - 1)
+            return real_fork(state, policy)
+
+        begin()
+        monkeypatch.setattr(engine, "step", step_counted)
+        monkeypatch.setattr(engine, "new_state", new_state_counted)
+        monkeypatch.setattr(engine, "_fork", fork_counted)
+        return calls
+
+    @staticmethod
+    def check(record, calls, current, seen, handed=None):
+        """The record against the calls counted while it was made; ``handed``
+        is the log index of a fork handed to a direct call."""
+        (other,) = set(AllocationPolicy) - {current}
+        assert calls["fresh"] == (record.origin == "replay")
+        assert calls["steps"] == {current: record.replay_steps, other: record.challenger_steps}
+        forks = [] if record.fork is None else [record.fork]
+        if handed is None:
+            assert calls["forks"] == forks
+        else:
+            assert calls["forks"] == [] and forks == [handed]
+        assert (record.score is None) is (record.challenger_score is None) is (not forks)
+        if forks:
+            (dsn, segments), (theirs, their_segments) = record.score, record.challenger_score
+            wins = theirs > dsn or theirs == dsn and their_segments < segments
+            assert record.chosen == (other if wins else current).value
+            seen["wins" if wins else "loses"] += 1
+            seen[f"forked, {record.origin}"] += 1
+        else:
+            assert record.challenger_steps == 0 and record.chosen == current.value
+        seen[record.origin] += 1
+
+    SEEN = ("records", "replay", "none", "forked, records", "forked, replay", "wins", "loses")
+
+    def test_direct_calls_on_random_logs(self, monkeypatch):
+        rng = random.Random(55)
+        seen = dict.fromkeys(self.SEEN, 0)
+        for _ in range(300):
+            spec, log = scoring_fleet_and_log(rng)
+            config = SchedulerConfig(n=rng.randint(1, 3),
+                                     current_policy=rng.choice(list(AllocationPolicy)))
+            records = challenger = None
+            if rng.random() < 0.5:
+                records, challenger = logged_period(log, spec, config.current_policy, config.n)
+            calls = self.count_calls(monkeypatch)
+            _, record = reselect(list(log), spec, config, records, challenger)
+            monkeypatch.undo()
+            (counted,) = calls
+            handed = None if challenger is None else challenger[1]
+            self.check(record, counted, config.current_policy, seen, handed)
+        assert all(seen.values()), seen
+
+    def test_whole_dynamic_replays(self, monkeypatch):
+        rng = random.Random(56)
+        seen = dict.fromkeys(self.SEEN, 0)
+        traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
+        traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
+        traces += [(*tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500), 100.0)
+                   for _ in range(20)]
+        for spec, events, period in traces:
+            calls = self.count_calls(monkeypatch)
+            report = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
+            monkeypatch.undo()
+            policy = AllocationPolicy.SMALLEST_FIRST
+            # the first entry counts the replay's own fleet
+            for record, counted in zip(report.reselections, calls[1:], strict=True):
+                self.check(record, counted, policy, seen)
+                policy = AllocationPolicy(record.chosen)
+        assert all(seen.values()), seen
+
+
+class TestFreshFleetScoring:
+    """Reselection scores a period on a fresh fleet, so it cannot see
+    fragmentation that took longer than a period to build."""
+
+    def test_grants_composed_on_the_live_fleet_leave_dynamic_at_opt1(self):
+        """On one 6 GiB machine three 1 GiB VMs start in period 1 and live
+        on. In period 2 the middle one stops, so the live fleet composes a
+        3.5 GiB start from its 1 GiB hole and its 3 GiB tail, while the
+        period's log, replayed on a fresh fleet, grants every start one
+        segment. No reselection forks a challenger, so the dynamic replay
+        answers exactly as opt1 does."""
+        events = [start_event(v, t, 1, GIB) for t, v in enumerate("abc")]
+        events += [stop_event("b", 1100), start_event("d", 1200, 1, 7 * GIB // 2),
+                   start_event("e", 1300, 1, GIB // 4)]
+        events += [stop_event(v, 2100) for v in "acde"] + [start_event("f", 3000, 1, GIB)]
+        spec = one_machine_spec(ram_gib=6)
+        dynamic = run(events, spec, SimVariant.DYNAMIC, n=1, reselect_period=1000.0)
+        opt1 = run(events, spec, SimVariant.PLACEMENT_OPT1, n=1)
+        assert [r.k for r in dynamic.records if r.vm_id == "d"] == [2]
+        assert [r.origin for r in dynamic.reselections] == ["records", "replay", "none"]
+        assert all(r.fork is None for r in dynamic.reselections)
+        assert dynamic.core()["records"] == opt1.core()["records"]
+        assert dynamic.final_free == opt1.final_free
 
 
 class TestFork:
@@ -1563,7 +1657,8 @@ class TestFork:
         checked = later = 0
         real_reselect = engine.reselect_option
 
-        def checking_reselect(log, fleet_spec, config, records=None, challenger=None):
+        def checking_reselect(log, fleet_spec, config, records=None, challenger=None,
+                              reselections=None):
             nonlocal checked, later
             if challenger is not None:
                 fork, i, first = challenger
@@ -1588,7 +1683,7 @@ class TestFork:
                 assert fork.log == [] and fork.records == [] and fork.challenger is None
                 checked += 1
                 later += log[0].time >= config.reselect_period
-            return real_reselect(log, fleet_spec, config, records, challenger)
+            return real_reselect(log, fleet_spec, config, records, challenger, reselections)
 
         for _ in range(40):
             spec, events = bursty_fleet_and_trace(rng)
@@ -1727,42 +1822,25 @@ class TestUntimedScoring:
     def test_scoring_replays_read_no_clock(self, monkeypatch):
         """Only the dynamic replay's own grants are timed, with two clock
         readings and one ``gc.disable`` each: its reselections' replays,
-        forked in a period begun drained (period 1, by the dynamic replay)
-        and in one begun with VMs live (period 2, by the current policy's
-        fresh replay, itself untimed), grant untimed, with a latency of 0.0."""
+        forked in a period begun drained (periods 1 and 3, by the dynamic
+        replay) and in one begun with VMs live (period 2, by the current
+        policy's fresh replay, itself untimed), grant untimed, with a latency
+        of 0.0."""
         events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
                   + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
         clock = _CountingClock()
-        disables = grants = 0
-        forks = []
-        real_disable, real_fork, real_allocate = gc.disable, engine._fork, engine.allocate
-
-        def counting_disable():
-            nonlocal disables
-            disables += 1
-            real_disable()
-
-        def recording_fork(state, policy):
-            forks.append(state.untimed)
-            return real_fork(state, policy)
-
-        def counting_allocate(*args):
-            nonlocal grants
-            grants += 1
-            return real_allocate(*args)
-
+        disable = mock.Mock(wraps=gc.disable)
         monkeypatch.setattr(engine, "_time", clock)
-        monkeypatch.setattr(gc, "disable", counting_disable)
-        monkeypatch.setattr(engine, "_fork", recording_fork)
-        monkeypatch.setattr(engine, "allocate", counting_allocate)
+        monkeypatch.setattr(gc, "disable", disable)
         report = run(events, one_machine_spec(ram_gib=4), SimVariant.DYNAMIC, n=2,
                      reselect_period=1000.0)
         monkeypatch.undo()
         assert len(report.option_switches) == 3
-        assert sorted(set(forks)) == [False, True]
+        assert [r.origin for r in report.reselections] == ["records", "replay", "records"]
+        # each challenger placed the composed start it was forked at, untimed
+        assert all(r.fork is not None and r.challenger_steps for r in report.reselections)
         assert clock.reads == 2 * len(report.records)
-        assert disables == len(report.records)
-        assert grants > len(report.records)  # the scoring replays granted too
+        assert disable.call_count == len(report.records)
         assert all(r.alloc_latency == 1e-9 for r in report.records)
 
 
@@ -1783,7 +1861,6 @@ class TestFrozenFleet:
         spec = one_machine_spec(ram_gib=4)
         events = composing_period(0, "p") + stops(1000, "p")
         monkeypatch.setattr(engine, "step", recording_step)
-        reselections = count_replays(monkeypatch)
         gc.freeze()
         try:
             before = gc.get_freeze_count()
@@ -1791,7 +1868,7 @@ class TestFrozenFleet:
             assert gc.get_freeze_count() == before
         finally:
             gc.unfreeze()
-        assert report.option_switches and any(reselections)
+        assert report.option_switches and any(map(replays, report.reselections))
         assert min(frozen) >= before
 
     @pytest.mark.parametrize("gc_on", [True, False])

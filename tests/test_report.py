@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsegsim.engine import run
 from dsegsim.report import (
+    Reselection,
     SimulationReport,
     VmRecord,
     alloc_frequency,
@@ -315,6 +316,10 @@ def hand_built_report():
             0: ((4096, 12288), (65536, 2 * GIB), (3 * GIB, 4 * GIB)),
             1: (),
         },
+        reselections=(
+            Reselection("records", "opt2", 4, 0, 3, (1, 3), (2, 3)),
+            Reselection("replay", "opt1", 0, 9, 2, (0, 4), (1, 2)),
+        ),
     )
 
 
@@ -355,6 +360,8 @@ class TestReportJson:
         assert reports[-1].variant == "dynamic" and reports[-1].option_switches
         for report in reports:
             self.assert_matches_reference(report, tmp_path / report.variant)
+            # one record per option switch: fixed-policy variants write none
+            assert len(report.reselections) == len(report.option_switches)
 
     def test_hand_built_report(self, tmp_path):
         report = hand_built_report()
@@ -373,6 +380,29 @@ class TestReportJson:
         names = [f.name for f in dataclasses.fields(VmRecord)]
         assert [list(r) for r in records] == [names] * len(report.records)
         assert records == [dataclasses.asdict(r) for r in report.records]
+
+    def test_reselections_carry_the_record_fields_in_order(self, tmp_path):
+        """emit writes each reselection's object field by field, its keys
+        ``Reselection``'s fields in declaration order, a score as a list and
+        no fork or score as null, under one key after the parent keys; the
+        csv and plotdata files and ``core()`` leave them out."""
+        report = dataclasses.replace(hand_built_report(), reselections=(
+            *hand_built_report().reselections, Reselection("none", "opt1"),
+        ))
+        (path,) = emit(report, "json", tmp_path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        names = [f.name for f in dataclasses.fields(Reselection)]
+        assert list(payload)[-4:] == ["option_switches", "records", "final_free", "reselections"]
+        assert [list(r) for r in payload["reselections"]] == [names] * 3
+        assert payload["reselections"][0]["score"] == [1, 3]
+        assert payload["reselections"][2] == {
+            "origin": "none", "chosen": "opt1", "fork": None, "replay_steps": 0,
+            "challenger_steps": 0, "score": None, "challenger_score": None,
+        }
+        assert "reselections" not in report.core()
+        for fmt in ("csv", "plotdata"):
+            for written in emit(report, fmt, tmp_path):
+                assert "origin" not in written.read_text(encoding="utf-8")
 
     def test_one_compact_object(self, tmp_path):
         (path,) = emit(hand_built_report(), "json", tmp_path)

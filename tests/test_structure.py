@@ -10,7 +10,8 @@ stored that nothing reads. The types built once or more per replayed event
 are slotted and not frozen, and the functions run per event read no Enum
 member off its class, pass no keyword to ``min`` or ``max`` and build no
 record with keywords. A free list builds no segment descriptor, and neither
-does a release.
+does a release. Outside a named few, no test patches the engine internals
+whose work each reselection's record reports.
 """
 
 import ast
@@ -361,3 +362,53 @@ def test_release_and_the_free_list_build_no_descriptor():
         and isinstance(node.func, ast.Name) and node.func.id == "SegmentDescriptor"
     ]
     assert offenders == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+# Engine internals that no test patches: a test that wraps one to count what
+# reselection did must be rewritten whenever the scoring changes, while the
+# record each reselection leaves (``SimulationReport.reselections``) says it
+# as output. The exceptions, by test, with their reasons.
+UNPATCHED_ENGINE_NAMES = {"new_state", "_fork", "_outscores", "allocate", "step"}
+ENGINE_PATCHES_BY_DESIGN = {
+    "test_engine.py::TestReselectionRecord::count_calls":
+        "the record's cross-check, which counts the real calls the record stands for",
+    "test_engine.py::TestFrozenFleet::test_reselection_replays_leave_the_frozen_heap_frozen":
+        "reads the collector's freeze count at every step, which no record holds",
+}
+
+
+def engine_patches(node):
+    """The engine names that a tree patches: by ``setattr(engine, name, ...)``
+    or ``setattr("dsegsim.engine.name", ...)``, the forms
+    ``monkeypatch.setattr`` takes, or by assigning ``engine.name``."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and "setattr" in (getattr(n.func, "attr", None),
+                                                     getattr(n.func, "id", None)):
+            args = [a.id if isinstance(a, ast.Name) else getattr(a, "value", None)
+                    for a in n.args[:2]]
+            if len(args) == 2 and args[0] == "engine":
+                found.add(args[1])
+            elif args and isinstance(args[0], str) and args[0].startswith("dsegsim.engine."):
+                found.add(args[0].removeprefix("dsegsim.engine."))
+        elif isinstance(n, ast.Assign):
+            found.update(t.attr for t in n.targets if isinstance(t, ast.Attribute)
+                         and isinstance(t.value, ast.Name) and t.value.id == "engine")
+    return found
+
+
+def test_no_test_patches_the_engine_internals_that_reselection_records():
+    """No test function, method or closure in ``tests/`` patches
+    ``engine.new_state``, ``_fork``, ``_outscores``, ``allocate`` or ``step``,
+    except those named in ``ENGINE_PATCHES_BY_DESIGN``; each of those still
+    does."""
+    patched = {
+        f"{path.name}::{name.replace('.', '::')}"
+        for path in sorted(TESTS.glob("*.py"))
+        for name, fn in functions_of(ast.parse(path.read_text(encoding="utf-8"))).items()
+        if engine_patches(fn) & UNPATCHED_ENGINE_NAMES
+    }
+    assert sorted(patched - set(ENGINE_PATCHES_BY_DESIGN)) == []
+    assert sorted(set(ENGINE_PATCHES_BY_DESIGN) - patched) == []
