@@ -2,9 +2,15 @@
 cross-checks both allocators, the segment allocator's plan on a copy of the
 free list with two scans per fit, its release with two bisects per segment,
 the fleet-wide resource filter that the placement index's walk must agree
-with, policy reselection by two full replays, report.json's payload built
-by deep copy and its text built by ``json.dumps`` of one dict per record,
-and the trace parser that converts a row's fields one call at a time."""
+with, report.json's payload built by deep copy and its text built by
+``json.dumps`` of one dict per record, and the trace parser that converts a
+row's fields one call at a time.
+
+``replay`` is the whole-replay reference: ``engine.run(...).core()`` for any
+variant, from a fleet-wide filter, ``plan_by_copy`` on every fitting
+machine, a freshly seeded buddy allocator per baseline machine, and
+reselection by two full replays of itself on a fresh fleet. It shares no
+walk, seed, free-list column or fork with the engine."""
 
 from __future__ import annotations
 
@@ -12,11 +18,11 @@ import bisect
 import csv
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from dsegsim import engine
+from dsegsim.baseline import BuddyAllocator
 from dsegsim.report import summary_dict
 from dsegsim.scheduler import SimVariant
 from dsegsim.segments import (
@@ -26,7 +32,14 @@ from dsegsim.segments import (
     OverlapError,
     SegmentDescriptor,
 )
-from dsegsim.trace import TRACE_HEADER, EventKind, TraceFormatError, VmEvent
+from dsegsim.trace import (
+    TRACE_HEADER,
+    EventKind,
+    TraceFormatError,
+    VmEvent,
+    event_order,
+    generation_counts,
+)
 
 
 class BitmapOracle:
@@ -167,18 +180,142 @@ def filter_resources(machines, cores, memory) -> list:
     return [m for m in machines if m.cores_free >= cores and m.free_bytes >= memory]
 
 
-def reselect_by_two_replays(log, fleet_spec, config):
-    """Reselection as specified: replay the log on a fresh fleet under both
-    composition policies, adopt the one with more VMs at k <= n, then fewer
-    total segments, then the current policy, and reset the log."""
-    scores = {}
-    for variant in (SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2):
-        ks = [r.k for r in engine.run(log, fleet_spec, variant, config.n).records]
-        policy = AllocationPolicy(variant.value)
-        scores[policy] = (-sum(k <= config.n for k in ks), sum(ks))
-    log.clear()
-    current = config.current_policy
-    return min(AllocationPolicy, key=lambda p: (scores[p], p is not current))
+@dataclass
+class _Machine:
+    """A machine of ``replay``: its free cores, its memory (a base-ordered
+    list of free ``SegmentDescriptor`` on the segment variants, a
+    ``BuddyAllocator`` on the baseline) and the bytes its grants left free."""
+
+    machine_id: int
+    cores_free: int
+    memory: list | BuddyAllocator
+    free_bytes: int
+
+
+def _fresh_fleet(fleet_spec, baseline) -> list[_Machine]:
+    """The spec's machines, ids counting up through the generations, each
+    with a user region of the whole pages above its reservation: a freshly
+    seeded buddy allocator on the baseline, one free segment elsewhere."""
+    reserved = fleet_spec.reserved_bytes
+    base = -(-reserved // PAGE_SIZE) * PAGE_SIZE
+    machines = []
+    for gen, count in zip(fleet_spec.generations, generation_counts(fleet_spec)):
+        for _ in range(count):
+            i = len(machines)
+            limit = gen.ram_bytes // PAGE_SIZE * PAGE_SIZE
+            if baseline:
+                memory = BuddyAllocator(gen.ram_bytes, reserved, machine_id=i)
+            else:
+                memory = [SegmentDescriptor(base, limit)]
+            machines.append(_Machine(i, gen.cores, memory, limit - base))
+    return machines
+
+
+def _merged(free, released) -> list:
+    """A free list with released segments merged back: all sorted by base,
+    then each abutting pair joined."""
+    runs = []
+    for seg in sorted([*free, *released], key=lambda s: s.base):
+        assert not runs or runs[-1].limit <= seg.base, f"{seg} released over free memory"
+        if runs and runs[-1].limit == seg.base:
+            runs[-1] = SegmentDescriptor(runs[-1].base, seg.limit)
+        else:
+            runs.append(seg)
+    return runs
+
+
+def replay(events, fleet_spec, variant, n, period) -> dict:
+    """``engine.run(events, fleet_spec, variant, n, reselect_period=period)
+    .core()`` as specified, sharing no fast path with the engine. Each start
+    rounds its demand up to whole pages and keeps every machine with the
+    free cores and bytes for it. The baseline takes the most free cores,
+    then the lowest id, and grants from that machine's own buddy allocator.
+    The segment variants plan the grant on a copy of each kept machine's
+    free list (``plan_by_copy``) and take the fewest segments, then the most
+    free bytes, then the lowest id; a release sorts its segments back in. The dynamic variant starts at opt1 and, at each
+    period boundary with events logged, replays the log on a fresh fleet
+    under both policies with this function and adopts the one with more VMs
+    at k <= n, then fewer segments, then the current one."""
+    baseline = variant is SimVariant.BASELINE
+    machines = _fresh_fleet(fleet_spec, baseline)
+    policy = (AllocationPolicy.LARGEST_FIRST if variant is SimVariant.PLACEMENT_OPT2
+              else AllocationPolicy.SMALLEST_FIRST)
+    live, rejected, records, switches, log = {}, set(), [], [], []
+    rejections = anomalies = 0
+    boundary = period
+    for event in event_order(events):
+        if variant is SimVariant.DYNAMIC:
+            if event.time >= boundary:
+                if log:
+                    policy = _reselect(log, fleet_spec, n, period, policy)
+                    switches.append((int(boundary), policy.value))
+                    log = []
+                boundary += ((event.time - boundary) // period + 1) * period
+            log.append(event)
+        vm_id = event.vm_id
+        if event.kind is EventKind.STOP:
+            if vm_id in live:
+                _free(vm_id, *live.pop(vm_id))
+            elif vm_id in rejected:
+                rejected.discard(vm_id)
+            else:
+                anomalies += 1
+            continue
+        if vm_id in live:
+            anomalies += 1
+            continue
+        memory = -(-event.memory_bytes // PAGE_SIZE) * PAGE_SIZE
+        kept = [m for m in machines if m.cores_free >= event.cores and m.free_bytes >= memory]
+        if not kept:
+            rejections += 1
+            rejected.add(vm_id)
+            continue
+        if baseline:
+            machine = min(kept, key=lambda m: (-m.cores_free, m.machine_id))
+            segments = machine.memory.allocate(vm_id, memory).segments
+        else:
+            plans = {m.machine_id: plan_by_copy(m.memory, memory, policy) for m in kept}
+            machine = min(kept, key=lambda m: (len(plans[m.machine_id][0]), -m.free_bytes,
+                                               m.machine_id))
+            segments, machine.memory = plans[machine.machine_id]
+        machine.cores_free -= event.cores
+        machine.free_bytes -= sum(s.size for s in segments)
+        live[vm_id] = machine, event.cores, segments
+        k = len(segments)
+        records.append((vm_id, event.time, machine.machine_id, k,
+                        "dsn" if k <= n else "fallback"))
+    implicit = len(live)
+    for vm_id, vm in live.items():
+        _free(vm_id, *vm)
+    return {
+        "variant": variant.value, "n": n, "seed": 0, "machine_count": len(machines),
+        "start_count": len(records) + rejections, "records": records,
+        "rejections": rejections, "anomalies": anomalies, "implicit_stops": implicit,
+        "option_switches": switches,
+        "final_free": {str(m.machine_id): list(m.memory.free_runs()) if baseline
+                       else [(s.base, s.limit) for s in m.memory] for m in machines},
+    }
+
+
+def _free(vm_id, machine, cores, segments) -> None:
+    machine.cores_free += cores
+    machine.free_bytes += sum(s.size for s in segments)
+    if isinstance(machine.memory, BuddyAllocator):
+        machine.memory.release(vm_id)
+    else:
+        machine.memory = _merged(machine.memory, segments)
+
+
+def _reselect(log, fleet_spec, n, period, current):
+    """The policy a reselection adopts: the one whose replay of the log on a
+    fresh fleet places more VMs at k <= n, then in fewer segments, then the
+    current one."""
+    def score(policy):
+        ks = [r[3] for r in replay(log, fleet_spec, SimVariant(policy.value), n, period)["records"]]
+        return sum(k <= n for k in ks), -sum(ks)
+
+    (other,) = set(AllocationPolicy) - {current}
+    return other if score(other) > score(current) else current
 
 
 def report_payload(report) -> dict:

@@ -1,8 +1,6 @@
-import dataclasses
 import gc
 import hashlib
 import json
-import math
 import random
 from unittest import mock
 
@@ -13,14 +11,8 @@ from dsegsim import engine
 from dsegsim.baseline import BuddyAllocator
 from dsegsim.engine import event_order, finish, new_state, run, step
 from dsegsim.report import emit
-from dsegsim.scheduler import (
-    NoCandidateError,
-    SchedulerConfig,
-    SimVariant,
-    filter_min_segments,
-    fitting_machines,
-)
-from dsegsim.segments import PAGE_SIZE, AllocationPolicy, new_machine, peek_segment_count
+from dsegsim.scheduler import SchedulerConfig, SimVariant, fitting_machines
+from dsegsim.segments import PAGE_SIZE, AllocationPolicy, new_machine
 from dsegsim.trace import (
     DEFAULT_FLAVORS,
     MAX_TIME,
@@ -31,10 +23,11 @@ from dsegsim.trace import (
     build_fleet,
     default_fleet_spec,
     gen_synthetic,
+    generation_counts,
     start_event,
     stop_event,
 )
-from oracle import BitmapOracle, filter_resources, reselect_by_two_replays
+from oracle import BitmapOracle, filter_resources, replay as reference_replay
 
 GIB = 1 << 30
 
@@ -130,6 +123,10 @@ class TestBaselineSeeding:
             Distribution.exponential(20000), 13,
         )):
             step(state, event)
+        read = []
+        free_runs = BuddyAllocator.free_runs
+        monkeypatch.setattr(BuddyAllocator, "free_runs",
+                            lambda buddy: read.append(buddy) or free_runs(buddy))
         finish(state)
         shapes = {(g.ram_bytes, spec.reserved_bytes) for g in spec.generations}
         assert len(shapes) == 4  # Gen4 and Gen6 share 192 GiB
@@ -156,91 +153,13 @@ class TestBaselineSeeding:
         owners = [state.machines[machine_id].free_list for machine_id in granted]
         assert all(isinstance(b, BuddyAllocator) for b in owners)
         assert [b.machine_id for b in owners] == granted
+        # finish reads each granted machine's allocator once, and no seed
+        assert sorted(map(id, read)) == sorted(map(id, owners))
         containers = [
             c for b in (*state.seeds.values(), *owners)
             for c in (*b._heaps, *b._sets, b._owned)
         ]
         assert len({id(c) for c in containers}) == len(containers)
-
-    def test_replay_matches_freshly_seeded_machines(self):
-        spec = default_fleet_spec(10)
-        events = event_order(gen_synthetic(
-            400, DEFAULT_FLAVORS, Distribution.exponential(60),
-            Distribution.exponential(3000), 43,
-        ))
-        copied = new_state(spec, SimVariant.BASELINE)
-        fresh = new_state(spec, SimVariant.BASELINE)
-        for m in fresh.machines:
-            m.free_list = BuddyAllocator(
-                m.free_list.total_bytes, m.free_list.reserved_bytes, machine_id=m.machine_id
-            )
-        for event in events:
-            step(copied, event)
-            step(fresh, event)
-        assert {r.machine_id for r in fresh.records} == set(range(10))
-        assert [
-            (r.vm_id, r.machine_id, r.k) for r in copied.records
-        ] == [(r.vm_id, r.machine_id, r.k) for r in fresh.records]
-        assert finish(copied).core() == finish(fresh).core()
-
-    @staticmethod
-    def shaped_fleet_and_trace(rng):
-        """2-4 generations of random, often odd, sizes over an odd or zero
-        reservation, more machines than the trace needs, and churn in odd
-        byte sizes that also rejects VMs for cores and for memory."""
-        count = rng.randint(2, 4)
-        generations = tuple(
-            Generation(f"g{i}", rng.randint(2, 16) * GIB + rng.choice((0, rng.randint(1, GIB))),
-                       rng.randint(1, 16), 100.0 / count)
-            for i in range(count)
-        )
-        reserved = rng.choice((0, rng.randint(1, GIB)))
-        spec = FleetSpec(generations, rng.randint(2, 40), reserved)
-        events = []
-        for i in range(rng.randint(20, 120)):
-            t = rng.randint(0, 3000)
-            events.append(start_event(f"vm{i}", t, rng.randint(1, 8), rng.randint(1, 6 * GIB)))
-            if rng.random() < 0.8:
-                events.append(stop_event(f"vm{i}", t + rng.randint(1, 1500)))
-        return spec, events
-
-    def test_shared_seeds_match_freshly_seeded_machines(self, monkeypatch):
-        rng = random.Random(12)
-        calls = []
-        free_runs = BuddyAllocator.free_runs
-
-        def counting_free_runs(buddy):
-            calls.append(id(buddy))
-            return free_runs(buddy)
-
-        monkeypatch.setattr(BuddyAllocator, "free_runs", counting_free_runs)
-        seen = dict.fromkeys(("untouched", "rejected"), 0)
-        for _ in range(30):
-            spec, events = self.shaped_fleet_and_trace(rng)
-            shared = new_state(spec, SimVariant.BASELINE)
-            fresh = new_state(spec, SimVariant.BASELINE)
-            for m in fresh.machines:
-                m.free_list = BuddyAllocator(
-                    m.free_list.total_bytes, m.free_list.reserved_bytes, machine_id=m.machine_id
-                )
-            for event in event_order(events):
-                step(shared, event)
-                step(fresh, event)
-            reports = []
-            for state in (fresh, shared):
-                calls.clear()
-                reports.append(finish(state).core())
-                held = [m.free_list for m in state.machines
-                        if isinstance(m.free_list, BuddyAllocator)]
-                # once per machine that holds a buddy allocator, never a seed
-                assert sorted(calls) == sorted(map(id, held))
-            assert reports[0] == reports[1]
-            granted = {r.machine_id for r in shared.records}
-            assert {m.machine_id for m in shared.machines
-                    if isinstance(m.free_list, BuddyAllocator)} == granted
-            seen["untouched"] += len(shared.machines) - len(granted)
-            seen["rejected"] += shared.rejections
-        assert all(seen.values()), seen
 
 
 def whole_pages(demand):
@@ -446,8 +365,6 @@ class TestStep:
 class TestReversibility:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matched_pairs_restore_initial_free_layout(self, variant):
-        import random
-
         rng = random.Random(9)
         trace = []
         for i in range(60):
@@ -627,6 +544,97 @@ class TestWholeReplayInvariants:
             assert len(policies) >= 3
 
 
+def episodic_fleet_and_trace(rng):
+    """1-6 machines, most often one or two: hosts of 4-8 GiB plus an odd byte
+    count with 4-16 cores, mostly beside a generation of 1 GiB plus an odd
+    byte count with 1-2 cores, too small for some starts; an odd reservation
+    or none. 30-250 VMs (log-uniform, so short traces are cheap and long
+    ones switch policy back and forth) of 1-3 cores and 1/8-4 GiB plus up to
+    two pages start in episodes of 30, within half a period of 200 s to a day. Before each
+    start, live VMs stop at random while the live demand exceeds 70-90 % of
+    the fleet's bytes, so grants compose; the rest stop 0.9-3 periods after
+    the episode began. Most episodes begin at a boundary, some after empty
+    periods, one in four at once. One start in 20 restarts a stopped VM, and
+    one in 30 is repeated (a duplicate), another followed by the stop of a
+    ghost (unknown). Returns the fleet, the trace, n and the period."""
+    def odd():
+        return rng.randrange(1, 3 * PAGE_SIZE, 2)
+
+    share = rng.choice((50.0, 75.0, 100.0))
+    spec = FleetSpec((Generation("host", rng.randint(4, 8) * GIB + odd(), rng.randint(4, 16), share),
+                      Generation("small", GIB + odd(), rng.randint(1, 2), 100.0 - share)),
+                     rng.choice((1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 6)), rng.choice((0, odd())))
+    capacity = sum(g.ram_bytes * count for g, count in zip(spec.generations, generation_counts(spec)))
+    period = rng.choice((200, 600, 3600, 6 * 3600, 86400))
+    events, live, stopped = [], {}, []
+    t = began = 0
+    for i in range(int(30 * (250 / 30) ** rng.random())):
+        if i and i % 30 == 0:
+            end = began + int(period * rng.choice((0.9, 0.9, 1.5, 3)))
+            events += [stop_event(vm, end) for vm in live]
+            stopped += live
+            live = {}
+            if rng.random() < 0.75:
+                t = (end // period + rng.choice((1, 1, 2, 3))) * period
+            began = t
+        t += rng.randint(1, period // 60)
+        while live and sum(live.values()) > capacity * rng.uniform(0.7, 0.9):
+            vm = rng.choice(sorted(live))
+            del live[vm]
+            stopped.append(vm)
+            events.append(stop_event(vm, t))
+        draw = rng.random()
+        vm = stopped.pop(rng.randrange(len(stopped))) if draw < 0.05 and stopped else f"vm{i}"
+        live[vm] = rng.randint(1, 16) * GIB // rng.choice((4, 8)) + rng.randint(0, 2 * PAGE_SIZE)
+        events.append(start_event(vm, t, rng.randint(1, 3), live[vm]))
+        if draw > 0.97:
+            events.append(start_event(vm, t, 1, GIB))
+        elif draw > 0.94:
+            events.append(stop_event(f"ghost{i}", t))
+    events += [stop_event(vm, began + int(period * rng.choice((0.9, 1.5)))) for vm in live]
+    return spec, events, rng.randint(1, 3), float(period)
+
+
+class TestWholeReplayReference:
+    """Every variant's ``core()`` equals that of ``oracle.replay``, the
+    whole-replay reference that shares no fast path with the engine, on
+    random episodic traces; the counts show what the traces covered."""
+
+    def test_every_variant_matches_the_reference(self):
+        rng = random.Random(58)
+        cells = dict.fromkeys(VARIANTS, 0)
+        seen = dict.fromkeys(("k >= 4", "rejection", "fallback", "duplicate start", "unknown stop",
+                              "restart", "reserved bytes", "empty period", "records", "replay",
+                              "none", "opt2 and back"), 0)
+        for trace in range(320):
+            spec, events, n, period = episodic_fleet_and_trace(rng)
+            starts = [(e.vm_id, e.time) for e in events if e.kind is EventKind.START]
+            busy = {e.time // period for e in events}
+            # the baseline's buddy allocators are slow: one trace in eight
+            for variant in VARIANTS if trace % 8 == 0 else VARIANTS[1:]:
+                report = run(events, spec, variant, n, reselect_period=period)
+                assert report.core() == reference_replay(events, spec, variant, n, period), (
+                    trace, variant)
+                cells[variant] += 1
+                seen["k >= 4"] += any(r.k >= 4 for r in report.records)
+                seen["rejection"] += report.rejections > 0
+                seen["fallback"] += any(r.mode == "fallback" for r in report.records)
+                seen["duplicate start"] += len(set(starts)) < len(starts)
+                seen["unknown stop"] += any(e.vm_id.startswith("ghost") for e in events)
+                seen["restart"] += len({r.vm_id for r in report.records}) < report.placed
+                seen["reserved bytes"] += spec.reserved_bytes > 0
+            seen["empty period"] += len(busy) <= max(busy)
+            # the last report is the dynamic variant's; the origin "records"
+            # marks a period begun drained, the others one begun live
+            for record in report.reselections:
+                seen[record.origin] += 1
+            policies = [policy for _, policy in report.option_switches]
+            seen["opt2 and back"] += "opt2" in policies and "opt1" in policies[
+                policies.index("opt2"):]
+        assert sum(cells.values()) >= 1000 and all(cells.values()), cells
+        assert all(seen.values()), seen
+
+
 def random_fleet_and_trace(rng):
     """2-12 machines in two generations of identical machines (ties on free
     bytes), some with fewer cores than a VM asks for, and more memory
@@ -697,41 +705,31 @@ def assert_walks_match(state, event, kept):
 
 class TestPlacementIndex:
     """The index walk yields exactly the machines the fleet-wide resource
-    filter keeps, every variant places each VM where its objective over that
-    filter would, and the index tracks the free amount of the resource that
-    keys it: free cores on the baseline, free bytes elsewhere."""
+    filter keeps, and the index tracks the free amount of the resource that
+    keys it: free cores on the baseline, free bytes elsewhere. Where each
+    variant then places a VM is ``oracle.replay``'s to check."""
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
-    def test_indexed_pick_matches_filter_chain(self, variant):
+    def test_index_walk_matches_the_filter(self, variant):
         rng = random.Random(41)
-        seen = dict.fromkeys(("placed", "rejected", "other_skipped", "tied", "exact"), 0)
-        if variant is not SimVariant.BASELINE:
-            seen.update(one_segment=0, composed=0)
+        seen = dict.fromkeys(("kept", "none kept", "other_skipped", "tied", "exact"), 0)
         for _ in range(40):
             spec, events = random_fleet_and_trace(rng)
             state = new_state(spec, variant, n=2, reselect_period=600.0)
             for event in event_order(events):
-                checked = event.kind is EventKind.START and event.vm_id not in state.live
-                if checked:
-                    expected = self._chain_pick(state, event, seen)
-                # a reselection inside step may switch the policy first
-                reselects = (variant is SimVariant.DYNAMIC
-                             and event.time >= state.next_reselect)
-                record = step(state, event)
+                if event.kind is EventKind.START and event.vm_id not in state.live:
+                    self.check_walk(state, event, seen)
+                step(state, event)
                 assert state.index == sorted(index_key(variant, m) for m in state.machines)
-                if checked and not reselects:
-                    got = record.machine_id if record is not None else None
-                    assert got == expected
         assert all(seen.values()), seen
 
     @staticmethod
-    def _chain_pick(state, event, seen):
-        """The objective's choice over ``filter_resources`` for a start
-        (None: rejected), after checking the index walk against the filter."""
-        policy = state.config.current_policy
+    def check_walk(state, event, seen):
+        """The index walk for a start against ``filter_resources``."""
         kept = oracle_walk(state, event)
         assert_walks_match(state, event, kept)
         baseline = state.variant is SimVariant.BASELINE
+        seen["kept" if kept else "none kept"] += 1
         # a machine the walk passes over on the resource not keying the index
         seen["other_skipped"] += any(
             m.cores_free >= event.cores and m.free_bytes < event.memory_bytes
@@ -740,115 +738,6 @@ class TestPlacementIndex:
             for m in state.machines)
         seen["tied"] += len({index_key(state.variant, m)[0] for m in kept}) < len(kept)
         seen["exact"] += any(m.free_bytes == event.memory_bytes for m in kept)
-        try:
-            if baseline:
-                chain = min(kept, key=lambda m: (-m.cores_free, m.machine_id)).machine_id
-            else:
-                chain = filter_min_segments(kept, event.memory_bytes, policy)
-        except (ValueError, NoCandidateError):  # min of nothing, or no feasible plan
-            seen["rejected"] += 1
-            return None
-        seen["placed"] += 1
-        if not baseline:
-            k = peek_segment_count(state.machines[chain].free_list,
-                                   event.memory_bytes, policy)
-            seen["one_segment" if k == 1 else "composed"] += 1
-        return chain
-
-
-def cores_tied_fleet_and_trace(rng):
-    """3-20 machines of 1-3 generations with few cores (many machines tie on
-    free cores) and little memory (a machine with the most free cores is
-    often short of bytes), VMs asking for up to 4 cores and 8 GiB, and VMs
-    started again after they stopped."""
-    count = rng.randint(1, 3)
-    generations = tuple(
-        Generation(f"g{i}", rng.randint(4, 16) * GIB, rng.randint(2, 6), 100.0 / count)
-        for i in range(count)
-    )
-    spec = FleetSpec(generations, rng.randint(3, 20))
-    events = []
-    for i in range(rng.randint(30, 120)):
-        t = rng.randint(0, 2000)
-        while True:
-            demand = rng.choice((rng.randint(1, 8 * GIB), rng.randint(1, 8) * GIB))
-            events.append(start_event(f"vm{i}", t, rng.randint(1, 4), demand))
-            if rng.random() < 0.2:
-                break
-            t += rng.randint(1, 1500)
-            events.append(stop_event(f"vm{i}", t))
-            if rng.random() < 0.5:
-                break
-            t += rng.randint(0, 300)
-    return spec, events
-
-
-class TestCoresKeyedWalk:
-    """Differential test of the baseline's walk and pick over its
-    cores-keyed index: the walk yields ``filter_resources`` ordered by
-    ``(-cores_free, machine_id)``, and the engine places each VM on
-    ``min((-cores_free, machine_id))`` over that filter."""
-
-    SEEN = ("skipped_short_of_bytes", "tied_3", "rejected_short_of_bytes",
-            "rejected_short_of_cores", "restart")
-
-    @staticmethod
-    def oracle_pick(state, event, stopped, seen):
-        """The oracle's machine for a start (None: rejected), after checking
-        the engine's walk against the oracle's."""
-        kept = oracle_walk(state, event)
-        assert_walks_match(state, event, kept)
-        seen["restart"] += event.vm_id in stopped
-        cored = [m for m in state.machines if m.cores_free >= event.cores]
-        if not kept:
-            seen["rejected_short_of_bytes" if cored else "rejected_short_of_cores"] += 1
-            return None
-        best = min(kept, key=lambda m: (-m.cores_free, m.machine_id))
-        best_key = index_key(state.variant, best)
-        seen["skipped_short_of_bytes"] += any(index_key(state.variant, m) < best_key
-                                              for m in cored)
-        seen["tied_3"] += sum(m.cores_free == best.cores_free for m in kept) >= 3
-        return best.machine_id
-
-    def replay_checked(self, spec, events, seen):
-        state = new_state(spec, SimVariant.BASELINE)
-        stopped = set()
-        for event in event_order(events):
-            checked = event.kind is EventKind.START and event.vm_id not in state.live
-            if checked:
-                expected = self.oracle_pick(state, event, stopped, seen)
-            elif event.kind is EventKind.STOP:
-                stopped.add(event.vm_id)
-            record = step(state, event)
-            assert state.index == sorted((-m.cores_free, m.machine_id)
-                                         for m in state.machines)
-            if checked:
-                got = record.machine_id if record is not None else None
-                assert got == expected
-
-    def test_random_fleets_match_the_oracle(self):
-        rng = random.Random(7)
-        seen = dict.fromkeys(self.SEEN, 0)
-        for _ in range(60):
-            self.replay_checked(*cores_tied_fleet_and_trace(rng), seen)
-        assert all(seen.values()), seen
-
-    def test_thousand_machine_fleet_matches_the_oracle(self):
-        """VMs of up to 6 GiB fill the 48-core machines' memory long before
-        their cores, so walks pass hundreds of machines short of bytes."""
-        spec = FleetSpec((Generation("wide", 8 * GIB, 48, 50.0),
-                          Generation("deep", 32 * GIB, 24, 50.0)), 1000)
-        rng = random.Random(3)
-        events = []
-        for i in range(800):
-            t = i * 10
-            demand = rng.choice((1, 2, 6, 6)) * GIB
-            events.append(start_event(f"vm{i}", t, rng.randint(1, 4), demand))
-            if rng.random() < 0.5:
-                events.append(stop_event(f"vm{i}", t + rng.randint(1, 20000)))
-        seen = dict.fromkeys(self.SEEN, 0)
-        self.replay_checked(spec, events, seen)
-        assert seen["skipped_short_of_bytes"] > 100 and seen["tied_3"], seen
 
 
 class CountingIndex(list):
@@ -898,47 +787,6 @@ class TestBaselineWalkLength:
         assert state.records[-1].machine_id == ahead[j]
 
 
-def churning_fleet_and_trace(rng):
-    """1-3 small machines and short-lived VMs of 1-8 half-GiB, so free memory
-    shatters and many grants compose."""
-    spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB, 64, 100.0),),
-                     rng.randint(1, 3))
-    events = []
-    for i in range(rng.randint(20, 80)):
-        t = rng.randint(0, 2000)
-        events.append(start_event(f"vm{i}", t, 1, rng.randint(1, 8) * GIB // 2))
-        events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
-    return spec, events
-
-
-def bursty_fleet_and_trace(rng):
-    """Bursts of 6-16 VMs of 1-4 half GiB on 1-2 machines of 4-8 GiB, one
-    burst in each 1000 s from its start: most bursts have stopped when the
-    next 1000 s begin, so a dynamic replay with that period begins most
-    periods drained, and some run on past them. Stops leave holes that
-    later VMs of the burst compose."""
-    spec = FleetSpec((Generation("m", rng.randint(4, 8) * GIB, 64, 100.0),), rng.randint(1, 2))
-    events = []
-    for burst in range(rng.randint(2, 6)):
-        for i in range(rng.randint(6, 16)):
-            t = burst * 1000 + rng.randint(0, 600)
-            events.append(start_event(f"b{burst}vm{i}", t, 1, rng.randint(1, 4) * GIB // 2))
-            events.append(stop_event(f"b{burst}vm{i}", t + rng.randint(1, 500)))
-    return spec, events
-
-
-def with_two_full_replays(monkeypatch, replay):
-    """``replay()`` with every reselection made by ``reselect_by_two_replays``
-    in ``reselect_option``'s place, which ignores what the dynamic replay
-    hands it besides the log."""
-    monkeypatch.setattr(engine, "reselect_option", lambda log, fleet_spec, config, *handed:
-                        reselect_by_two_replays(log, fleet_spec, config))
-    try:
-        return replay()
-    finally:
-        monkeypatch.undo()
-
-
 def reselect(log, spec, config, records=None, challenger=None):
     """``reselect_option`` on the log, and the record of how it scored."""
     reselections = []
@@ -946,64 +794,6 @@ def reselect(log, spec, config, records=None, challenger=None):
     (record,) = reselections
     assert chosen.value == record.chosen
     return chosen, record
-
-
-def replays(record):
-    """The replays a reselection ran: the current policy's on a fresh fleet,
-    and the challenger's from its fork."""
-    return (record.origin == "replay") + (record.fork is not None)
-
-
-def scored_periods(report):
-    """Each reselection's record with the period [lo, hi) it scored: from
-    the previous reselection's boundary, or 0, to its own."""
-    bounds = [0, *(t for t, _ in report.option_switches)]
-    return zip(report.reselections, bounds[:-1], bounds[1:], strict=True)
-
-
-class TestReselectionSkip:
-    """``reselect_option`` skips the other policy's replay when the current
-    policy composed no grant; it must still choose what two full replays
-    choose."""
-
-    @staticmethod
-    def tally(records, seen):
-        for record in records:
-            seen["skipped"] += replays(record) < 2
-            seen["full"] += replays(record) == 2
-
-    def test_matches_two_full_replays(self):
-        rng = random.Random(43)
-        seen = dict.fromkeys(("skipped", "full", "changed"), 0)
-        for _ in range(40):
-            spec, events = churning_fleet_and_trace(rng)
-            ordered = event_order(events)
-            log = ordered[: rng.randint(1, len(ordered))]
-            for current in AllocationPolicy:
-                config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
-                expected = reselect_by_two_replays(list(log), spec, config)
-                got_log = list(log)
-                got, record = reselect(got_log, spec, config)
-                assert got is expected
-                assert got_log == []
-                self.tally([record], seen)
-                seen["changed"] += got is not current
-        assert all(seen.values()), seen
-
-    def test_dynamic_replay_matches_two_full_replays(self, monkeypatch):
-        rng = random.Random(44)
-        seen = dict.fromkeys(("skipped", "full", "switched"), 0)
-        for _ in range(40):
-            spec, events = churning_fleet_and_trace(rng)
-
-            def replay():
-                return run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
-
-            got = replay()
-            self.tally(got.reselections, seen)
-            seen["switched"] += len({p for _, p in got.option_switches}) > 1
-            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
-        assert all(seen.values()), seen
 
 
 SMALLEST, LARGEST = AllocationPolicy.SMALLEST_FIRST, AllocationPolicy.LARGEST_FIRST
@@ -1026,26 +816,21 @@ def stops(t, tag):
 class TestReselectionFromRecords:
     """The current policy's score comes from the dynamic replay's own records
     when its period began on a drained fleet, and from no replay at all when
-    the log holds no start; each path must choose what two full replays
-    choose. Each reselection's record shows which path it took."""
+    the log holds no start. Each reselection's record shows which path it
+    took."""
 
     SPEC = one_machine_spec(ram_gib=4)
 
-    def checked(self, monkeypatch, events, policy=AllocationPolicy.SMALLEST_FIRST):
+    def replayed_policies(self, events, policy=AllocationPolicy.SMALLEST_FIRST):
         """Feed events to ``step`` in the given order from a dynamic state
-        under ``policy``, then again with two full replays per reselection;
-        both reports' ``core()`` must agree. Returns, per reselection, the
-        policies its replays ran under: the current policy's on a fresh
-        fleet, then the challenger's."""
-        def replay():
-            state = new_state(self.SPEC, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
-            state.config.current_policy = policy
-            for event in events:
-                step(state, event)
-            return finish(state)
-
-        got = replay()
-        assert got.core() == with_two_full_replays(monkeypatch, replay).core()
+        under ``policy``. Returns, per reselection, the policies its replays
+        ran under: the current policy's on a fresh fleet, then the
+        challenger's."""
+        state = new_state(self.SPEC, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+        state.config.current_policy = policy
+        for event in events:
+            step(state, event)
+        got = finish(state)
         assert got.option_switches
         policies = []
         for record in got.reselections:
@@ -1056,22 +841,22 @@ class TestReselectionFromRecords:
         return policies
 
     @pytest.mark.parametrize("policy, other", [(SMALLEST, LARGEST), (LARGEST, SMALLEST)])
-    def test_first_period_replays_only_the_other_policy(self, monkeypatch, policy, other):
+    def test_first_period_replays_only_the_other_policy(self, policy, other):
         events = composing_period(0, "p") + stops(1000, "p")
-        assert self.checked(monkeypatch, events, policy) == [[other]]
+        assert self.replayed_policies(events, policy) == [[other]]
 
-    def test_period_after_the_fleet_drained_is_scored_from_records(self, monkeypatch):
+    def test_period_after_the_fleet_drained_is_scored_from_records(self):
         """Period 2 begins with VMs still live, so its current policy is
         replayed; they all stop inside it, so period 3 begins drained."""
         events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
                   + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
-        assert self.checked(monkeypatch, events) == [[LARGEST], [SMALLEST, LARGEST], [LARGEST]]
+        assert self.replayed_policies(events) == [[LARGEST], [SMALLEST, LARGEST], [LARGEST]]
 
-    def test_stop_only_log_runs_no_replay(self, monkeypatch):
+    def test_stop_only_log_runs_no_replay(self):
         """Period 2 begins with a VM live and logs only its stop."""
         events = [start_event("a", 0, 1, GIB), stop_event("a", 1000),
                   start_event("b", 2000, 1, GIB)]
-        assert self.checked(monkeypatch, events) == [[], []]
+        assert self.replayed_policies(events) == [[], []]
 
     @pytest.mark.parametrize("late_stop_time", [5, 4], ids=["equal-time", "earlier"])
     def test_an_event_out_of_event_order_is_refused_before_it_is_logged(self, late_stop_time):
@@ -1164,8 +949,15 @@ class TestChallengerScoring:
     """``reselect_option`` replays the challenger, the policy that is not
     current, from the fork that the current policy's replay took, its fresh
     replay's or with its records the dynamic replay's, and stops it once the
-    outcome is decided. It must choose what two full replays choose, and
-    step exactly the events that full replays show are needed to decide."""
+    outcome is decided. It must choose what full replays under both policies
+    choose, and step exactly the events that they show are needed to
+    decide."""
+
+    @staticmethod
+    def score(outcomes, n):
+        """(VMs at k <= n, -segments) of a replay's per-event outcomes."""
+        ks = [k for k in outcomes if k is not None]
+        return sum(0 < k <= n for k in ks), -sum(ks)
 
     @staticmethod
     def decided(mine, theirs, fork, n):
@@ -1212,10 +1004,10 @@ class TestChallengerScoring:
                     # what the dynamic replay logged from a drained fleet,
                     # and the fork it took
                     records, challenger = logged_period(log, spec, current, config.n)
-                expected = reselect_by_two_replays(list(log), spec, config)
                 got_log = list(log)
                 got, record = reselect(got_log, spec, config, records, challenger)
-                assert got is expected
+                wins = self.score(theirs, n) > self.score(mine, n)
+                assert got is (other if wins else current)
                 assert got_log == []
 
                 from_records = records is not None
@@ -1245,35 +1037,6 @@ class TestChallengerScoring:
         assert all(exits.values()), exits
         assert all(seen.values()), seen
 
-    def test_dynamic_replay_forks_in_periods_begun_with_vms_live(self, monkeypatch):
-        """Reselection forks the current policy's replay in the periods whose
-        current policy is replayed, because VMs were live when they began;
-        in a period begun drained the dynamic replay hands it a fork exactly
-        when its records composed a grant, and no fresh replay runs. The
-        report still equals one made with two full replays per
-        reselection."""
-        rng = random.Random(48)
-        forked_by_a_fresh_replay = 0
-        handed = dict.fromkeys((True, False), 0)
-        traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
-        traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
-        for spec, events, period in traces:
-
-            def replay():
-                return run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
-
-            got = replay()
-            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
-            for record, lo, hi in scored_periods(got):
-                forked_by_a_fresh_replay += record.origin == "replay" and record.fork is not None
-                if record.origin == "records":
-                    period_records = [r for r in got.records if lo <= r.time < hi]
-                    assert (record.fork is not None) is any(r.k > 1 for r in period_records)
-                    assert record.replay_steps == 0
-                    handed[record.fork is not None] += 1
-        assert forked_by_a_fresh_replay
-        assert all(handed.values()), handed
-
     def test_losing_challenger_stops_at_the_start_that_decides(self):
         """On one 8 GiB machine the stops leave holes of 1, 1 and 2 GiB. A
         3 GiB start takes two segments largest-first and three smallest-first,
@@ -1290,7 +1053,6 @@ class TestChallengerScoring:
         spec = one_machine_spec(ram_gib=8, cores=64)
         got, record = reselect(list(log), spec, config)
         assert got is AllocationPolicy.LARGEST_FIRST
-        assert got is reselect_by_two_replays(list(log), spec, config)
         fork = log.index(start_event("x", 11, 1, 3 * GIB))
         assert record.origin == "replay" and record.replay_steps == len(log)
         assert record.fork == fork
@@ -1329,9 +1091,8 @@ class TestReplayFreeScore:
     """A reselection of a period begun with VMs live replays the current
     policy only when the log holds more starts than H, the machines that
     could each host its largest start on an empty machine: with no more,
-    every grant of that replay takes one segment. It must still choose what
-    two full replays choose, on fleets where some generations are too small
-    in cores or memory for some starts."""
+    every grant of that replay takes one segment, also on fleets where some
+    generations are too small in cores or memory for some starts."""
 
     @staticmethod
     def log_counts(log, spec):
@@ -1368,9 +1129,7 @@ class TestReplayFreeScore:
                 config = SchedulerConfig(n=rng.randint(1, 3), current_policy=current)
                 mine, _ = replay_outcomes(log, spec, current, config.n)
                 composed = any(k is not None and k > 1 for k in mine)
-                expected = reselect_by_two_replays(list(log), spec, config)
-                got, record = reselect(list(log), spec, config)
-                assert got is expected
+                _, record = reselect(list(log), spec, config)
                 replayed = record.replay_steps > 0
                 assert replayed is (starts > h)
                 assert record.origin == ("replay" if replayed else "none")
@@ -1381,26 +1140,6 @@ class TestReplayFreeScore:
                 seen["composes within every machine"] += composed and starts <= machines
                 seen["composes within the smallest's"] += composed and starts <= smallest
                 seen["composes within the cores-only"] += composed and starts <= cores_only
-        assert all(seen.values()), seen
-
-    def test_dynamic_replay_matches_two_full_replays(self, monkeypatch):
-        """Whole dynamic replays with 100 s periods, many begun with VMs
-        live, equal those with two full replays per reselection."""
-        rng = random.Random(54)
-        seen = dict.fromkeys(("scored without a replay", "replayed and composed"), 0)
-        for _ in range(60):
-            spec, events = tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500)
-            n = rng.randint(1, 2)
-
-            def replay():
-                return run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
-
-            got = replay()
-            assert got.core() == with_two_full_replays(monkeypatch, replay).core()
-            for record, lo, hi in scored_periods(got):
-                started = any(e.kind is EventKind.START and lo <= e.time < hi for e in events)
-                seen["scored without a replay"] += record.origin == "none" and started
-                seen["replayed and composed"] += replays(record) == 2
         assert all(seen.values()), seen
 
 
@@ -1499,13 +1238,10 @@ class TestReselectionRecord:
     def test_whole_dynamic_replays(self, monkeypatch):
         rng = random.Random(56)
         seen = dict.fromkeys(self.SEEN, 0)
-        traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
-        traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
-        traces += [(*tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500), 100.0)
-                   for _ in range(20)]
-        for spec, events, period in traces:
+        for _ in range(60):
+            spec, events, n, period = episodic_fleet_and_trace(rng)
             calls = self.count_calls(monkeypatch)
-            report = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
+            report = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=period)
             monkeypatch.undo()
             policy = AllocationPolicy.SMALLEST_FIRST
             # the first entry counts the replay's own fleet
@@ -1538,194 +1274,6 @@ class TestFreshFleetScoring:
         assert all(r.fork is None for r in dynamic.reselections)
         assert dynamic.core()["records"] == opt1.core()["records"]
         assert dynamic.final_free == opt1.final_free
-
-
-class TestFork:
-    """``_fork`` hands the challenger the current policy's replay state from
-    just before its first composed grant; ``_start_vm`` takes it there."""
-
-    @staticmethod
-    def machine_state(state):
-        return [(m.machine_id, m.cores_free, m.free_list.segments, m.free_list.free_bytes,
-                 m.free_list.max_segment) for m in state.machines]
-
-    @staticmethod
-    def outcome(state, since=0):
-        return ([(r.vm_id, r.time, r.machine_id, r.k, r.mode) for r in state.records[since:]],
-                sorted(state.live), state.rejected, state.rejections, state.anomalies)
-
-    def test_fork_replays_as_a_fresh_replay_from_the_composed_start(self):
-        rng = random.Random(49)
-        forks = 0
-        for _ in range(40):
-            spec, log = scoring_fleet_and_log(rng)
-            events = event_order(log)
-            for current in AllocationPolicy:
-                (other,) = set(AllocationPolicy) - {current}
-                challenger = SimVariant(other.value)
-                state = new_state(spec, SimVariant.DYNAMIC, n=2)
-                state.config.current_policy = current
-                state.next_reselect = math.inf
-                for i, event in enumerate(events):
-                    step(state, event)
-                    if state.challenger is not None:
-                        break
-                else:
-                    continue
-                forks += 1
-                fork, at, first = state.challenger
-                # taken at this start, whose grant is the state's last record
-                assert at == i and first == len(state.records) - 1
-                assert state.records[first].vm_id == event.vm_id and state.records[first].k > 1
-                for field in dataclasses.fields(fork):
-                    value = getattr(fork, field.name)
-                    if isinstance(value, (list, dict, set, SchedulerConfig)):
-                        assert value is not getattr(state, field.name), field.name
-                for mine, theirs in zip(fork.machines, state.machines):
-                    assert mine is not theirs
-                    assert mine.free_list is not theirs.free_list
-                    assert mine.free_list.bases is not theirs.free_list.bases
-                    assert mine.free_list.sizes is not theirs.free_list.sizes
-                assert fork.variant is challenger
-                assert fork.config.current_policy is other
-                assert fork.untimed and not fork.drained
-
-                fresh = new_state(spec, challenger, n=2)
-                for event in events[:i]:
-                    step(fresh, event)
-                assert self.machine_state(fork) == self.machine_state(fresh)
-                assert fork.index == fresh.index
-                # the fork holds no records: the fresh replay's are all k = 1
-                assert fork.records == [] and len(fresh.records) == first
-                assert all(r.k == 1 for r in fresh.records)
-                assert self.outcome(fork) == self.outcome(fresh, first)
-                # the current policy's replay goes on first, as in reselection
-                for event in events[i + 1:]:
-                    step(state, event)
-                for event in events[i:]:
-                    step(fork, event)
-                    step(fresh, event)
-                assert self.outcome(fork) == self.outcome(fresh, first)
-                assert self.machine_state(fork) == self.machine_state(fresh)
-        assert forks > 10
-
-    def test_fork_releases_nothing_and_leaves_its_origin_unchanged(self, monkeypatch):
-        """``_fork`` copies a state as it stands, VMs live: it releases no
-        VM, changes nothing of the state it copies (free-list columns,
-        placement index, live VMs, records), and the copy holds no records
-        and no drained period, so it never forks itself."""
-        rng = random.Random(52)
-        checked = 0
-
-        def snapshot(state):
-            return ([(list(m.free_list.bases), list(m.free_list.sizes), m.free_list.free_bytes,
-                      m.free_list.max_segment, m.cores_free) for m in state.machines],
-                    list(state.index), dict(state.live), list(state.records))
-
-        for _ in range(30):
-            spec, log = scoring_fleet_and_log(rng)
-            state = new_state(spec, SimVariant.DYNAMIC, n=2)
-            for event in log:
-                step(state, event)
-            if not state.live:
-                continue
-            before = snapshot(state)
-            releases = []
-            monkeypatch.setattr(engine, "release", lambda *args: releases.append(args))
-            monkeypatch.setattr(engine, "_release", lambda *args: releases.append(args))
-            fork = engine._fork(state, AllocationPolicy.LARGEST_FIRST)
-            monkeypatch.undo()
-            assert releases == []
-            assert snapshot(state) == before
-            assert fork.records == [] and fork.drained is False
-            assert sorted(fork.live) == sorted(state.live)
-            checked += 1
-        assert checked > 10, checked
-
-    def test_dynamic_replay_forks_as_a_fresh_challenger_at_the_same_log_index(
-        self, monkeypatch
-    ):
-        """In a period begun drained, the fork that the dynamic replay's
-        ``_start_vm`` takes equals a fresh-fleet replay of the period's log
-        under the challenger, up to the fork's log index: the same free-list
-        columns, placement index and live VMs, and untimed. That index is
-        the start of the period's first composed grant: the record at the
-        fork's record index has k > 1, every record of the period before it
-        has k = 1, as the fresh replay's, and the fork holds no log and no
-        records."""
-        rng = random.Random(50)
-        checked = later = 0
-        real_reselect = engine.reselect_option
-
-        def checking_reselect(log, fleet_spec, config, records=None, challenger=None,
-                              reselections=None):
-            nonlocal checked, later
-            if challenger is not None:
-                fork, i, first = challenger
-                (other,) = set(AllocationPolicy) - {config.current_policy}
-                fresh = new_state(fleet_spec, SimVariant(other.value), config.n)
-                for event in log[:i]:
-                    step(fresh, event)
-                assert fork.untimed and not fresh.untimed
-                assert fork.variant is fresh.variant
-                assert (fork.config.n, fork.config.current_policy) == (config.n, other)
-                assert [(m.free_list.bases, m.free_list.sizes, m.free_list.free_bytes,
-                         m.free_list.max_segment, m.cores_free) for m in fork.machines] == [
-                    (m.free_list.bases, m.free_list.sizes, m.free_list.free_bytes,
-                     m.free_list.max_segment, m.cores_free) for m in fresh.machines]
-                assert fork.index == fresh.index
-                assert sorted(fork.live) == sorted(fresh.live)
-                period = [r for r in records[:first] if r.time >= log[0].time]
-                assert [r.k for r in period] == [r.k for r in fresh.records]
-                assert all(r.k == 1 for r in period) and records[first].k > 1
-                assert log[i].kind is EventKind.START
-                assert log[i].vm_id == records[first].vm_id
-                assert fork.log == [] and fork.records == [] and fork.challenger is None
-                checked += 1
-                later += log[0].time >= config.reselect_period
-            return real_reselect(log, fleet_spec, config, records, challenger, reselections)
-
-        for _ in range(40):
-            spec, events = bursty_fleet_and_trace(rng)
-            monkeypatch.setattr(engine, "reselect_option", checking_reselect)
-            run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
-            monkeypatch.undo()
-        assert checked > 10 and later > 5, (checked, later)
-
-
-class TestDrainedFleetIsFresh:
-    """Scoring a period from the dynamic replay's records rests on this: once
-    every VM has stopped, a segment fleet equals a freshly built one."""
-
-    @staticmethod
-    def machine_state(state):
-        return [(m.free_list.segments, m.free_list.free_bytes, m.free_list.max_segment,
-                 m.cores_free) for m in state.machines]
-
-    @pytest.mark.parametrize("variant", [SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2,
-                                         SimVariant.DYNAMIC], ids=lambda v: v.value)
-    def test_every_drain_restores_a_fresh_fleet(self, variant):
-        rng = random.Random(46)
-        drains = composed = 0
-        for _ in range(30):
-            spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB + rng.randint(1, 9) * 4096,
-                                         64, 100.0),), rng.randint(1, 3))
-            events = []
-            for i in range(rng.randint(20, 80)):
-                t = rng.randint(0, 2000)
-                demand = rng.randint(1, 8) * GIB // 2 + rng.randint(0, 3 * PAGE_SIZE)
-                events.append(start_event(f"vm{i}", t, 1, demand))
-                events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
-            fresh = new_state(spec, variant, n=2, reselect_period=300.0)
-            state = new_state(spec, variant, n=2, reselect_period=300.0)
-            for event in event_order(events):
-                step(state, event)
-                if not state.live:
-                    drains += 1
-                    assert self.machine_state(state) == self.machine_state(fresh)
-                    assert state.index == fresh.index
-            composed += any(r.k > 1 for r in state.records)
-        assert drains > 30 and composed > 0
 
 
 class _GcJumpClock:
@@ -1848,19 +1396,12 @@ class TestFrozenFleet:
     """``run`` leaves a caller's frozen heap and the collector's switch as it
     found them, also when the set-up fails."""
 
-    def test_reselection_replays_leave_the_frozen_heap_frozen(self, monkeypatch):
+    def test_reselection_replays_leave_the_frozen_heap_frozen(self):
         """A reselection's replay runs nested in the dynamic one: it must not
-        thaw a heap the caller froze."""
-        frozen = []
-        real_step = engine.step
-
-        def recording_step(state, event):
-            frozen.append(gc.get_freeze_count())
-            return real_step(state, event)
-
+        thaw a heap the caller froze (no module calls ``gc.unfreeze``, which
+        ``tests/test_structure.py`` checks)."""
         spec = one_machine_spec(ram_gib=4)
         events = composing_period(0, "p") + stops(1000, "p")
-        monkeypatch.setattr(engine, "step", recording_step)
         gc.freeze()
         try:
             before = gc.get_freeze_count()
@@ -1868,8 +1409,7 @@ class TestFrozenFleet:
             assert gc.get_freeze_count() == before
         finally:
             gc.unfreeze()
-        assert report.option_switches and any(map(replays, report.reselections))
-        assert min(frozen) >= before
+        assert report.option_switches and any(r.fork is not None for r in report.reselections)
 
     @pytest.mark.parametrize("gc_on", [True, False])
     def test_failed_set_up_restores_collection(self, gc_on):

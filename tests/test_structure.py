@@ -10,8 +10,9 @@ stored that nothing reads. The types built once or more per replayed event
 are slotted and not frozen, and the functions run per event read no Enum
 member off its class, pass no keyword to ``min`` or ``max`` and build no
 record with keywords. A free list builds no segment descriptor, and neither
-does a release. Outside a named few, no test patches the engine internals
-whose work each reselection's record reports.
+does a release. No module freezes or thaws the collector's heap. Outside a
+named one, no test patches the engine internals whose work each
+reselection's record reports.
 """
 
 import ast
@@ -370,12 +371,10 @@ TESTS = Path(__file__).resolve().parent
 # reselection did must be rewritten whenever the scoring changes, while the
 # record each reselection leaves (``SimulationReport.reselections``) says it
 # as output. The exceptions, by test, with their reasons.
-UNPATCHED_ENGINE_NAMES = {"new_state", "_fork", "_outscores", "allocate", "step"}
+UNPATCHED_ENGINE_NAMES = {"new_state", "_fork", "_outscores", "allocate", "step", "reselect_option"}
 ENGINE_PATCHES_BY_DESIGN = {
     "test_engine.py::TestReselectionRecord::count_calls":
         "the record's cross-check, which counts the real calls the record stands for",
-    "test_engine.py::TestFrozenFleet::test_reselection_replays_leave_the_frozen_heap_frozen":
-        "reads the collector's freeze count at every step, which no record holds",
 }
 
 
@@ -401,9 +400,9 @@ def engine_patches(node):
 
 def test_no_test_patches_the_engine_internals_that_reselection_records():
     """No test function, method or closure in ``tests/`` patches
-    ``engine.new_state``, ``_fork``, ``_outscores``, ``allocate`` or ``step``,
-    except those named in ``ENGINE_PATCHES_BY_DESIGN``; each of those still
-    does."""
+    ``engine.new_state``, ``_fork``, ``_outscores``, ``allocate``, ``step`` or
+    ``reselect_option``, except those named in ``ENGINE_PATCHES_BY_DESIGN``;
+    each of those still does."""
     patched = {
         f"{path.name}::{name.replace('.', '::')}"
         for path in sorted(TESTS.glob("*.py"))
@@ -412,3 +411,16 @@ def test_no_test_patches_the_engine_internals_that_reselection_records():
     }
     assert sorted(patched - set(ENGINE_PATCHES_BY_DESIGN)) == []
     assert sorted(set(ENGINE_PATCHES_BY_DESIGN) - patched) == []
+
+
+def test_no_module_freezes_or_thaws_the_heap():
+    """A replay nested in another, as reselection's are, cannot thaw a heap
+    its caller froze: no module calls ``gc.freeze`` or ``gc.unfreeze``."""
+    offenders = [
+        f"{name}.py:{node.lineno} reads gc.{node.attr}"
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("freeze", "unfreeze")
+        and isinstance(node.value, ast.Name) and node.value.id == "gc"
+    ]
+    assert offenders == []
