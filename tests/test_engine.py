@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import hashlib
 import json
+import math
 import random
 from unittest import mock
 
@@ -160,6 +162,65 @@ class TestBaselineSeeding:
             for c in (*b._heaps, *b._sets, b._owned)
         ]
         assert len({id(c) for c in containers}) == len(containers)
+
+    @staticmethod
+    def shaped_fleet_and_trace(rng):
+        """2-4 generations of random, often odd, sizes over an odd or zero
+        reservation, more machines than the trace needs, and churn in odd
+        byte sizes that also rejects VMs for cores and for memory."""
+        count = rng.randint(2, 4)
+        generations = tuple(
+            Generation(f"g{i}", rng.randint(2, 16) * GIB + rng.choice((0, rng.randint(1, GIB))),
+                       rng.randint(1, 16), 100.0 / count)
+            for i in range(count)
+        )
+        reserved = rng.choice((0, rng.randint(1, GIB)))
+        spec = FleetSpec(generations, rng.randint(2, 40), reserved)
+        events = []
+        for i in range(rng.randint(20, 120)):
+            t = rng.randint(0, 3000)
+            events.append(start_event(f"vm{i}", t, rng.randint(1, 8), rng.randint(1, 6 * GIB)))
+            if rng.random() < 0.8:
+                events.append(stop_event(f"vm{i}", t + rng.randint(1, 1500)))
+        return spec, events
+
+    def test_shared_seeds_match_freshly_seeded_machines(self, monkeypatch):
+        rng = random.Random(12)
+        calls = []
+        free_runs = BuddyAllocator.free_runs
+
+        def counting_free_runs(buddy):
+            calls.append(id(buddy))
+            return free_runs(buddy)
+
+        monkeypatch.setattr(BuddyAllocator, "free_runs", counting_free_runs)
+        seen = dict.fromkeys(("untouched", "rejected"), 0)
+        for _ in range(30):
+            spec, events = self.shaped_fleet_and_trace(rng)
+            shared = new_state(spec, SimVariant.BASELINE)
+            fresh = new_state(spec, SimVariant.BASELINE)
+            for m in fresh.machines:
+                m.free_list = BuddyAllocator(
+                    m.free_list.total_bytes, m.free_list.reserved_bytes, machine_id=m.machine_id
+                )
+            for event in event_order(events):
+                step(shared, event)
+                step(fresh, event)
+            reports = []
+            for state in (fresh, shared):
+                calls.clear()
+                reports.append(finish(state).core())
+                held = [m.free_list for m in state.machines
+                        if isinstance(m.free_list, BuddyAllocator)]
+                # once per machine that holds a buddy allocator, never a seed
+                assert sorted(calls) == sorted(map(id, held))
+            assert reports[0] == reports[1]
+            granted = {r.machine_id for r in shared.records}
+            assert {m.machine_id for m in shared.machines
+                    if isinstance(m.free_list, BuddyAllocator)} == granted
+            seen["untouched"] += len(shared.machines) - len(granted)
+            seen["rejected"] += shared.rejections
+        assert all(seen.values()), seen
 
 
 def whole_pages(demand):
@@ -596,43 +657,52 @@ def episodic_fleet_and_trace(rng):
 
 
 class TestWholeReplayReference:
-    """Every variant's ``core()`` equals that of ``oracle.replay``, the
+    """Each variant's ``core()`` equals that of ``oracle.replay``, the
     whole-replay reference that shares no fast path with the engine, on
-    random episodic traces; the counts show what the traces covered."""
+    random episodic traces: 1000 cells, 320 traces for each segment variant
+    and one in eight of them for the baseline. The counts show what the
+    traces covered; each that the variant can reach must be non-zero."""
 
-    def test_every_variant_matches_the_reference(self):
+    REACHED = {
+        SimVariant.BASELINE: (),
+        SimVariant.PLACEMENT_OPT1: ("k >= 4", "fallback"),
+        SimVariant.PLACEMENT_OPT2: ("k >= 4", "fallback"),
+        SimVariant.DYNAMIC: ("k >= 4", "fallback", "empty period", "records", "replay", "none",
+                             "opt2 and back"),
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+    def test_variant_matches_the_reference(self, variant):
         rng = random.Random(58)
-        cells = dict.fromkeys(VARIANTS, 0)
-        seen = dict.fromkeys(("k >= 4", "rejection", "fallback", "duplicate start", "unknown stop",
-                              "restart", "reserved bytes", "empty period", "records", "replay",
-                              "none", "opt2 and back"), 0)
+        seen = dict.fromkeys(("rejection", "duplicate start", "unknown stop", "restart",
+                              "reserved bytes", *self.REACHED[SimVariant.DYNAMIC]), 0)
         for trace in range(320):
             spec, events, n, period = episodic_fleet_and_trace(rng)
+            # the baseline's buddy allocators are slow: one trace in eight
+            if variant is SimVariant.BASELINE and trace % 8:
+                continue
             starts = [(e.vm_id, e.time) for e in events if e.kind is EventKind.START]
             busy = {e.time // period for e in events}
-            # the baseline's buddy allocators are slow: one trace in eight
-            for variant in VARIANTS if trace % 8 == 0 else VARIANTS[1:]:
-                report = run(events, spec, variant, n, reselect_period=period)
-                assert report.core() == reference_replay(events, spec, variant, n, period), (
-                    trace, variant)
-                cells[variant] += 1
-                seen["k >= 4"] += any(r.k >= 4 for r in report.records)
-                seen["rejection"] += report.rejections > 0
-                seen["fallback"] += any(r.mode == "fallback" for r in report.records)
-                seen["duplicate start"] += len(set(starts)) < len(starts)
-                seen["unknown stop"] += any(e.vm_id.startswith("ghost") for e in events)
-                seen["restart"] += len({r.vm_id for r in report.records}) < report.placed
-                seen["reserved bytes"] += spec.reserved_bytes > 0
+            report = run(events, spec, variant, n, reselect_period=period)
+            assert report.core() == reference_replay(events, spec, variant, n, period), trace
+            seen["k >= 4"] += any(r.k >= 4 for r in report.records)
+            seen["rejection"] += report.rejections > 0
+            seen["fallback"] += any(r.mode == "fallback" for r in report.records)
+            seen["duplicate start"] += len(set(starts)) < len(starts)
+            seen["unknown stop"] += any(e.vm_id.startswith("ghost") for e in events)
+            seen["restart"] += len({r.vm_id for r in report.records}) < report.placed
+            seen["reserved bytes"] += spec.reserved_bytes > 0
             seen["empty period"] += len(busy) <= max(busy)
-            # the last report is the dynamic variant's; the origin "records"
-            # marks a period begun drained, the others one begun live
+            # the origin "records" marks a period begun drained, the others
+            # one begun live
             for record in report.reselections:
                 seen[record.origin] += 1
             policies = [policy for _, policy in report.option_switches]
             seen["opt2 and back"] += "opt2" in policies and "opt1" in policies[
                 policies.index("opt2"):]
-        assert sum(cells.values()) >= 1000 and all(cells.values()), cells
-        assert all(seen.values()), seen
+        required = ("rejection", "duplicate start", "unknown stop", "restart", "reserved bytes",
+                    *self.REACHED[variant])
+        assert all(seen[key] for key in required), seen
 
 
 def random_fleet_and_trace(rng):
@@ -787,6 +857,35 @@ class TestBaselineWalkLength:
         assert state.records[-1].machine_id == ahead[j]
 
 
+def churning_fleet_and_trace(rng):
+    """1-3 small machines and short-lived VMs of 1-8 half-GiB, so free memory
+    shatters and many grants compose."""
+    spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB, 64, 100.0),),
+                     rng.randint(1, 3))
+    events = []
+    for i in range(rng.randint(20, 80)):
+        t = rng.randint(0, 2000)
+        events.append(start_event(f"vm{i}", t, 1, rng.randint(1, 8) * GIB // 2))
+        events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
+    return spec, events
+
+
+def bursty_fleet_and_trace(rng):
+    """Bursts of 6-16 VMs of 1-4 half GiB on 1-2 machines of 4-8 GiB, one
+    burst in each 1000 s from its start: most bursts have stopped when the
+    next 1000 s begin, so a dynamic replay with that period begins most
+    periods drained, and some run on past them. Stops leave holes that
+    later VMs of the burst compose."""
+    spec = FleetSpec((Generation("m", rng.randint(4, 8) * GIB, 64, 100.0),), rng.randint(1, 2))
+    events = []
+    for burst in range(rng.randint(2, 6)):
+        for i in range(rng.randint(6, 16)):
+            t = burst * 1000 + rng.randint(0, 600)
+            events.append(start_event(f"b{burst}vm{i}", t, 1, rng.randint(1, 4) * GIB // 2))
+            events.append(stop_event(f"b{burst}vm{i}", t + rng.randint(1, 500)))
+    return spec, events
+
+
 def reselect(log, spec, config, records=None, challenger=None):
     """``reselect_option`` on the log, and the record of how it scored."""
     reselections = []
@@ -794,6 +893,39 @@ def reselect(log, spec, config, records=None, challenger=None):
     (record,) = reselections
     assert chosen.value == record.chosen
     return chosen, record
+
+
+def replays(record):
+    """The replays a reselection ran: the current policy's on a fresh fleet,
+    and the challenger's from its fork."""
+    return (record.origin == "replay") + (record.fork is not None)
+
+
+def scored_periods(report):
+    """Each reselection's record with the period [lo, hi) it scored: from
+    the previous reselection's boundary, or 0, to its own."""
+    bounds = [0, *(t for t, _ in report.option_switches)]
+    return zip(report.reselections, bounds[:-1], bounds[1:], strict=True)
+
+
+class TestReselectionSkip:
+    """``reselect_option`` skips the other policy's replay when the current
+    policy composed no grant; the dynamic replay must still equal the
+    whole-replay reference, which makes two full replays, one per policy, at
+    each reselection."""
+
+    def test_dynamic_replay_matches_two_full_replays(self):
+        rng = random.Random(44)
+        seen = dict.fromkeys(("skipped", "full", "switched"), 0)
+        for _ in range(40):
+            spec, events = churning_fleet_and_trace(rng)
+            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=1000.0)
+            for record in got.reselections:
+                seen["skipped"] += replays(record) < 2
+                seen["full"] += replays(record) == 2
+            seen["switched"] += len({p for _, p in got.option_switches}) > 1
+            assert got.core() == reference_replay(events, spec, SimVariant.DYNAMIC, 2, 1000.0)
+        assert all(seen.values()), seen
 
 
 SMALLEST, LARGEST = AllocationPolicy.SMALLEST_FIRST, AllocationPolicy.LARGEST_FIRST
@@ -1037,6 +1169,30 @@ class TestChallengerScoring:
         assert all(exits.values()), exits
         assert all(seen.values()), seen
 
+    def test_dynamic_replay_forks_in_periods_begun_with_vms_live(self):
+        """Reselection forks the current policy's replay in the periods whose
+        current policy is replayed, because VMs were live when they began;
+        in a period begun drained the dynamic replay hands it a fork exactly
+        when its records composed a grant, and no fresh replay runs. The
+        report still equals the whole-replay reference's."""
+        rng = random.Random(48)
+        forked_by_a_fresh_replay = 0
+        handed = dict.fromkeys((True, False), 0)
+        traces = [(*churning_fleet_and_trace(rng), 300.0) for _ in range(20)]
+        traces += [(*bursty_fleet_and_trace(rng), 1000.0) for _ in range(20)]
+        for spec, events, period in traces:
+            got = run(events, spec, SimVariant.DYNAMIC, n=2, reselect_period=period)
+            assert got.core() == reference_replay(events, spec, SimVariant.DYNAMIC, 2, period)
+            for record, lo, hi in scored_periods(got):
+                forked_by_a_fresh_replay += record.origin == "replay" and record.fork is not None
+                if record.origin == "records":
+                    period_records = [r for r in got.records if lo <= r.time < hi]
+                    assert (record.fork is not None) is any(r.k > 1 for r in period_records)
+                    assert record.replay_steps == 0
+                    handed[record.fork is not None] += 1
+        assert forked_by_a_fresh_replay
+        assert all(handed.values()), handed
+
     def test_losing_challenger_stops_at_the_start_that_decides(self):
         """On one 8 GiB machine the stops leave holes of 1, 1 and 2 GiB. A
         3 GiB start takes two segments largest-first and three smallest-first,
@@ -1142,6 +1298,23 @@ class TestReplayFreeScore:
                 seen["composes within the cores-only"] += composed and starts <= cores_only
         assert all(seen.values()), seen
 
+
+    def test_dynamic_replay_matches_two_full_replays(self):
+        """Whole dynamic replays with 100 s periods, many begun with VMs
+        live, equal the whole-replay reference, with its two full replays
+        per reselection."""
+        rng = random.Random(54)
+        seen = dict.fromkeys(("scored without a replay", "replayed and composed"), 0)
+        for _ in range(60):
+            spec, events = tiered_fleet_and_trace(rng, rng.randint(20, 80), 1500)
+            n = rng.randint(1, 2)
+            got = run(events, spec, SimVariant.DYNAMIC, n, reselect_period=100.0)
+            assert got.core() == reference_replay(events, spec, SimVariant.DYNAMIC, n, 100.0)
+            for record, lo, hi in scored_periods(got):
+                started = any(e.kind is EventKind.START and lo <= e.time < hi for e in events)
+                seen["scored without a replay"] += record.origin == "none" and started
+                seen["replayed and composed"] += replays(record) == 2
+        assert all(seen.values()), seen
 
 class TestReselectionRecord:
     """Each reselection's record agrees with the real calls behind it, which
@@ -1274,6 +1447,144 @@ class TestFreshFleetScoring:
         assert all(r.fork is None for r in dynamic.reselections)
         assert dynamic.core()["records"] == opt1.core()["records"]
         assert dynamic.final_free == opt1.final_free
+
+
+class TestFork:
+    """``_fork`` hands the challenger the current policy's replay state from
+    just before its first composed grant; ``_start_vm`` takes it there."""
+
+    @staticmethod
+    def machine_state(state):
+        return [(m.machine_id, m.cores_free, m.free_list.segments, m.free_list.free_bytes,
+                 m.free_list.max_segment) for m in state.machines]
+
+    @staticmethod
+    def outcome(state, since=0):
+        return ([(r.vm_id, r.time, r.machine_id, r.k, r.mode) for r in state.records[since:]],
+                sorted(state.live), state.rejected, state.rejections, state.anomalies)
+
+    def test_fork_replays_as_a_fresh_replay_from_the_composed_start(self):
+        rng = random.Random(49)
+        forks = 0
+        for _ in range(40):
+            spec, log = scoring_fleet_and_log(rng)
+            events = event_order(log)
+            for current in AllocationPolicy:
+                (other,) = set(AllocationPolicy) - {current}
+                challenger = SimVariant(other.value)
+                state = new_state(spec, SimVariant.DYNAMIC, n=2)
+                state.config.current_policy = current
+                state.next_reselect = math.inf
+                for i, event in enumerate(events):
+                    step(state, event)
+                    if state.challenger is not None:
+                        break
+                else:
+                    continue
+                forks += 1
+                fork, at, first = state.challenger
+                # taken at this start, whose grant is the state's last record
+                assert at == i and first == len(state.records) - 1
+                assert state.records[first].vm_id == event.vm_id and state.records[first].k > 1
+                for field in dataclasses.fields(fork):
+                    value = getattr(fork, field.name)
+                    if isinstance(value, (list, dict, set, SchedulerConfig)):
+                        assert value is not getattr(state, field.name), field.name
+                for mine, theirs in zip(fork.machines, state.machines):
+                    assert mine is not theirs
+                    assert mine.free_list is not theirs.free_list
+                    assert mine.free_list.bases is not theirs.free_list.bases
+                    assert mine.free_list.sizes is not theirs.free_list.sizes
+                assert fork.variant is challenger
+                assert fork.config.current_policy is other
+                assert fork.untimed and not fork.drained
+
+                fresh = new_state(spec, challenger, n=2)
+                for event in events[:i]:
+                    step(fresh, event)
+                assert self.machine_state(fork) == self.machine_state(fresh)
+                assert fork.index == fresh.index
+                # the fork holds no records: the fresh replay's are all k = 1
+                assert fork.records == [] and len(fresh.records) == first
+                assert all(r.k == 1 for r in fresh.records)
+                assert self.outcome(fork) == self.outcome(fresh, first)
+                # the current policy's replay goes on first, as in reselection
+                for event in events[i + 1:]:
+                    step(state, event)
+                for event in events[i:]:
+                    step(fork, event)
+                    step(fresh, event)
+                assert self.outcome(fork) == self.outcome(fresh, first)
+                assert self.machine_state(fork) == self.machine_state(fresh)
+        assert forks > 10
+
+    def test_fork_releases_nothing_and_leaves_its_origin_unchanged(self, monkeypatch):
+        """``_fork`` copies a state as it stands, VMs live: it releases no
+        VM, changes nothing of the state it copies (free-list columns,
+        placement index, live VMs, records), and the copy holds no records
+        and no drained period, so it never forks itself."""
+        rng = random.Random(52)
+        checked = 0
+
+        def snapshot(state):
+            return ([(list(m.free_list.bases), list(m.free_list.sizes), m.free_list.free_bytes,
+                      m.free_list.max_segment, m.cores_free) for m in state.machines],
+                    list(state.index), dict(state.live), list(state.records))
+
+        for _ in range(30):
+            spec, log = scoring_fleet_and_log(rng)
+            state = new_state(spec, SimVariant.DYNAMIC, n=2)
+            for event in log:
+                step(state, event)
+            if not state.live:
+                continue
+            before = snapshot(state)
+            releases = []
+            monkeypatch.setattr(engine, "release", lambda *args: releases.append(args))
+            monkeypatch.setattr(engine, "_release", lambda *args: releases.append(args))
+            fork = engine._fork(state, AllocationPolicy.LARGEST_FIRST)
+            monkeypatch.undo()
+            assert releases == []
+            assert snapshot(state) == before
+            assert fork.records == [] and fork.drained is False
+            assert sorted(fork.live) == sorted(state.live)
+            checked += 1
+        assert checked > 10, checked
+
+
+class TestDrainedFleetIsFresh:
+    """Scoring a period from the dynamic replay's records rests on this: once
+    every VM has stopped, a segment fleet equals a freshly built one."""
+
+    @staticmethod
+    def machine_state(state):
+        return [(m.free_list.segments, m.free_list.free_bytes, m.free_list.max_segment,
+                 m.cores_free) for m in state.machines]
+
+    @pytest.mark.parametrize("variant", [SimVariant.PLACEMENT_OPT1, SimVariant.PLACEMENT_OPT2,
+                                         SimVariant.DYNAMIC], ids=lambda v: v.value)
+    def test_every_drain_restores_a_fresh_fleet(self, variant):
+        rng = random.Random(46)
+        drains = composed = 0
+        for _ in range(30):
+            spec = FleetSpec((Generation("m", rng.randint(6, 10) * GIB + rng.randint(1, 9) * 4096,
+                                         64, 100.0),), rng.randint(1, 3))
+            events = []
+            for i in range(rng.randint(20, 80)):
+                t = rng.randint(0, 2000)
+                demand = rng.randint(1, 8) * GIB // 2 + rng.randint(0, 3 * PAGE_SIZE)
+                events.append(start_event(f"vm{i}", t, 1, demand))
+                events.append(stop_event(f"vm{i}", t + rng.randint(1, 600)))
+            fresh = new_state(spec, variant, n=2, reselect_period=300.0)
+            state = new_state(spec, variant, n=2, reselect_period=300.0)
+            for event in event_order(events):
+                step(state, event)
+                if not state.live:
+                    drains += 1
+                    assert self.machine_state(state) == self.machine_state(fresh)
+                    assert state.index == fresh.index
+            composed += any(r.k > 1 for r in state.records)
+        assert drains > 30 and composed > 0
 
 
 class _GcJumpClock:

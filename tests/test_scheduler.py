@@ -197,6 +197,17 @@ class TestReselectOption:
         config = SchedulerConfig(n=2, current_policy=OPT2)
         assert reselect_option([], self.fleet(6), config) is OPT2
 
+    def test_largest_first_wins_when_it_saves_the_decisive_vm(self):
+        log = composition_beats_smallest_log()
+        config = SchedulerConfig(n=2, current_policy=OPT1)
+        assert reselect_option(log, self.fleet(6), config) is OPT2
+        assert len(log) == 0  # log repository is reset
+
+    def test_smallest_first_wins_when_it_keeps_big_segments(self):
+        log = smallest_first_preserves_big_hole_log()
+        config = SchedulerConfig(n=1, current_policy=OPT2)
+        assert reselect_option(log, self.fleet(8), config) is OPT1
+
     def test_identical_outcomes_retain_current_policy(self):
         for current in (OPT1, OPT2):
             config = SchedulerConfig(n=2, current_policy=current)
