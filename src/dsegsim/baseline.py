@@ -181,10 +181,22 @@ class BuddyAllocator:
         Each order's free blocks are sorted once and cut into contiguous runs
         before the merge: over the sorted pages, ``pages[i] - i * size`` never
         decreases and stays level exactly along a run, so a bisection finds
-        each run's end."""
+        each run's end.
+
+        A max-order set that holds one block per max-order slot of the region
+        is the one span ``[0, top)``, with ``top`` the region's pages rounded
+        down to a max-order multiple, and is not sorted. Every max-order free
+        block is aligned and lies below ``top``: it was seeded there or made
+        by ``release`` coalescing buddies inside the region, and ``_acquire``
+        never pushes at max order. So that many distinct blocks fill every
+        slot. A machine whose VMs have all been released, as every machine is
+        at the end of a replay, is in this state."""
         spans = []
         for order, live in enumerate(self._sets):
             size = 1 << order
+            if order == self.max_order and live and len(live) == self.num_pages >> order:
+                spans.append((0, len(live) << order))
+                continue
             pages = sorted(live)
             i = 0
             while i < len(pages):

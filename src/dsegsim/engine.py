@@ -8,8 +8,12 @@ picks one by the variant's objective, grants the memory with the variant's
 allocator, then types the VM (register-file translation when k <= n), all
 in ``_start_vm``'s one frame. The engine times each allocator call of the
 replay, which is the one non-reproducible output; everything else is
-deterministic. Automatic garbage collection is held off only inside that
-timed call; a replay otherwise leaves the collector as it finds it.
+deterministic. ``run`` holds automatic garbage collection off from building
+the state to the report and then restores the switch as it found it, also
+on error: a replay makes no reference cycle, so a collection frees nothing
+and only re-walks the buddy allocators' block sets. ``_start_vm`` also holds
+it off around each timed allocator call, for replays driven through
+``step`` directly.
 
 Every machine is a ``MachineView`` that starts with a one-segment free list,
 which holds the same free bytes and free runs as a freshly seeded buddy
@@ -111,8 +115,8 @@ class SimulationState:
     # period's first composed grant under the other policy, that start's
     # index in the log and the grant's index in records
     challenger: tuple[SimulationState, int, int] | None = None
-    # a scoring replay, whose grants are neither timed nor kept from the
-    # garbage collector
+    # a scoring replay, whose grants read no clock and leave the garbage
+    # collector's switch alone
     untimed: bool = False
     # the (time, is start) key of the last event applied, before which
     # step takes no event: its time, and whether it was a start
@@ -471,9 +475,16 @@ def run(
 
     Rejected placements are counted, never retried. The seed is carried into
     the report so batch runs stay distinguishable; the replay itself is
-    deterministic.
+    deterministic. Automatic garbage collection is off for the whole replay,
+    and the switch is left as it was found.
     """
-    state = new_state(fleet_spec, variant, n, reselect_period)
-    for event in event_order(events):
-        step(state, event)
-    return finish(state, seed)
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        state = new_state(fleet_spec, variant, n, reselect_period)
+        for event in event_order(events):
+            step(state, event)
+        return finish(state, seed)
+    finally:
+        if gc_was_on:
+            gc.enable()

@@ -232,10 +232,11 @@ def serialize_trace(events: Iterable[VmEvent]) -> str:
 def read_utf8(
     path: str | Path, parse: Callable[[TextIO], Any], error: type[TraceFormatError]
 ) -> Any:
-    """``parse`` a UTF-8 text file as it streams in. Its ``error``, or a byte
-    that is not UTF-8, raises ``error`` with the file's path in the message."""
+    """``parse`` a UTF-8 text file as it streams in, less a leading byte order
+    mark. Its ``error``, or a byte that is not UTF-8, raises ``error`` with
+    the file's path in the message."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return parse(fh)
     except error as exc:
         raise error(exc.lineno, exc.reason, path) from None
@@ -560,12 +561,13 @@ def _json_number(key: str, value: object) -> float:
 
 
 def load_json_file(kind: str, path: str | Path, build: Callable[[Any], Any]) -> Any:
-    """Parse a JSON input file and ``build`` a value from it. A byte that is
-    not UTF-8, malformed JSON, a missing key, a value of the wrong type or
-    too large for a float raise ``ValueError("bad <kind> <path>: ...")``; a
-    file that cannot be read raises ``OSError``."""
+    """Parse a JSON input file, less a leading byte order mark, and ``build``
+    a value from it. A byte that is not UTF-8, malformed JSON, a missing key,
+    a value of the wrong type or too large for a float raise
+    ``ValueError("bad <kind> <path>: ...")``; a file that cannot be read
+    raises ``OSError``."""
     try:
-        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+        return build(json.loads(Path(path).read_text(encoding="utf-8-sig")))
     except (KeyError, TypeError, OverflowError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad {kind} {path}: {exc}") from exc
 

@@ -8,9 +8,10 @@ row's fields one call at a time.
 
 ``replay`` is the whole-replay reference: ``engine.run(...).core()`` for any
 variant, from a fleet-wide filter, ``plan_by_copy`` on every fitting
-machine, a freshly seeded buddy allocator per baseline machine, and
+machine, a freshly seeded buddy allocator per baseline machine whose free
+runs are merged one block at a time (``per_block_free_runs``), and
 reselection by two full replays of itself on a fresh fleet. It shares no
-walk, seed, free-list column or fork with the engine."""
+walk, seed, free-list column, free-run merge or fork with the engine."""
 
 from __future__ import annotations
 
@@ -224,6 +225,23 @@ def _merged(free, released) -> list:
     return runs
 
 
+def per_block_free_runs(buddy):
+    """Free runs found one free block at a time: every block of every order
+    sorted by start page, then abutting blocks merged."""
+    blocks = sorted(
+        (page, page + (1 << order))
+        for order, pages in enumerate(buddy._sets) for page in pages
+    )
+    merged = []
+    for lo, hi in blocks:
+        if merged and merged[-1][1] == lo:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    offset = buddy.start_page * PAGE_SIZE
+    return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)
+
+
 def replay(events, fleet_spec, variant, n, period) -> dict:
     """``engine.run(events, fleet_spec, variant, n, reselect_period=period)
     .core()`` as specified, sharing no fast path with the engine. Each start
@@ -292,7 +310,7 @@ def replay(events, fleet_spec, variant, n, period) -> dict:
         "start_count": len(records) + rejections, "records": records,
         "rejections": rejections, "anomalies": anomalies, "implicit_stops": implicit,
         "option_switches": switches,
-        "final_free": {str(m.machine_id): list(m.memory.free_runs()) if baseline
+        "final_free": {str(m.machine_id): list(per_block_free_runs(m.memory)) if baseline
                        else [(s.base, s.limit) for s in m.memory] for m in machines},
     }
 

@@ -13,7 +13,7 @@ from dsegsim.segments import (
     SegmentDescriptor,
     new_machine,
 )
-from oracle import BitmapOracle
+from oracle import BitmapOracle, per_block_free_runs
 
 GIB = 1 << 30
 MIB = 1 << 20
@@ -225,22 +225,74 @@ class TestFreeRuns:
             assert buddy.free_runs() == per_block_free_runs(buddy) == (region,)
         assert all(seen.values()), seen
 
+    def test_a_released_allocator_is_read_as_its_whole_region(self):
+        """With every VM released, the max-order set holds each max-order slot
+        below ``top``, the region's pages rounded down to a max-order
+        multiple, and is read as the one span [0, top): for every max_order,
+        odd totals and reservations, a tail of lower-order blocks above
+        ``top`` or none, and regions below one max-order block (``top`` 0)."""
+        rng = random.Random(47)
+        seen = dict.fromkeys(("top_0", "tail", "no_tail"), 0)
+        for max_order in range(15):
+            block = 1 << max_order
+            for _ in range(12):
+                reserved = rng.choice((0, rng.randint(1, 1 << 24)))
+                pages = max(1, rng.randint(0, 4) * block + rng.choice((0, rng.randrange(block))))
+                total = reserved + (pages + 1) * PAGE_SIZE + rng.randint(0, PAGE_SIZE - 1)
+                buddy = BuddyAllocator(total, reserved, max_order=max_order)
+                region = (buddy.start_page * PAGE_SIZE, total // PAGE_SIZE * PAGE_SIZE)
+                live = []
+                while buddy.free_pages and len(live) < 8:
+                    live.append(f"vm{len(live)}")
+                    buddy.allocate(live[-1], rng.randint(1, buddy.free_pages) * PAGE_SIZE)
+                rng.shuffle(live)
+                for vm in live:
+                    buddy.release(vm)
+                assert buddy.free_runs() == per_block_free_runs(buddy) == (region,)
+                top = buddy.num_pages - buddy.num_pages % block
+                assert len(buddy._sets[max_order]) == top // block
+                seen["top_0" if not top else "tail" if top < buddy.num_pages else "no_tail"] += 1
+        assert all(seen.values()), seen
 
-def per_block_free_runs(buddy):
-    """Free runs found one free block at a time: every block of every order
-    sorted by start page, then abutting blocks merged."""
-    blocks = sorted(
-        (page, page + (1 << order))
-        for order, pages in enumerate(buddy._sets) for page in pages
-    )
-    merged = []
-    for lo, hi in blocks:
-        if merged and merged[-1][1] == lo:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    offset = buddy.start_page * PAGE_SIZE
-    return tuple((offset + lo * PAGE_SIZE, offset + hi * PAGE_SIZE) for lo, hi in merged)
+    def test_one_max_order_block_held_is_merged_block_by_block(self):
+        """A max-order set one block short of every slot is a gap, wherever
+        the held block lies, and is sorted like any other order's set."""
+        rng = random.Random(53)
+        for max_order in range(15):
+            block = 1 << max_order
+            for _ in range(6):
+                slots = rng.randint(2, 5)
+                pages = slots * block + rng.choice((0, rng.randrange(block)))
+                buddy = BuddyAllocator((pages + 1) * PAGE_SIZE, PAGE_SIZE, max_order=max_order)
+                held = rng.randrange(slots)
+                for slot in range(held + 1):
+                    buddy.allocate(f"vm{slot}", block * PAGE_SIZE)
+                for slot in range(held):
+                    buddy.release(f"vm{slot}")
+                assert len(buddy._sets[max_order]) == slots - 1
+                lo, hi = (1 + held * block) * PAGE_SIZE, (1 + (held + 1) * block) * PAGE_SIZE
+                around = ((PAGE_SIZE, lo), (hi, (pages + 1) * PAGE_SIZE))
+                assert buddy.free_runs() == per_block_free_runs(buddy) == tuple(
+                    (a, b) for a, b in around if a < b
+                )
+
+    def test_a_full_max_order_set_is_not_sorted(self):
+        """Every slot free at max order is read from the set's size alone:
+        a 192 GiB machine's 3072 max-order blocks, and a region with a
+        lower-order tail, are never iterated."""
+
+        class Unreadable(set):
+            def __iter__(self):
+                raise AssertionError("the full max-order set was iterated")
+
+        for total in (192 * GIB, 3 * GIB + 7 * MIB + 5):
+            buddy = BuddyAllocator(total, 5 * PAGE_SIZE)
+            buddy.allocate("vm", 3 * MIB)
+            buddy.release("vm")
+            expected = per_block_free_runs(buddy)
+            assert expected == ((5 * PAGE_SIZE, total // PAGE_SIZE * PAGE_SIZE),)
+            buddy._sets[DEFAULT_MAX_ORDER] = Unreadable(buddy._sets[DEFAULT_MAX_ORDER])
+            assert buddy.free_runs() == expected
 
 
 def random_shape(rng):

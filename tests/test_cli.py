@@ -11,7 +11,8 @@ import pytest
 import dsegsim
 from dsegsim import cli
 from dsegsim.cli import COMMANDS, EXIT_ANOMALIES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, build_parser, main
-from dsegsim.trace import default_fleet_spec, load_fleet_spec
+from dsegsim.mmu import load_counters
+from dsegsim.trace import default_fleet_spec, load_fleet_spec, load_snapshot, load_trace
 
 GIB = 1 << 30
 
@@ -502,6 +503,53 @@ class TestBadBytesAndPaths:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: vm_count must be between 0 and 10**7\n"
         assert not (tmp_path / "t.csv").exists()
+
+
+BOM = b"\xef\xbb\xbf"
+
+# Each input file: the argv that reads it, with the other inputs valid; the
+# function that loads it; and a valid text of it.
+BOM_INPUTS = {
+    "trace": (NON_UTF8_INPUTS["trace"][0], load_trace, b"vm1,start,0,1,4096\nvm1,stop,5,,\n"),
+    "trace with a header": (
+        NON_UTF8_INPUTS["trace"][0], load_trace,
+        b"vm_id,kind,time,cores,memory_bytes\nvm1,start,0,1,4096\nvm1,stop,5,,\n",
+    ),
+    "snapshot": (
+        bootstorm_argv, load_snapshot,
+        b"vm_id,cores,memory_bytes,host_id,host_ram_bytes,host_cores\nvm1,1,4096,h,8192,2\n",
+    ),
+    "counters": (NON_UTF8_INPUTS["counters"][0], load_counters, b"c_1d = 100\nn_tlb = 10\n"),
+    "fleet spec": (
+        JSON_INPUTS["fleet spec"], load_fleet_spec,
+        json.dumps(dataclasses.asdict(default_fleet_spec(5))).encode(),
+    ),
+    "flavor file": (
+        JSON_INPUTS["flavor file"], cli._load_flavors,
+        json.dumps([{"memory_bytes": GIB, "cores": 1}]).encode(),
+    ),
+    "register file": (
+        JSON_INPUTS["register file"], cli._load_registers,
+        json.dumps({"n": 3, "gb": [1 << 31], "hb": [1 << 32, 3 << 32], "limit": 7 << 31}).encode(),
+    ),
+}
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is dropped from every input file, which
+    then reads as it would without one: it is not part of a vm_id, a header,
+    a counter name or the JSON."""
+
+    @pytest.mark.parametrize("kind", BOM_INPUTS)
+    def test_a_leading_bom_is_not_read_as_data(self, tmp_path, fleet_file, capsys, kind):
+        argv, load, data = BOM_INPUTS[kind]
+        (tmp_path / "t.csv").write_text("vm1,start,0,1,4096\n")
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(data)
+        marked.write_bytes(BOM + data)
+        assert load(marked) == load(plain)
+        assert main(argv(marked, tmp_path)) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestTranslate:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -1624,6 +1625,8 @@ class _SteppingClock:
 class TestAllocLatency:
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
     def test_garbage_collection_is_not_charged_to_a_grant(self, variant, monkeypatch):
+        """Driven through ``step``, outside ``run``'s hold, collections land
+        between grants and none inside a timed call."""
         clock = _GcJumpClock()
         monkeypatch.setattr(engine, "_time", clock)
         events = gen_synthetic(200, DEFAULT_FLAVORS, Distribution.exponential(120),
@@ -1632,7 +1635,10 @@ class TestAllocLatency:
         gc.callbacks.append(clock.on_gc)
         gc.set_threshold(1, 1, 1)
         try:
-            report = run(events, default_fleet_spec(20), variant)
+            state = new_state(default_fleet_spec(20), variant)
+            for event in event_order(events):
+                step(state, event)
+            report = finish(state)
         finally:
             gc.set_threshold(*threshold)
             gc.callbacks.remove(clock.on_gc)
@@ -1680,11 +1686,11 @@ class _CountingClock:
 class TestUntimedScoring:
     def test_scoring_replays_read_no_clock(self, monkeypatch):
         """Only the dynamic replay's own grants are timed, with two clock
-        readings and one ``gc.disable`` each: its reselections' replays,
-        forked in a period begun drained (periods 1 and 3, by the dynamic
-        replay) and in one begun with VMs live (period 2, by the current
-        policy's fresh replay, itself untimed), grant untimed, with a latency
-        of 0.0."""
+        readings and one ``gc.disable`` each, beside ``run``'s one for the
+        whole replay: its reselections' replays, forked in a period begun
+        drained (periods 1 and 3, by the dynamic replay) and in one begun
+        with VMs live (period 2, by the current policy's fresh replay, itself
+        untimed), grant untimed, with a latency of 0.0."""
         events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
                   + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
         clock = _CountingClock()
@@ -1699,8 +1705,72 @@ class TestUntimedScoring:
         # each challenger placed the composed start it was forked at, untimed
         assert all(r.fork is not None and r.challenger_steps for r in report.reselections)
         assert clock.reads == 2 * len(report.records)
-        assert disable.call_count == len(report.records)
+        assert disable.call_count == len(report.records) + 1
         assert all(r.alloc_latency == 1e-9 for r in report.records)
+
+
+def forking_replay():
+    """A dynamic replay whose reselections fork in periods begun drained
+    (the first and third) and score a period begun with VMs live on a fresh
+    fleet (the second)."""
+    events = (composing_period(0, "p") + stops(1000, "p") + composing_period(1500, "q")
+              + stops(1600, "q") + composing_period(2000, "r") + stops(3000, "r"))
+    return events, one_machine_spec(ram_gib=4), SimVariant.DYNAMIC, 2, 1000.0
+
+
+def synthetic_replays():
+    events = gen_synthetic(200, DEFAULT_FLAVORS, Distribution.exponential(120),
+                           Distribution.exponential(6000), 7)
+    return [(events, default_fleet_spec(20), variant, 3, 6 * 3600.0) for variant in VARIANTS]
+
+
+class TestCollectorHeldOff:
+    """``run`` makes no reference cycle, so it holds automatic garbage
+    collection off from building the state to the report, and leaves the
+    switch as it found it."""
+
+    def test_a_replay_leaves_no_reference_cycle(self):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            for events, spec, variant, n, period in synthetic_replays() + [forking_replay()]:
+                gc.collect()
+                report = run(events, spec, variant, n, reselect_period=period)
+                assert gc.collect() == 0, variant
+                assert report.placed > 0
+        finally:
+            if was_on:
+                gc.enable()
+        assert [r.origin for r in report.reselections] == ["records", "replay", "records"]
+        assert all(r.fork is not None for r in report.reselections)
+
+    @pytest.mark.parametrize("gc_on", [True, False])
+    def test_no_collection_runs_inside_a_replay(self, gc_on):
+        """With every threshold at 1, a collection would start at almost
+        every allocation; none starts while ``run`` is on the stack."""
+        inside = []
+
+        def on_gc(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not engine.run.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                inside.append(info)
+
+        was_on, threshold = gc.isenabled(), gc.get_threshold()
+        (gc.enable if gc_on else gc.disable)()
+        gc.callbacks.append(on_gc)
+        gc.set_threshold(1, 1, 1)
+        try:
+            for events, spec, variant, n, period in synthetic_replays() + [forking_replay()]:
+                report = run(events, spec, variant, n, reselect_period=period)
+                assert gc.isenabled() is gc_on
+                assert report.placed > 0
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_gc)
+            (gc.enable if was_on else gc.disable)()
+        assert inside == []
 
 
 class TestFrozenFleet:
