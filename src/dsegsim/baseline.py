@@ -10,7 +10,6 @@ memory segments the VM effectively received.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from typing import Iterable
 
@@ -176,12 +175,8 @@ class BuddyAllocator:
             self._push(page, order)
 
     def free_runs(self) -> tuple[tuple[int, int], ...]:
-        """Free memory as maximal contiguous (base, limit) byte ranges.
-
-        Each order's free blocks are sorted once and cut into contiguous runs
-        before the merge: over the sorted pages, ``pages[i] - i * size`` never
-        decreases and stays level exactly along a run, so a bisection finds
-        each run's end.
+        """Free memory as maximal contiguous (base, limit) byte ranges, each
+        free block a span of the merge.
 
         A max-order set that holds one block per max-order slot of the region
         is the one span ``[0, top)``, with ``top`` the region's pages rounded
@@ -193,17 +188,8 @@ class BuddyAllocator:
         at the end of a replay, is in this state."""
         spans = []
         for order, live in enumerate(self._sets):
-            size = 1 << order
             if order == self.max_order and live and len(live) == self.num_pages >> order:
                 spans.append((0, len(live) << order))
-                continue
-            pages = sorted(live)
-            i = 0
-            while i < len(pages):
-                end = bisect.bisect_right(
-                    range(len(pages)), pages[i] - i * size, lo=i,
-                    key=lambda j: pages[j] - j * size,
-                )
-                spans.append((pages[i], pages[end - 1] + size))
-                i = end
+            else:
+                spans += [(page, page + (1 << order)) for page in live]
         return self._runs(spans)

@@ -30,21 +30,21 @@ resource it has just changed.
 ``step`` is the one code that applies an event. ``run`` drives it over a
 trace, and so does the dynamic variant's periodic policy reselection
 (``reselect_option``), which scores both composition policies on the logged
-events without ``run``. The policies differ only from a period's first
-composed grant on, so ``_start_vm`` forks the other policy's replay just
-before that grant, and the scores count only from there. A score reads
-only k, so these scoring replays are untimed: their grants call the
-allocator directly, with no clock reading and no garbage-collector switch,
-and record a latency of 0.0. A period whose log cannot compose a grant on a
-fresh fleet, because it holds no more starts than machines that could each
-host its largest start, is scored without a replay.
+events without ``run``, each as a plain fixed-policy replay. The policies
+differ only from a period's first composed grant on, so ``_start_vm`` forks
+the other policy's replay just before that grant, keeping the start's
+event, and the scores count only from there. A score reads only k, so these
+scoring replays are untimed: their grants call the allocator directly, with
+no clock reading and no garbage-collector switch, and record a latency of
+0.0. A period whose log cannot compose a grant on a fresh fleet, because it
+holds no more starts than machines that could each host its largest start,
+is scored without a replay.
 """
 
 from __future__ import annotations
 
 import bisect
 import gc
-import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -109,12 +109,13 @@ class SimulationState:
     option_switches: list[tuple[int, str]] = field(default_factory=list)
     reselections: list[Reselection] = field(default_factory=list)  # one per option switch
     next_reselect: float = 0.0
-    # dynamic only: whether no VM was live when the logged period began
+    # whether no VM was live when the logged period began; a scoring
+    # replay of the current policy begins drained
     drained: bool = False
     # in a period begun drained, a copy of the state from just before the
     # period's first composed grant under the other policy, that start's
-    # index in the log and the grant's index in records
-    challenger: tuple[SimulationState, int, int] | None = None
+    # event and the grant's index in records
+    challenger: tuple[SimulationState, VmEvent, int] | None = None
     # a scoring replay, whose grants read no clock and leave the garbage
     # collector's switch alone
     untimed: bool = False
@@ -181,8 +182,7 @@ def step(state: SimulationState, event: VmEvent) -> VmRecord | None:
             if state.log:
                 chosen = reselect_option(
                     state.log, state.fleet_spec, state.config,
-                    state.records if state.drained else None, state.challenger,
-                    state.reselections,
+                    state if state.drained else None, state.reselections,
                 )
                 state.config.current_policy = chosen
                 state.option_switches.append((int(state.next_reselect), chosen.value))
@@ -237,7 +237,7 @@ def _start_vm(state: SimulationState, event: VmEvent) -> VmRecord | None:
         # Machines fit, but none in one segment: the grant composes, and the
         # policies can differ from here on, so fork the challenger first.
         if state.drained and state.challenger is None:
-            state.challenger = _fork(state, _OTHER[policy]), len(state.log) - 1, len(state.records)
+            state.challenger = _fork(state, _OTHER[policy]), event, len(state.records)
         machine = state.machines[filter_min_segments(walked, memory, policy)]
     machine_id = machine.machine_id
     vm_id = event.vm_id
@@ -334,8 +334,7 @@ def reselect_option(
     log: list[VmEvent],
     fleet_spec: FleetSpec,
     config: SchedulerConfig,
-    records: list[VmRecord] | None = None,
-    challenger: tuple[SimulationState, int, int] | None = None,
+    scorer: SimulationState | None = None,
     reselections: list[Reselection] | None = None,
 ) -> AllocationPolicy:
     """Score both composition policies as replays of the log on a fresh fleet
@@ -345,40 +344,38 @@ def reselect_option(
     The policies place and grant alike, all at k = 1, until a grant
     composes, so both scores count only the starts from the current
     policy's first composed grant on; without one the two tie and the
-    current policy stays. ``challenger`` is the copy of the current
-    policy's replay that ``_start_vm`` took just before that grant, under
-    the other policy (``_fork``), with the grant's index in the log and in
-    ``records``. It is replayed until the outcome is decided
-    (``_outscores``).
+    current policy stays. ``scorer`` is the current policy's replay of the
+    log from a drained fleet, and its ``challenger`` the copy that
+    ``_start_vm`` took just before that grant, under the other policy
+    (``_fork``), with the grant's start event, found in the log by
+    identity, and its index in the scorer's ``records``. The copy is
+    replayed until the outcome is decided (``_outscores``).
 
-    ``records`` and ``challenger`` come from the caller's dynamic replay of
-    a period begun drained: a drained fleet equals a fresh one. Otherwise
-    the current policy is replayed on a fresh fleet, as a dynamic replay
-    that begins drained and never reselects, unless the log holds no more
-    starts than H (``_may_compose``), the machines that could each host its
-    largest start on an empty machine. With at most H starts no grant
-    composes: at the i-th start (i < starts <= H) at most i machines have
-    been granted to, so one of the H hosts is untouched and fits the start,
-    and the walk returns the first fit whose largest free segment covers
-    the demand. A log of no start is the case of 0 starts. Every replay here
-    is untimed and drives ``step`` directly, without ``finish``, whose
-    release of every live VM no score needs. How the period was scored is
-    appended to ``reselections``.
+    The caller's dynamic replay is the scorer of a period begun drained: a
+    drained fleet equals a fresh one. Otherwise the current policy is
+    replayed on a fresh fleet, as a plain fixed-policy replay marked
+    drained, unless the log holds no more starts than H (``_may_compose``),
+    the machines that could each host its largest start on an empty
+    machine. With at most H starts no grant composes: at the i-th start
+    (i < starts <= H) at most i machines have been granted to, so one of
+    the H hosts is untouched and fits the start, and the walk returns the
+    first fit whose largest free segment covers the demand. A log of no
+    start is the case of 0 starts. Every replay here is untimed and drives
+    ``step`` directly, without ``finish``, whose release of every live VM no
+    score needs. How the period was scored is appended to ``reselections``.
     """
     current = config.current_policy
-    record = Reselection("none" if records is None else "records", current.value)
-    if records is None and _may_compose(log, fleet_spec):
-        state = new_state(fleet_spec, _DYNAMIC, config.n)
-        state.config.current_policy = current
-        state.next_reselect = math.inf
-        state.untimed = True
+    record = Reselection("none" if scorer is None else "records", current.value)
+    if scorer is None and _may_compose(log, fleet_spec):
+        scorer = new_state(fleet_spec, SimVariant(current.value), config.n)
+        scorer.drained = scorer.untimed = True
         for event in log:
-            step(state, event)
-        records, challenger = state.records, state.challenger
+            step(scorer, event)
         record.origin, record.replay_steps = "replay", len(log)
-    if challenger is not None:
-        forked, record.fork, first = challenger
-        ks = [r.k for r in records[first:]]
+    if scorer is not None and scorer.challenger is not None:
+        forked, start, first = scorer.challenger
+        record.fork = next(i for i, event in enumerate(log) if event is start)
+        ks = [r.k for r in scorer.records[first:]]
         record.score = sum(k <= config.n for k in ks), sum(ks)
         if _outscores(forked, log[record.fork:], record):
             record.chosen = _OTHER[current].value

@@ -11,7 +11,9 @@ variant, from a fleet-wide filter, ``plan_by_copy`` on every fitting
 machine, a freshly seeded buddy allocator per baseline machine whose free
 runs are merged one block at a time (``per_block_free_runs``), and
 reselection by two full replays of itself on a fresh fleet. It shares no
-walk, seed, free-list column, free-run merge or fork with the engine."""
+walk, seed, free-list column, free-run merge or fork with the engine.
+``episodic_fleet_and_trace`` draws the seeded traces it is checked on, which
+``tools/digests.py`` replays too."""
 
 from __future__ import annotations
 
@@ -36,11 +38,17 @@ from dsegsim.segments import (
 from dsegsim.trace import (
     TRACE_HEADER,
     EventKind,
+    FleetSpec,
+    Generation,
     TraceFormatError,
     VmEvent,
     event_order,
     generation_counts,
+    start_event,
+    stop_event,
 )
+
+GIB = 1 << 30
 
 
 class BitmapOracle:
@@ -334,6 +342,57 @@ def _reselect(log, fleet_spec, n, period, current):
 
     (other,) = set(AllocationPolicy) - {current}
     return other if score(other) > score(current) else current
+
+
+def episodic_fleet_and_trace(rng):
+    """1-6 machines, most often one or two: hosts of 4-8 GiB plus an odd byte
+    count with 4-16 cores, mostly beside a generation of 1 GiB plus an odd
+    byte count with 1-2 cores, too small for some starts; an odd reservation
+    or none. 30-250 VMs (log-uniform, so short traces are cheap and long
+    ones switch policy back and forth) of 1-3 cores and 1/8-4 GiB plus up to
+    two pages start in episodes of 30, within half a period of 200 s to a day. Before each
+    start, live VMs stop at random while the live demand exceeds 70-90 % of
+    the fleet's bytes, so grants compose; the rest stop 0.9-3 periods after
+    the episode began. Most episodes begin at a boundary, some after empty
+    periods, one in four at once. One start in 20 restarts a stopped VM, and
+    one in 30 is repeated (a duplicate), another followed by the stop of a
+    ghost (unknown). Returns the fleet, the trace, n and the period."""
+    def odd():
+        return rng.randrange(1, 3 * PAGE_SIZE, 2)
+
+    share = rng.choice((50.0, 75.0, 100.0))
+    spec = FleetSpec((Generation("host", rng.randint(4, 8) * GIB + odd(), rng.randint(4, 16), share),
+                      Generation("small", GIB + odd(), rng.randint(1, 2), 100.0 - share)),
+                     rng.choice((1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 6)), rng.choice((0, odd())))
+    capacity = sum(g.ram_bytes * count for g, count in zip(spec.generations, generation_counts(spec)))
+    period = rng.choice((200, 600, 3600, 6 * 3600, 86400))
+    events, live, stopped = [], {}, []
+    t = began = 0
+    for i in range(int(30 * (250 / 30) ** rng.random())):
+        if i and i % 30 == 0:
+            end = began + int(period * rng.choice((0.9, 0.9, 1.5, 3)))
+            events += [stop_event(vm, end) for vm in live]
+            stopped += live
+            live = {}
+            if rng.random() < 0.75:
+                t = (end // period + rng.choice((1, 1, 2, 3))) * period
+            began = t
+        t += rng.randint(1, period // 60)
+        while live and sum(live.values()) > capacity * rng.uniform(0.7, 0.9):
+            vm = rng.choice(sorted(live))
+            del live[vm]
+            stopped.append(vm)
+            events.append(stop_event(vm, t))
+        draw = rng.random()
+        vm = stopped.pop(rng.randrange(len(stopped))) if draw < 0.05 and stopped else f"vm{i}"
+        live[vm] = rng.randint(1, 16) * GIB // rng.choice((4, 8)) + rng.randint(0, 2 * PAGE_SIZE)
+        events.append(start_event(vm, t, rng.randint(1, 3), live[vm]))
+        if draw > 0.97:
+            events.append(start_event(vm, t, 1, GIB))
+        elif draw > 0.94:
+            events.append(stop_event(f"ghost{i}", t))
+    events += [stop_event(vm, began + int(period * rng.choice((0.9, 1.5)))) for vm in live]
+    return spec, events, rng.randint(1, 3), float(period)
 
 
 def report_payload(report) -> dict:

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import math
 import random
 import sys
 from unittest import mock
@@ -26,11 +25,15 @@ from dsegsim.trace import (
     build_fleet,
     default_fleet_spec,
     gen_synthetic,
-    generation_counts,
     start_event,
     stop_event,
 )
-from oracle import BitmapOracle, filter_resources, replay as reference_replay
+from oracle import (
+    BitmapOracle,
+    episodic_fleet_and_trace,
+    filter_resources,
+    replay as reference_replay,
+)
 
 GIB = 1 << 30
 
@@ -606,57 +609,6 @@ class TestWholeReplayInvariants:
             assert len(policies) >= 3
 
 
-def episodic_fleet_and_trace(rng):
-    """1-6 machines, most often one or two: hosts of 4-8 GiB plus an odd byte
-    count with 4-16 cores, mostly beside a generation of 1 GiB plus an odd
-    byte count with 1-2 cores, too small for some starts; an odd reservation
-    or none. 30-250 VMs (log-uniform, so short traces are cheap and long
-    ones switch policy back and forth) of 1-3 cores and 1/8-4 GiB plus up to
-    two pages start in episodes of 30, within half a period of 200 s to a day. Before each
-    start, live VMs stop at random while the live demand exceeds 70-90 % of
-    the fleet's bytes, so grants compose; the rest stop 0.9-3 periods after
-    the episode began. Most episodes begin at a boundary, some after empty
-    periods, one in four at once. One start in 20 restarts a stopped VM, and
-    one in 30 is repeated (a duplicate), another followed by the stop of a
-    ghost (unknown). Returns the fleet, the trace, n and the period."""
-    def odd():
-        return rng.randrange(1, 3 * PAGE_SIZE, 2)
-
-    share = rng.choice((50.0, 75.0, 100.0))
-    spec = FleetSpec((Generation("host", rng.randint(4, 8) * GIB + odd(), rng.randint(4, 16), share),
-                      Generation("small", GIB + odd(), rng.randint(1, 2), 100.0 - share)),
-                     rng.choice((1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 6)), rng.choice((0, odd())))
-    capacity = sum(g.ram_bytes * count for g, count in zip(spec.generations, generation_counts(spec)))
-    period = rng.choice((200, 600, 3600, 6 * 3600, 86400))
-    events, live, stopped = [], {}, []
-    t = began = 0
-    for i in range(int(30 * (250 / 30) ** rng.random())):
-        if i and i % 30 == 0:
-            end = began + int(period * rng.choice((0.9, 0.9, 1.5, 3)))
-            events += [stop_event(vm, end) for vm in live]
-            stopped += live
-            live = {}
-            if rng.random() < 0.75:
-                t = (end // period + rng.choice((1, 1, 2, 3))) * period
-            began = t
-        t += rng.randint(1, period // 60)
-        while live and sum(live.values()) > capacity * rng.uniform(0.7, 0.9):
-            vm = rng.choice(sorted(live))
-            del live[vm]
-            stopped.append(vm)
-            events.append(stop_event(vm, t))
-        draw = rng.random()
-        vm = stopped.pop(rng.randrange(len(stopped))) if draw < 0.05 and stopped else f"vm{i}"
-        live[vm] = rng.randint(1, 16) * GIB // rng.choice((4, 8)) + rng.randint(0, 2 * PAGE_SIZE)
-        events.append(start_event(vm, t, rng.randint(1, 3), live[vm]))
-        if draw > 0.97:
-            events.append(start_event(vm, t, 1, GIB))
-        elif draw > 0.94:
-            events.append(stop_event(f"ghost{i}", t))
-    events += [stop_event(vm, began + int(period * rng.choice((0.9, 1.5)))) for vm in live]
-    return spec, events, rng.randint(1, 3), float(period)
-
-
 class TestWholeReplayReference:
     """Each variant's ``core()`` equals that of ``oracle.replay``, the
     whole-replay reference that shares no fast path with the engine, on
@@ -887,10 +839,11 @@ def bursty_fleet_and_trace(rng):
     return spec, events
 
 
-def reselect(log, spec, config, records=None, challenger=None):
-    """``reselect_option`` on the log, and the record of how it scored."""
+def reselect(log, spec, config, scorer=None):
+    """``reselect_option`` on the log, scored by ``scorer`` when one is
+    handed, and the record of how it scored."""
     reselections = []
-    chosen = engine.reselect_option(log, spec, config, records, challenger, reselections)
+    chosen = engine.reselect_option(log, spec, config, scorer, reselections)
     (record,) = reselections
     assert chosen.value == record.chosen
     return chosen, record
@@ -1054,15 +1007,16 @@ def replay_outcomes(events, spec, policy, n):
 
 def logged_period(log, spec, policy, n):
     """What the dynamic replay hands the reselection of a period that began
-    on a drained fleet and logged ``log`` under ``policy``: the records it
-    made, stepping the log in its own order, and the fork its ``_start_vm``
-    took just before the period's first composed grant, with that start's
-    log index and that grant's record index (None without one)."""
+    on a drained fleet and logged ``log`` under ``policy``: its own state,
+    whose records it made stepping the log in its own order, and whose
+    challenger is the fork its ``_start_vm`` took just before the period's
+    first composed grant, with that start's event and that grant's record
+    index (None without one)."""
     state = new_state(spec, SimVariant.DYNAMIC, n, reselect_period=10.0**9)
     state.config.current_policy = policy
     for event in log:
         step(state, event)
-    return state.records, state.challenger
+    return state
 
 
 def hosts(log, spec):
@@ -1132,18 +1086,18 @@ class TestChallengerScoring:
                 config = SchedulerConfig(n=n, current_policy=current)
                 mine, state = replay_outcomes(log, spec, current, config.n)
                 theirs, _ = replay_outcomes(log, spec, other, config.n)
-                records = challenger = None
+                scorer = None
                 if rng.random() < 0.5:
-                    # what the dynamic replay logged from a drained fleet,
-                    # and the fork it took
-                    records, challenger = logged_period(log, spec, current, config.n)
+                    # the dynamic replay that logged from a drained fleet,
+                    # with the fork it took
+                    scorer = logged_period(log, spec, current, config.n)
                 got_log = list(log)
-                got, record = reselect(got_log, spec, config, records, challenger)
+                got, record = reselect(got_log, spec, config, scorer)
                 wins = self.score(theirs, n) > self.score(mine, n)
                 assert got is (other if wins else current)
                 assert got_log == []
 
-                from_records = records is not None
+                from_records = scorer is not None
                 # the current policy is replayed exactly when the log holds
                 # more starts than machines that could host its largest one
                 replayed = not from_records and sum(k is not None for k in mine) > hosts(log, spec)
@@ -1329,9 +1283,11 @@ class TestReselectionRecord:
     @staticmethod
     def count_calls(monkeypatch):
         """Per reselection, the fresh fleets built, the events that untimed
-        replays stepped by policy and the forks taken (``len(log) - 1`` of
-        the state forked). Counting begins with the first entry, which a
-        direct ``reselect_option`` call fills; in a whole dynamic replay,
+        replays stepped by policy and the forks taken, each at the log index
+        of the start that the forked state was stepping: ``len(log) - 1`` of
+        the dynamic state, the events stepped so far less one of a fresh
+        scorer, which keeps no log. Counting begins with the first entry,
+        which a direct ``reselect_option`` call fills; in a whole dynamic replay,
         each step of the timed dynamic state that reaches its boundary with
         events logged begins the next entry, which takes over the forks that
         state took in the period it logged."""
@@ -1357,7 +1313,10 @@ class TestReselectionRecord:
             return real_new_state(*args)
 
         def fork_counted(state, policy):
-            (calls[-1]["forks"] if state.untimed else dynamic_forks).append(len(state.log) - 1)
+            if state.untimed:
+                calls[-1]["forks"].append(calls[-1]["steps"][state.config.current_policy] - 1)
+            else:
+                dynamic_forks.append(len(state.log) - 1)
             return real_fork(state, policy)
 
         begin()
@@ -1398,14 +1357,16 @@ class TestReselectionRecord:
             spec, log = scoring_fleet_and_log(rng)
             config = SchedulerConfig(n=rng.randint(1, 3),
                                      current_policy=rng.choice(list(AllocationPolicy)))
-            records = challenger = None
+            scorer = None
             if rng.random() < 0.5:
-                records, challenger = logged_period(log, spec, config.current_policy, config.n)
+                scorer = logged_period(log, spec, config.current_policy, config.n)
             calls = self.count_calls(monkeypatch)
-            _, record = reselect(list(log), spec, config, records, challenger)
+            _, record = reselect(list(log), spec, config, scorer)
             monkeypatch.undo()
             (counted,) = calls
-            handed = None if challenger is None else challenger[1]
+            handed = None
+            if scorer is not None and scorer.challenger is not None:
+                handed = next(i for i, e in enumerate(log) if e is scorer.challenger[1])
             self.check(record, counted, config.current_policy, seen, handed)
         assert all(seen.values()), seen
 
@@ -1473,9 +1434,10 @@ class TestFork:
             for current in AllocationPolicy:
                 (other,) = set(AllocationPolicy) - {current}
                 challenger = SimVariant(other.value)
-                state = new_state(spec, SimVariant.DYNAMIC, n=2)
-                state.config.current_policy = current
-                state.next_reselect = math.inf
+                # the scorer of a period begun with VMs live, as reselection
+                # builds it
+                state = new_state(spec, SimVariant(current.value), n=2)
+                state.drained = state.untimed = True
                 for i, event in enumerate(events):
                     step(state, event)
                     if state.challenger is not None:
@@ -1485,7 +1447,7 @@ class TestFork:
                 forks += 1
                 fork, at, first = state.challenger
                 # taken at this start, whose grant is the state's last record
-                assert at == i and first == len(state.records) - 1
+                assert at is event and first == len(state.records) - 1
                 assert state.records[first].vm_id == event.vm_id and state.records[first].k > 1
                 for field in dataclasses.fields(fork):
                     value = getattr(fork, field.name)
